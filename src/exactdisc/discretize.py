@@ -171,7 +171,7 @@ def _gram_cached(s: Subspace):
         for j in range(i, n):
             v = pw_integrate(pw_mul(s.funcs[i], s.funcs[j]))
             g[i][j] = g[j][i] = v
-    rank = _matrix_rank([list(row) for row in g])
+    _, rank = _solve_system(g, [Radical(0)] * n, range(n))  # g is symmetric
     return tuple(tuple(row) for row in g), rank
 
 
@@ -193,29 +193,6 @@ def moment_vector(s: Subspace, x) -> MomentVec:
 def _moment_entries_from_values(vals) -> tuple:
     n = len(vals)
     return tuple(vals[i] * vals[j] for i, j in index_pairs(n))
-
-
-def _matrix_rank(rows) -> int:
-    if not rows:
-        return 0
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0])
-    pr = 0
-    for c in range(ncols):
-        piv = next((r for r in range(pr, len(rows)) if rows[r][c]), None)
-        if piv is None:
-            continue
-        rows[pr], rows[piv] = rows[piv], rows[pr]
-        inv = rows[pr][c].inverse()
-        rows[pr] = [v * inv for v in rows[pr]]
-        for r in range(len(rows)):
-            if r != pr and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
-        pr += 1
-        if pr == len(rows):
-            break
-    return pr
 
 
 # ---------------------------------------------------------------------------
@@ -292,44 +269,58 @@ def _solve_system(columns, rhs, labels):
     one at a time, so on inconsistency the witness label identifies the
     exact prefix boundary: the system restricted to rows strictly before
     the witness is solvable, and adding the witness row makes it not.
-    Returns (result, rank) with result either (particular, null_basis) or
-    an Infeasible carrying the witness label; rank counts the pivots seen
-    up to the point of return.
+    Rows after the witness are still reduced, so the returned rank is the
+    column rank of the coefficient matrix whether or not the system is
+    consistent.  Returns (result, rank) with result either
+    (particular, null_basis) or an Infeasible carrying the witness label.
+
+    When every column and right-hand-side entry is rational the
+    elimination runs over Fraction, skipping the Radical normal form on
+    every operation; the results are wrapped as Radical once at the end.
     """
     m = len(columns)
+    rational = all(_rad(v).is_rational for col in (*columns, rhs) for v in col)
+    if rational:
+        columns = [[_rad(v).as_fraction() for v in col] for col in columns]
+        rhs = [_rad(v).as_fraction() for v in rhs]
+    witness = None
     pivot_rows = []  # (pivot_col, normalized fully-reduced row), sorted by col
     for r in range(len(rhs)):
+        if witness is not None and len(pivot_rows) == m:
+            break  # every column already has a pivot: the rank is final
         row = [columns[j][r] for j in range(m)] + [rhs[r]]
         for pc, prow in pivot_rows:
             if row[pc]:
                 f = row[pc]
-                row = [a - f * b for a, b in zip(row, prow)]
+                row = [a - f * b if b else a for a, b in zip(row, prow)]
         lead = next((c for c in range(m) if row[c]), None)
         if lead is None:
-            if row[m]:
-                return Infeasible(labels[r]), len(pivot_rows)
+            if row[m] and witness is None:
+                witness = labels[r]
             continue
-        inv = row[lead].inverse()
-        row = [v * inv for v in row]
+        inv = 1 / row[lead] if rational else row[lead].inverse()
+        row = [v * inv if v else v for v in row]
         for i, (pc, prow) in enumerate(pivot_rows):
             if prow[lead]:
                 f = prow[lead]
-                pivot_rows[i] = (pc, [a - f * b for a, b in zip(prow, row)])
+                pivot_rows[i] = (pc, [a - f * b if b else a for a, b in zip(prow, row)])
         pivot_rows.append((lead, row))
         pivot_rows.sort(key=lambda t: t[0])
+    if witness is not None:
+        return Infeasible(witness), len(pivot_rows)
     pivots = [pc for pc, _ in pivot_rows]
-    particular = [Radical(0)] * m
+    particular = [0] * m
     for pc, prow in pivot_rows:
         particular[pc] = prow[m]
     free = [c for c in range(m) if c not in pivots]
     null_basis = []
     for fc in free:
-        v = [Radical(0)] * m
-        v[fc] = Radical(1)
+        v = [0] * m
+        v[fc] = 1
         for pc, prow in pivot_rows:
             v[pc] = -prow[fc]
-        null_basis.append(tuple(v))
-    return (tuple(particular), tuple(null_basis)), len(pivots)
+        null_basis.append(tuple(_rad(x) for x in v))
+    return (tuple(_rad(x) for x in particular), tuple(null_basis)), len(pivots)
 
 
 def _row_pairs(n: int, pairs=None):
@@ -559,6 +550,14 @@ def decide_min(s: Subspace, mode: str = "signed", jobs: int = 1) -> MinCertifica
     feasibility-equivalent to its support set, so the repeats are redundant
     but make the case list explicit); enumeration and logging follow
     lexicographic order regardless of the parallelism degree.
+
+    Only the subsets of distinct vectors are solved, one elimination each.
+    A multiset with a repeated vector takes its reason from its support
+    set, which is smaller and so was refuted at an earlier size: the
+    repeated column makes it "rank-deficient", except in positive mode
+    when the support was solvable but had no positive solution -- splitting
+    or merging positive weights of equal columns keeps them positive, so
+    the multiset is then "positivity-infeasible" too.
     """
     if mode not in ("signed", "positive"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -570,12 +569,9 @@ def decide_min(s: Subspace, mode: str = "signed", jobs: int = 1) -> MinCertifica
 
     def eval_subset(subset):
         cols = [groups[i].moments for i in subset]
-        result, _rank = _solve_system(cols, rhs, row_pairs)
+        result, rank = _solve_system(cols, rhs, row_pairs)
         if isinstance(result, Infeasible):
-            # column rank of the moment matrix = row rank of the transpose
-            colrank = _matrix_rank([list(c) for c in cols])
-            reason = "rank-deficient" if colrank < len(subset) else "inconsistent"
-            return CaseLog(subset, reason), None
+            return ("rank-deficient" if rank < len(subset) else "inconsistent"), None
         particular, null_basis = result
         sol = WeightSolution(
             tuple(groups[i].representative for i in subset), particular, null_basis
@@ -583,17 +579,17 @@ def decide_min(s: Subspace, mode: str = "signed", jobs: int = 1) -> MinCertifica
         if mode == "positive":
             pf = positive_feasible(sol)
             if isinstance(pf, NoPositive):
-                return CaseLog(subset, "positivity-infeasible"), None
+                return "positivity-infeasible", None
             weights = pf.weights
         else:
             weights = particular
         return None, Rule(sol.nodes, weights)
 
+    reasons = {}  # every subset of distinct groups refuted so far
     exhaustion = []
     for m in range(1, len(groups) + 1):
-        subsets = list(itertools.combinations_with_replacement(range(len(groups)), m))
-        outcomes = _ordered_map(eval_subset, subsets, jobs)
-        for case, rule in outcomes:
+        subsets = list(itertools.combinations(range(len(groups)), m))
+        for subset, (reason, rule) in zip(subsets, _ordered_map(eval_subset, subsets, jobs)):
             if rule is not None:
                 report = verify_rule(s, rule)
                 if not report.passed:
@@ -608,9 +604,15 @@ def decide_min(s: Subspace, mode: str = "signed", jobs: int = 1) -> MinCertifica
                     fallback,
                     s.flags,
                 )
-        exhaustion.append(
-            LevelLog(m, len(subsets), tuple(case for case, _ in outcomes))
-        )
+            reasons[subset] = reason
+        cases = []
+        for multiset in itertools.combinations_with_replacement(range(len(groups)), m):
+            support = tuple(dict.fromkeys(multiset))
+            reason = reasons[support]
+            if len(support) < m and reason != "positivity-infeasible":
+                reason = "rank-deficient"
+            cases.append(CaseLog(multiset, reason))
+        exhaustion.append(LevelLog(m, len(cases), tuple(cases)))
     raise AssertionError("measure-decomposition rule should always be feasible")
 
 
@@ -812,10 +814,8 @@ def caratheodory_reduce(s: Subspace, rule: Rule, mode: str = "signed") -> Reduce
     nodes = list(rule.nodes)
     steps = []
     row_pairs = index_pairs(s.dimension)
+    cols = [moment_vector(s, x).entries for x in nodes]
     while True:
-        cols = [
-            [moment_vector(s, x).entry(i, sx) for i, sx in row_pairs] for x in nodes
-        ]
         result, _rank = _solve_system(cols, [Radical(0)] * len(row_pairs), row_pairs)
         _, null_basis = result
         if not null_basis:
@@ -839,6 +839,7 @@ def caratheodory_reduce(s: Subspace, rule: Rule, mode: str = "signed") -> Reduce
         steps.append(ReduceStep(tuple(mu), t, dropped))
         nodes = [nodes[i] for i in kept]
         weights = [weights[i] for i in kept]
+        cols = [cols[i] for i in kept]
         if not nodes:
             raise AssertionError("reduction emptied the rule")
     out = Rule(nodes, weights)

@@ -2,7 +2,10 @@
 prefix witnesses, strict-positivity certificates, exhaustive minimality,
 grid exploration, structural lower bounds, and support reduction."""
 
+import itertools
 import json
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +14,11 @@ import oracles
 import props
 from exactdisc.corpus import build_f1, build_f2, build_X2, build_X8, Example1Params, golden_rules
 from exactdisc.discretize import (
+    _MERGE_JUSTIFICATION,
+    CaseLog,
     Infeasible,
+    LevelLog,
+    MinCertificate,
     NoPositive,
     NotApplicable,
     PositiveWitness,
@@ -19,7 +26,9 @@ from exactdisc.discretize import (
     Rule,
     Subspace,
     WeightSolution,
+    _solve_system,
     caratheodory_reduce,
+    constancy_groups,
     decide_min,
     forced_region_contradiction,
     gram,
@@ -31,11 +40,19 @@ from exactdisc.discretize import (
     positive_feasible,
     search_grid,
     solve_weights,
+    subspace_to_doc,
     support_lower_bound,
     verify_rule,
 )
-from exactdisc.exactnum import Radical
-from exactdisc.piecewise import DomainError, constant_fn, pw_support
+from exactdisc.exactnum import Radical, rad_sqrt
+from exactdisc.piecewise import (
+    DomainError,
+    Piece,
+    PiecewiseFn,
+    constant_fn,
+    pw_scale_add,
+    pw_support,
+)
 
 X2 = build_X2()
 X8 = build_X8()
@@ -44,6 +61,31 @@ NEG_RULE = GOLDEN["ex1-negative"][1]
 POS_RULE = GOLDEN["ex1-positive"][1]
 NINE_RULE = GOLDEN["ex2-nine"][1]
 MIDS = (Fraction(-1, 2), Fraction(1, 8), Fraction(3, 8), Fraction(5, 8), Fraction(7, 8))
+
+
+def pwc_subspace(edges, rows):
+    """Piecewise-constant subspace on the given region edges, one row of
+    region values per basis function."""
+    regions = list(zip(edges, edges[1:]))
+    funcs = tuple(
+        PiecewiseFn([Piece.from_poly(Fraction(lo), Fraction(hi), [Fraction(v)])
+                     for (lo, hi), v in zip(regions, row)])
+        for row in rows
+    )
+    return Subspace(tuple(f"f{i + 1}" for i in range(len(rows))), funcs)
+
+
+# The paper's phenomenon on a piecewise-constant subspace: seven region
+# vectors, an exact 5-node rule exists, but every one has a negative weight
+# (the positive minimum is 6).
+SIGN_GAP = pwc_subspace(
+    ("-1", "-1/2", "-3/8", "-1/4", "-1/8", "0", "3/8", "1"),
+    (
+        (2, -2, 0, -2, 0, 1, -1),
+        (-1, 1, 2, -2, 2, -1, 1),
+        (2, 1, 1, 1, -2, -1, -1),
+    ),
+)
 
 
 def rational_columns(groups, subset):
@@ -224,6 +266,100 @@ def test_solve_weights_rejects_bad_nodes():
         solve_weights(X2, [Fraction(1, 8), Fraction(1, 8)])
 
 
+def random_rational_system(rng):
+    """Small random system with zeros, sometimes a dependent column and
+    sometimes a right-hand side built from the columns."""
+    n_rows, m = rng.randint(1, 6), rng.randint(1, 4)
+
+    def entry():
+        return props.random_fraction(rng, 3, 2) if rng.random() < 0.7 else Fraction(0)
+
+    cols = [[entry() for _ in range(n_rows)] for _ in range(m)]
+    if m > 1 and rng.random() < 0.4:
+        a, b = rng.sample(range(m), 2)
+        c = props.random_fraction(rng)
+        cols[b] = [c * v for v in cols[a]]
+    if rng.random() < 0.5:
+        coefs = [props.random_fraction(rng) for _ in range(m)]
+        rhs = [sum(c * col[r] for c, col in zip(coefs, cols)) for r in range(n_rows)]
+    else:
+        rhs = [entry() for _ in range(n_rows)]
+    return cols, rhs
+
+
+def solve_rows(cols, rhs, labels, k):
+    """_solve_system on the first k rows only."""
+    return _solve_system([col[:k] for col in cols], rhs[:k], labels[:k])
+
+
+def test_solve_system_matches_sympy_on_random_rational_systems():
+    rng = random.Random(7)
+    statuses = Counter()
+    for trial in range(60):
+        cols, rhs = random_rational_system(rng)
+        labels = [f"r{k}" for k in range(len(rhs))]
+        if trial % 2:  # Radical entries, as the solvers pass them
+            cols = [[Radical(v) for v in col] for col in cols]
+            rhs = [Radical(v) for v in rhs]
+        result, rank = _solve_system(cols, rhs, labels)
+        fcols = [[Radical(v).as_fraction() for v in col] for col in cols]
+        frhs = [Radical(v).as_fraction() for v in rhs]
+        assert rank == oracles.column_rank(fcols)
+        status, sol = oracles.solve_moment_system(fcols, frhs)
+        statuses[status] += 1
+        if status == "empty":
+            # the rank is the full column rank, and the witness is the
+            # first row whose prefix has no solution
+            assert isinstance(result, Infeasible)
+            k = labels.index(result.witness_pair)
+            before, _ = solve_rows(cols, rhs, labels, k)
+            assert not isinstance(before, Infeasible)
+            through, through_rank = solve_rows(cols, rhs, labels, k + 1)
+            assert isinstance(through, Infeasible)
+            assert through.witness_pair == result.witness_pair
+            assert through_rank == oracles.column_rank([col[: k + 1] for col in fcols])
+            continue
+        particular, null_basis = result
+        assert all(isinstance(v, Radical) for v in particular)
+        assert all(isinstance(v, Radical) for nu in null_basis for v in nu)
+        free = sorted({f for e in sol for f in e.free_symbols}, key=lambda f: int(f.name[1:]))
+        zero = {f: 0 for f in free}
+        assert particular == tuple(Radical(Fraction(str(e.subs(zero)))) for e in sol)
+        assert null_basis == tuple(
+            tuple(Radical(Fraction(str(e.coeff(f)))) for e in sol) for f in free
+        )
+        assert len(null_basis) == len(cols) - rank
+    assert statuses["empty"] and statuses["unique"] and statuses["affine"]
+
+
+def test_solve_system_over_q_sqrt2():
+    r2 = rad_sqrt(2)
+    c0 = [Radical(1), r2, Radical(3)]
+    c1 = [r2 * v for v in c0]
+    c2 = [Radical(0), Radical(1), r2]
+    cols = [c0, c1, c2]
+    labels = ["r0", "r1", "r2"]
+    rhs = [(Radical(1) + r2) * a + Radical(2) * b for a, b in zip(c0, c2)]
+    (particular, null_basis), rank = _solve_system(cols, rhs, labels)
+    assert rank == 2 and len(null_basis) == 1
+    assert all(isinstance(v, Radical) for v in particular + null_basis[0])
+    for r in range(3):
+        assert sum((x * col[r] for x, col in zip(particular, cols)), Radical(0)) == rhs[r]
+        assert sum((x * col[r] for x, col in zip(null_basis[0], cols)), Radical(0)) == Radical(0)
+    # (1, 0, 0) agrees with c0 - sqrt(2) c2 on the first two rows only
+    result, rank = _solve_system(cols, [Radical(1), Radical(0), Radical(0)], labels)
+    assert isinstance(result, Infeasible) and result.witness_pair == "r2"
+    assert rank == 2
+
+
+def test_gram_rank_of_dependent_basis():
+    f1, f2 = build_f1(), build_f2(Example1Params())
+    s = Subspace(("f1", "f2", "f1+f2"), (f1, f2, pw_scale_add(1, f1, 1, f2)))
+    g, rank = gram(s)
+    assert rank == 2
+    assert g[2][2] == g[0][0] + Radical(2) * g[0][1] + g[1][1]
+
+
 # ---------------------------------------------------------------------------
 # strict positivity
 
@@ -376,6 +512,104 @@ def test_decide_min_deterministic_across_jobs():
         one = min_certificate_to_doc(X2, decide_min(X2, mode, jobs=1))
         four = min_certificate_to_doc(X2, decide_min(X2, mode, jobs=4))
         assert json.dumps(one, sort_keys=True) == json.dumps(four, sort_keys=True)
+
+
+def test_sign_gap_subspace_needs_a_negative_weight_at_the_minimum():
+    doc = subspace_to_doc(SIGN_GAP)
+    signed, positive = decide_min(SIGN_GAP), decide_min(SIGN_GAP, "positive")
+    assert len(signed.groups) == 7
+    assert (signed.m_min, positive.m_min) == (5, 6)
+    assert signed.m_min == oracles.brute_min(doc, "signed")
+    assert positive.m_min == oracles.brute_min(doc, "positive")
+    assert any(w.sign() < 0 for w in signed.witness.weights)
+    level5 = positive.exhaustion[-1]
+    assert (level5.m, level5.count) == (5, 462)
+    assert Counter(c.reason for c in level5.cases) == {
+        "inconsistent": 20,
+        "rank-deficient": 441,
+        "positivity-infeasible": 1,
+    }
+    (refuted,) = [c for c in level5.cases if c.reason == "positivity-infeasible"]
+    assert refuted.subset == (0, 1, 2, 4, 5)
+    # the signed log is the positive log up to size 4; recheck the latter
+    assert signed.exhaustion == positive.exhaustion[:4]
+    rhs = rational_rhs(SIGN_GAP)
+    for lvl in positive.exhaustion:
+        for case in lvl.cases:
+            cols = rational_columns(positive.groups, case.subset)
+            assert oracles.check_case_reason(cols, rhs, case.reason), case
+
+
+def reference_rank(columns):
+    """Column rank of rational columns by plain Gaussian elimination."""
+    rows = [[v.as_fraction() for v in col] for col in columns]
+    rank = 0
+    for c in range(len(rows[0])):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] / rows[rank][c]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def reference_min_doc(s, mode):
+    """The minimality search without the support-set memo: every multiset
+    is solved on its own, and an infeasible one is labelled by a rank
+    computed apart from the solve."""
+    groups, _ = constancy_groups(s)
+    g, _ = gram(s)
+    row_pairs = index_pairs(s.dimension)
+    rhs = [g[i][sx] for i, sx in row_pairs]
+    exhaustion = []
+    for m in range(1, len(groups) + 1):
+        cases = []
+        for subset in itertools.combinations_with_replacement(range(len(groups)), m):
+            cols = [groups[i].moments for i in subset]
+            result, _ = _solve_system(cols, rhs, row_pairs)
+            if isinstance(result, Infeasible):
+                reason = "rank-deficient" if reference_rank(cols) < m else "inconsistent"
+                cases.append(CaseLog(subset, reason))
+                continue
+            sol = WeightSolution(tuple(groups[i].representative for i in subset), *result)
+            weights = sol.particular
+            if mode == "positive":
+                pf = positive_feasible(sol)
+                if isinstance(pf, NoPositive):
+                    cases.append(CaseLog(subset, "positivity-infeasible"))
+                    continue
+                weights = pf.weights
+            cert = MinCertificate(
+                mode, m, Rule(sol.nodes, weights), groups, tuple(exhaustion),
+                _MERGE_JUSTIFICATION, measure_rule(s), s.flags,
+            )
+            return json.dumps(min_certificate_to_doc(s, cert))
+        exhaustion.append(LevelLog(m, len(cases), tuple(cases)))
+    raise AssertionError("no feasible multiset")
+
+
+def test_decide_min_matches_per_multiset_reference():
+    # seed 362 draws a subspace with signed minimum 4 and positive minimum
+    # 6, so its size-5 log repeats groups of positivity-infeasible subsets
+    rng = random.Random(2026)
+    subspaces = [SIGN_GAP, props.random_pwc_subspace(random.Random(362), 3, 8)]
+    subspaces += [props.random_pwc_subspace(rng) for _ in range(10)]
+    repeated_positivity = 0
+    for s in subspaces:
+        for mode in ("signed", "positive"):
+            cert = decide_min(s, mode)
+            doc = json.dumps(min_certificate_to_doc(s, cert))
+            assert doc == reference_min_doc(s, mode), subspace_to_doc(s)
+            repeated_positivity += sum(
+                len(set(c.subset)) < len(c.subset)
+                for lvl in cert.exhaustion
+                for c in lvl.cases
+                if c.reason == "positivity-infeasible"
+            )
+    assert repeated_positivity == 4
 
 
 def test_measure_rule_is_exact_and_positive():
