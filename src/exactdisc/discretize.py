@@ -524,20 +524,30 @@ def constancy_groups(s: Subspace):
 
 
 def _ordered_map(fn, items, jobs):
-    items = list(items)
-    if jobs and jobs > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(fn, items))
-    return [fn(x) for x in items]
+    """fn over items, in order.
+
+    Lazy at jobs <= 1, so a caller that stops early evaluates nothing
+    more; otherwise every item is evaluated up front on a thread pool.
+    """
+    if jobs and jobs > 1:
+        items = list(items)
+        if len(items) > 1:
+            with ThreadPoolExecutor(max_workers=jobs) as ex:
+                return list(ex.map(fn, items))
+    return map(fn, items)
+
+
+def _region_rule(regions) -> Rule:
+    return Rule(
+        [(lo + hi) / 2 for lo, hi in regions],
+        [Radical(hi - lo) for lo, hi in regions],
+    )
 
 
 def measure_rule(s: Subspace) -> Rule:
     """One node per constancy region, weighted by region length (always exact)."""
     _, regions = constancy_groups(s)
-    return Rule(
-        [(lo + hi) / 2 for lo, hi in regions],
-        [Radical(hi - lo) for lo, hi in regions],
-    )
+    return _region_rule(regions)
 
 
 def decide_min(s: Subspace, mode: str = "signed", jobs: int = 1) -> MinCertificate:
@@ -565,13 +575,14 @@ def decide_min(s: Subspace, mode: str = "signed", jobs: int = 1) -> MinCertifica
     g, _ = gram(s)
     row_pairs = index_pairs(s.dimension)
     rhs = [g[i][sx] for i, sx in row_pairs]
-    fallback = measure_rule(s)
+    fallback = _region_rule(regions)
 
     def eval_subset(subset):
         cols = [groups[i].moments for i in subset]
         result, rank = _solve_system(cols, rhs, row_pairs)
         if isinstance(result, Infeasible):
-            return ("rank-deficient" if rank < len(subset) else "inconsistent"), None
+            reason = "rank-deficient" if rank < len(subset) else "inconsistent"
+            return subset, reason, None
         particular, null_basis = result
         sol = WeightSolution(
             tuple(groups[i].representative for i in subset), particular, null_basis
@@ -579,17 +590,17 @@ def decide_min(s: Subspace, mode: str = "signed", jobs: int = 1) -> MinCertifica
         if mode == "positive":
             pf = positive_feasible(sol)
             if isinstance(pf, NoPositive):
-                return "positivity-infeasible", None
+                return subset, "positivity-infeasible", None
             weights = pf.weights
         else:
             weights = particular
-        return None, Rule(sol.nodes, weights)
+        return subset, None, Rule(sol.nodes, weights)
 
     reasons = {}  # every subset of distinct groups refuted so far
     exhaustion = []
     for m in range(1, len(groups) + 1):
-        subsets = list(itertools.combinations(range(len(groups)), m))
-        for subset, (reason, rule) in zip(subsets, _ordered_map(eval_subset, subsets, jobs)):
+        subsets = itertools.combinations(range(len(groups)), m)
+        for subset, reason, rule in _ordered_map(eval_subset, subsets, jobs):
             if rule is not None:
                 report = verify_rule(s, rule)
                 if not report.passed:
@@ -653,8 +664,7 @@ def search_grid(
             return Rule(sol.nodes, pf.weights)
         return Rule(sol.nodes, sol.particular)
 
-    found = [r for r in _ordered_map(eval_subset, list(subsets), jobs) if r is not None]
-    return found
+    return [r for r in _ordered_map(eval_subset, subsets, jobs) if r is not None]
 
 
 # ---------------------------------------------------------------------------

@@ -238,9 +238,17 @@ class Radical:
         """
         if not self._terms:
             raise ZeroDivisionError("Radical division by zero")
-        rads = [d for d, _ in self._terms if d != 1]
-        if not rads:
+        if self.is_rational:
             return Radical(1 / self._terms[0][1])
+        prod = self._conjugate_product()
+        norm = self * prod
+        if not norm.is_rational or norm.is_zero:
+            raise ExactNumError("conjugate product did not yield a nonzero rational")
+        return prod * Radical(1 / norm.as_fraction())
+
+    def _conjugate_product(self) -> "Radical":
+        """Product of the conjugates that flip a nonempty set of sqrt signs."""
+        rads = [d for d, _ in self._terms if d != 1]
         prod = Radical(1)
         for mask in range(1, 1 << len(rads)):
             flip = {rads[i] for i in range(len(rads)) if mask >> i & 1}
@@ -248,10 +256,7 @@ class Radical:
                 tuple((d, -c if d in flip else c) for d, c in self._terms)
             )
             prod = prod * conj
-        norm = self * prod
-        if not norm.is_rational or norm.is_zero:
-            raise ExactNumError("conjugate product did not yield a nonzero rational")
-        return prod * Radical(1 / norm.as_fraction())
+        return prod
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -339,18 +344,8 @@ class Radical:
 
     def _separation_bound(self) -> Fraction:
         """A positive rational ``b`` with ``|self| >= b`` (self nonzero)."""
-        rads = [d for d, _ in self._terms if d != 1]
-        k = len(rads)
-        norm = self
-        if k:
-            prod = Radical(1)
-            for mask in range(1, 1 << k):
-                flip = {rads[i] for i in range(k) if mask >> i & 1}
-                conj = Radical._raw(
-                    tuple((d, -c if d in flip else c) for d, c in self._terms)
-                )
-                prod = prod * conj
-            norm = self * prod
+        k = sum(1 for d, _ in self._terms if d != 1)
+        norm = self * self._conjugate_product() if k else self
         val = abs(norm.as_fraction())
         big = sum(abs(c) * (math.isqrt(d) + 1) for d, c in self._terms)
         return val / max(Fraction(1), Fraction(big)) ** (2**k - 1)

@@ -13,6 +13,16 @@ exists so that linear combinations and products stay representable
 (e.g. combining a sqrt-ramp function with a polynomial one on a shared
 interval).  Values are exact :class:`~exactdisc.exactnum.Radical`
 scalars throughout; integration is closed-form via u-substitution.
+
+Invariant: every Piece's terms are canonical and sorted -- distinct
+canonical lines in increasing order, none of them (0, 1), each with a
+nonzero q -- and every Poly has Fraction coefficients without trailing
+zeros.  Raw sqrt terms (``_raw_sqrt``, documents) are canonicalized on
+entry, while ``Piece(lo, hi, poly, terms)`` takes terms as given, so its
+callers must pass canonical ones.  The kernel operations preserve the
+form and rely on it to skip work: scaling by a rational keeps every line
+as it is, adding an expression without terms keeps the other side's
+terms, and a term times a polynomial stays on its line.
 """
 
 from __future__ import annotations
@@ -57,6 +67,15 @@ class Poly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
+    @classmethod
+    def _of(cls, cs: list) -> "Poly":
+        """A Poly from a list of Fractions, trimmed in place but not coerced."""
+        while cs and not cs[-1]:
+            cs.pop()
+        self = object.__new__(cls)
+        object.__setattr__(self, "coeffs", tuple(cs))
+        return self
+
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
 
@@ -81,33 +100,48 @@ class Poly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            tuple(
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                for i in range(n)
-            )
-        )
+        a, b = self.coeffs, other.coeffs
+        if not b:
+            return self
+        if not a:
+            return other
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return Poly._of(out)
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._of([-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly(tuple(c * other for c in self.coeffs))
+            if other == 1:
+                return self
+            if not other or not self.coeffs:
+                return _ZERO
+            return Poly._of([c * other for c in self.coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(tuple(out))
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return _ZERO
+        if len(b) == 1:
+            return self * b[0]
+        if len(a) == 1:
+            return other * a[0]
+        out = [_F0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if not x:
+                continue
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+        return Poly._of(out)
 
     __rmul__ = __mul__
 
@@ -121,7 +155,7 @@ class Poly:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
+        quo = [_F0] * max(0, len(rem) - len(other.coeffs) + 1)
         d = other.coeffs[-1]
         for i in range(len(quo) - 1, -1, -1):
             c = rem[i + len(other.coeffs) - 1] / d
@@ -129,20 +163,20 @@ class Poly:
             if c:
                 for j, b in enumerate(other.coeffs):
                     rem[i + j] -= c * b
-        return Poly(tuple(quo)), Poly(tuple(rem[: len(other.coeffs) - 1]))
+        return Poly._of(quo), Poly._of(rem[: len(other.coeffs) - 1])
 
     def __mod__(self, other):
         return divmod(self, other)[1]
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return Poly._of([i * c for i, c in enumerate(self.coeffs) if i])
 
     def compose_affine(self, c0: Fraction, c1: Fraction) -> "Poly":
         """p(c0 + c1*t) as a polynomial in t."""
         arg = Poly((c0, c1))
-        acc = Poly()
+        acc = _ZERO
         for c in reversed(self.coeffs):
-            acc = acc * arg + Poly.const(c)
+            acc = acc * arg + Poly._of([c])
         return acc
 
     def integrate(self, lo: Fraction, hi: Fraction) -> Fraction:
@@ -155,6 +189,7 @@ class Poly:
         return f"Poly({[str(c) for c in self.coeffs]})"
 
 
+_F0 = Fraction(0)
 _ZERO = Poly()
 _ONE = Poly.const(1)
 
@@ -267,6 +302,10 @@ def _norm_expr(poly: Poly, raw_terms) -> tuple[Poly, tuple]:
 def _expr_add(e1, e2):
     p1, t1 = e1
     p2, t2 = e2
+    if not t2:
+        return p1 + p2, t1
+    if not t1:
+        return p1 + p2, t2
     acc = dict(t1)
     for ln, q in t2:
         acc[ln] = acc.get(ln, _ZERO) + q
@@ -274,8 +313,20 @@ def _expr_add(e1, e2):
 
 
 def _expr_scale(e, c: Radical):
-    """Multiply an expression by an exact scalar; always representable."""
+    """Multiply an expression by an exact scalar; always representable.
+
+    A rational scalar leaves every (canonical, sorted) line where it is and
+    only scales the polynomials; a sqrt(d) part moves terms onto new lines,
+    so that case is canonicalized again.
+    """
     poly, terms = e
+    if c.is_rational:
+        q = c.as_fraction()
+        if q == 1:
+            return e
+        if not q:
+            return _ZERO, ()
+        return poly * q, tuple((ln, t * q) for ln, t in terms)
     out_poly = _ZERO
     raw = []
     for d, coeff in c.terms:
@@ -293,12 +344,15 @@ def _expr_scale(e, c: Radical):
 def _expr_mul(e1, e2):
     p1, t1 = e1
     p2, t2 = e2
-    poly = p1 * p2
+    # a term times the other side's poly stays on its canonical line
+    linear = _expr_add(
+        (p1 * p2, tuple((ln, q * p2) for ln, q in t1) if p2.coeffs else ()),
+        (_ZERO, tuple((ln, q * p1) for ln, q in t2) if p1.coeffs else ()),
+    )
+    if not (t1 and t2):
+        return linear
+    poly = _ZERO
     raw = []
-    for (a, b), q in t1:
-        raw.append((Fraction(a), Fraction(b), q * p2))
-    for (a, b), q in t2:
-        raw.append((Fraction(a), Fraction(b), q * p1))
     for (a1, b1), q1 in t1:
         for (a2, b2), q2 in t2:
             qq = q1 * q2
@@ -335,7 +389,7 @@ def _expr_mul(e1, e2):
             raise UnsupportedProduct(
                 f"cannot multiply sqrt({a1}*x+{b1}) by sqrt({a2}*x+{b2})"
             )
-    return _norm_expr(poly, raw)
+    return _expr_add(linear, _norm_expr(poly, raw))
 
 
 def _expr_eval(e, x: Fraction) -> Radical:
@@ -357,11 +411,12 @@ def _expr_integrate(e, lo: Fraction, hi: Fraction) -> Radical:
         #   = (1/a) * sum_k c_k * u^(k+3/2) / (k+3/2) between u(lo), u(hi)
         r = q.compose_affine(Fraction(-b, a), Fraction(1, a))
         u0, u1 = Fraction(a) * lo + b, Fraction(a) * hi + b
+        s0, s1 = rad_sqrt(u0), rad_sqrt(u1)
         acc = Radical(0)
         for k, c in enumerate(r.coeffs):
             if not c:
                 continue
-            term = rad_sqrt(u1) * Radical(u1**(k + 1)) - rad_sqrt(u0) * Radical(u0**(k + 1))
+            term = s1 * Radical(u1**(k + 1)) - s0 * Radical(u0**(k + 1))
             acc = acc + term * Radical(c / (Fraction(k) + Fraction(3, 2)))
         total = total + acc * Radical(Fraction(1, a))
     return total
@@ -416,7 +471,10 @@ class Piece:
     __slots__ = ("lo", "hi", "poly", "terms")
 
     def __init__(self, lo, hi, poly=_ZERO, terms=(), _raw_sqrt=None):
-        lo, hi = Fraction(lo), Fraction(hi)
+        if type(lo) is not Fraction:
+            lo = Fraction(lo)
+        if type(hi) is not Fraction:
+            hi = Fraction(hi)
         if lo >= hi:
             raise ValueError(f"empty or degenerate piece [{lo}, {hi})")
         if _raw_sqrt is not None:
@@ -478,7 +536,7 @@ class PiecewiseFn:
     equality of two functions is equality of the merged representations.
     """
 
-    __slots__ = ("domain_lo", "domain_hi", "pieces", "_los")
+    __slots__ = ("domain_lo", "domain_hi", "pieces", "_los", "_hash")
 
     def __init__(self, pieces):
         pieces = list(pieces)
@@ -500,6 +558,7 @@ class PiecewiseFn:
         object.__setattr__(self, "domain_lo", merged[0].lo)
         object.__setattr__(self, "domain_hi", merged[-1].hi)
         object.__setattr__(self, "_los", tuple(p.lo for p in merged))
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError("PiecewiseFn is immutable")
@@ -523,7 +582,10 @@ class PiecewiseFn:
         return isinstance(other, PiecewiseFn) and self.pieces == other.pieces
 
     def __hash__(self):
-        return hash(self.pieces)
+        # computed once: the Gram cache hashes whole subspaces per lookup
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self.pieces))
+        return self._hash
 
     def __repr__(self):
         return f"PiecewiseFn({len(self.pieces)} pieces on [{self.domain_lo}, {self.domain_hi}])"
@@ -544,16 +606,31 @@ def pw_eval(f: PiecewiseFn, x) -> Radical:
 
 
 def _common_grid(f: PiecewiseFn, g: PiecewiseFn):
+    """(lo, hi, f's expr, g's expr) on each cell of the merged breakpoints.
+
+    Both piece lists are sorted and end at the common domain end, so one
+    merge walk finds the cells.
+    """
     if f.domain != g.domain:
         raise DomainError(f"domains differ: {f.domain} vs {g.domain}")
-    edges = sorted(set(f.breakpoints()) | set(g.breakpoints()))
+    fp, gp = f.pieces, g.pieces
     fi = gi = 0
-    for lo, hi in zip(edges, edges[1:]):
-        while f.pieces[fi].hi <= lo:
+    lo = f.domain_lo
+    while fi < len(fp):
+        a, b = fp[fi], gp[gi]
+        if a.hi == b.hi:
+            yield lo, a.hi, a.expr, b.expr
+            lo = a.hi
             fi += 1
-        while g.pieces[gi].hi <= lo:
             gi += 1
-        yield lo, hi, f.pieces[fi].expr, g.pieces[gi].expr
+        elif a.hi < b.hi:
+            yield lo, a.hi, a.expr, b.expr
+            lo = a.hi
+            fi += 1
+        else:
+            yield lo, b.hi, a.expr, b.expr
+            lo = b.hi
+            gi += 1
 
 
 def pw_mul(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:

@@ -4,6 +4,7 @@ grid exploration, structural lower bounds, and support reduction."""
 
 import itertools
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -512,6 +513,41 @@ def test_decide_min_deterministic_across_jobs():
         one = min_certificate_to_doc(X2, decide_min(X2, mode, jobs=1))
         four = min_certificate_to_doc(X2, decide_min(X2, mode, jobs=4))
         assert json.dumps(one, sort_keys=True) == json.dumps(four, sort_keys=True)
+
+
+def test_decide_min_solves_nothing_after_the_witness(monkeypatch):
+    from exactdisc import discretize
+
+    events = []
+    solve, feasible = discretize._solve_system, discretize.positive_feasible
+
+    def counted_solve(columns, rhs, labels):
+        events.append("solve")
+        return solve(columns, rhs, labels)
+
+    def counted_feasible(sol):
+        events.append("positive")
+        return feasible(sol)
+
+    monkeypatch.setattr(discretize, "_solve_system", counted_solve)
+    monkeypatch.setattr(discretize, "positive_feasible", counted_feasible)
+    rng = random.Random(5)
+    subspaces = [X2, SIGN_GAP] + [props.random_pwc_subspace(rng, 3, 8) for _ in range(6)]
+    stopped_early = 0
+    for s in subspaces:
+        gram(s)  # warm the Gram cache, so every solve below is a subset's
+        groups, _ = constancy_groups(s)
+        index = {g.representative: i for i, g in enumerate(groups)}
+        for mode in ("signed", "positive"):
+            events.clear()
+            cert = decide_min(s, mode)
+            witness = tuple(index[x] for x in cert.witness.nodes)
+            level = list(itertools.combinations(range(len(groups)), cert.m_min))
+            earlier = sum(math.comb(len(groups), m) for m in range(1, cert.m_min))
+            assert events.count("solve") == earlier + level.index(witness) + 1
+            assert events[-1] == ("positive" if mode == "positive" else "solve")
+            stopped_early += level.index(witness) < len(level) - 1
+    assert stopped_early >= 4
 
 
 def test_sign_gap_subspace_needs_a_negative_weight_at_the_minimum():

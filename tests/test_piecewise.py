@@ -1,6 +1,7 @@
 """Exercises exact piecewise arithmetic: evaluation, products, integrals,
 support reasoning, and the JSON round-trip."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -10,7 +11,24 @@ import pytest
 import sympy
 
 import oracles
-from exactdisc.corpus import Example1Params, GSpec, build_f1, build_f2, build_g, build_h
+import props
+from exactdisc.corpus import (
+    Example1Params,
+    GSpec,
+    build_f1,
+    build_f2,
+    build_g,
+    build_h,
+    build_X8,
+    golden_rules,
+)
+from exactdisc.discretize import (
+    _gram_cached,
+    gram,
+    gram_to_doc,
+    subspace_from_doc,
+    subspace_to_doc,
+)
 from exactdisc.exactnum import ExactNumError, Radical, rad_sign, rad_sqrt
 from exactdisc.piecewise import (
     DomainError,
@@ -18,6 +36,8 @@ from exactdisc.piecewise import (
     PiecewiseFn,
     Poly,
     UnsupportedProduct,
+    _expr_scale,
+    _norm_expr,
     breakpoint_limits,
     constant_fn,
     constant_value_on,
@@ -91,6 +111,109 @@ def test_poly_basics():
     assert quo == Poly((Fraction(-1), Fraction(1))) and rem.is_zero
     assert Poly((1, 0, 0)) == Poly((1,))  # trailing zeros stripped
     assert Poly().is_zero and Poly().degree == -1
+
+
+# naive list-of-Fraction references for the Poly kernel
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    return _trim(
+        (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
+        for i in range(n)
+    )
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _ref_divmod(a, b):
+    rem = list(a)
+    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    for i in range(len(quo) - 1, -1, -1):
+        c = rem[i + len(b) - 1] / b[-1]
+        quo[i] = c
+        for j, y in enumerate(b):
+            rem[i + j] -= c * y
+    return _trim(quo), _trim(rem[: len(b) - 1])
+
+
+def _ref_compose(a, c0, c1):
+    acc = []
+    for c in reversed(a):
+        acc = _ref_add(_ref_mul(acc, [c0, c1]), [c])
+    return acc
+
+
+def _random_coeff_list(rng):
+    """Coefficients with zero runs, trailing zeros, and the constants 0 and 1."""
+    shape = rng.randrange(6)
+    if shape == 0:
+        return []
+    if shape == 1:
+        return [rng.choice((0, 1, -1))]
+    cs = [
+        Fraction(rng.randrange(-3, 4), rng.choice((1, 2, 3))) if rng.random() < 0.7 else 0
+        for _ in range(rng.randrange(1, 6))
+    ]
+    return cs + [0] * rng.randrange(3)
+
+
+def _is_canonical_poly(p):
+    return all(type(c) is Fraction for c in p.coeffs) and (not p.coeffs or p.coeffs[-1] != 0)
+
+
+def test_poly_kernel_matches_list_reference():
+    rng = random.Random(41)
+    for _ in range(400):
+        a, b = Poly(_random_coeff_list(rng)), Poly(_random_coeff_list(rng))
+        if rng.random() < 0.2 and b.coeffs:
+            # equal leading terms: the difference must be re-trimmed
+            a = Poly([x + 1 for x in b.coeffs[:-1]] + [b.coeffs[-1]])
+        ca, cb = list(a.coeffs), list(b.coeffs)
+        c = rng.choice((0, 1, -1, Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))))
+        c0, c1 = (Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(2))
+        results = {
+            "add": (a + b, _ref_add(ca, cb)),
+            "sub": (a - b, _ref_add(ca, [-x for x in cb])),
+            "mul": (a * b, _ref_mul(ca, cb)),
+            "scalar": (a * c, _ref_mul(ca, [Fraction(c)])),
+            "rscalar": (c * a, _ref_mul(ca, [Fraction(c)])),
+            "compose": (a.compose_affine(c0, c1), _ref_compose(ca, c0, c1)),
+            "derivative": (a.derivative(), _trim(i * x for i, x in enumerate(ca) if i)),
+        }
+        if cb:
+            quo, rem = divmod(a, b)
+            ref_quo, ref_rem = _ref_divmod(ca, cb)
+            results["quo"] = (quo, ref_quo)
+            results["rem"] = (rem, ref_rem)
+        for op, (got, want) in results.items():
+            assert list(got.coeffs) == want, (op, ca, cb)
+            assert _is_canonical_poly(got), (op, got)
+            assert got == Poly(want)
+
+
+def test_poly_identity_shortcuts():
+    p = Poly((Fraction(1, 2), 0, Fraction(-3)))
+    zero = Poly()
+    assert p * 1 is p and p * Fraction(1) is p
+    assert (p * 0).is_zero and (p * zero).is_zero and (zero * p).is_zero
+    assert p + zero is p and zero + p is p
+    assert (p * Poly((1,))) == p
+    # the public constructor still coerces its input
+    assert all(type(c) is Fraction for c in Poly((1, 2, 0)).coeffs)
 
 
 def test_real_root_count_matches_sympy():
@@ -327,6 +450,97 @@ def test_breakpoint_limits_flag_jumps():
     f2 = build_f2(Example1Params())
     jumps = [(x, lv, rv) for x, lv, rv, ok in breakpoint_limits(f2) if not ok]
     assert (Fraction(1, 4), Radical(3), Radical(-3)) in jumps
+
+
+def _canonical_terms(terms):
+    return _norm_expr(Poly(), [(Fraction(a), Fraction(b), q) for (a, b), q in terms])[1]
+
+
+def _random_exprs(rng):
+    """Canonical expressions: random pieces, hierarchy pieces and products."""
+    exprs = []
+    for trial in range(30):
+        family = SLOPE_FAMILIES[trial % len(SLOPE_FAMILIES)]
+        f, g = random_fn(rng, family), random_fn(rng, family)
+        exprs += [p.expr for p in f.pieces]
+        exprs += [p.expr for p in pw_mul(f, g).pieces]
+    for i, j in ((0, 0), (0, 1), (2, 5), (5, 1)):
+        exprs += [p.expr for p in build_h(i).pieces]
+        exprs += [p.expr for p in pw_mul(build_h(i), build_h(j)).pieces]
+    return exprs
+
+
+def test_pieces_keep_canonical_sorted_terms():
+    # the invariant the rational scaling path relies on
+    for _, terms in _random_exprs(random.Random(43)):
+        assert terms == _canonical_terms(terms)
+        assert all(not q.is_zero for _, q in terms)
+
+
+def test_rational_scaling_matches_the_canonicalizing_path():
+    rng = random.Random(47)
+    for e in _random_exprs(rng):
+        poly, terms = e
+        for c in (0, 1, -1, Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))):
+            want = _norm_expr(
+                poly * c, [(Fraction(a), Fraction(b), q * c) for (a, b), q in terms]
+            )
+            got = _expr_scale(e, Radical(c))
+            assert got == want
+            assert type(got[1]) is tuple and _is_canonical_poly(got[0])
+            if c == 1:
+                assert got is e
+        # a sqrt(d) scalar still goes through the canonicalizing path
+        got = _expr_scale(e, Radical.single(rng.choice(CONST_RADICANDS), Fraction(1, 3)))
+        assert got[1] == _canonical_terms(got[1])
+
+
+def test_equal_functions_hash_equal_and_hit_the_gram_cache():
+    f = build_h(2)
+    halves = []
+    for piece in f.pieces:
+        mid = (piece.lo + piece.hi) / 2
+        halves += [piece.restricted(piece.lo, mid), piece.restricted(mid, piece.hi)]
+    rebuilt = [
+        fn_from_doc(json.loads(json.dumps(fn_to_doc("h2", f))))[1],
+        pw_scale_add(2, f, -1, f),
+        pw_scale_add(1, f, 0, build_h(3)),
+        PiecewiseFn(halves),  # equal neighbours merge back
+    ]
+    for g in rebuilt:
+        assert g == f and g is not f
+        assert hash(g) == hash(f) == hash(f.pieces)
+        assert hash(g) == hash(g)  # the cached value is stable
+    built = build_X8()
+    loaded = subspace_from_doc(json.loads(json.dumps(subspace_to_doc(built))))
+    assert loaded == built and all(a is not b for a, b in zip(loaded.funcs, built.funcs))
+    _gram_cached.cache_clear()
+    first = gram(built)
+    hits = _gram_cached.cache_info().hits
+    assert gram(loaded) is first
+    assert _gram_cached.cache_info().hits == hits + 1
+
+
+#: sha256 digests recorded before the kernel's shortcuts were added
+GRAM_EX2_SHA256 = "fcc2c1d69a7e70dc61fbf6575c09ee15b03deeab87f1a42384b58f16c043ccce"
+POLARIZATION_EX2_SHA256 = "6ac58977ef9bf61ca33fa24d5181483f39e6b7eac12b8734abd86c90c3e04ea0"
+
+
+def test_gram_and_polarization_bytes_are_pinned():
+    x8 = build_X8()
+    _gram_cached.cache_clear()  # recompute every product and integral
+    doc = json.dumps(gram_to_doc(x8), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == GRAM_EX2_SHA256
+    # props.run_polarization's rational combinations, then radical ones
+    # that take the sqrt(d) scaling path
+    rule = golden_rules()["ex2-nine"][1]
+    rng = random.Random(0)
+    defects = []
+    for draw in [props.random_fraction] * 5 + [props.random_radical] * 3:
+        alphas = [draw(rng) for _ in x8.names]
+        defects.append(str(props.polarization_defect(x8, rule, alphas)))
+    digest = hashlib.sha256("\n".join(defects).encode()).hexdigest()
+    assert digest == POLARIZATION_EX2_SHA256
 
 
 # ---------------------------------------------------------------------------
