@@ -1,13 +1,12 @@
 """Command-line front end: corpus dump, verification, search, certificates.
 
 Exit codes: 0 success (verify: rule passes), 1 verification failure,
-2 unusable input (unknown names, malformed files or numbers), 3 violated
+2 unusable input (unknown names, malformed files or numbers, values the
+exact arithmetic cannot represent or certify), 3 violated
 operation precondition (non-piecewise-constant input to `min`, overlapping
 supports for `bound`, non-verifying input rule for `reduce`).
 
-All JSON output is byte-stable across runs and across --jobs degrees.
-The environment variable DISQ_PRECISION_BITS tunes the starting interval
-precision of exact sign decisions (default 64 bits).
+All JSON output is byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .exactnum import ExactNumError, Radical, float_str
-from .piecewise import DomainError
+from .piecewise import DomainError, UnsupportedProduct
 from .discretize import (
     ImprovedBound,
     Infeasible,
@@ -189,7 +188,7 @@ def cmd_gram(args) -> int:
 
 def cmd_min(args) -> int:
     s = _load_subspace(args.subspace)
-    cert = decide_min(s, mode=args.mode, jobs=args.jobs)
+    cert = decide_min(s, mode=args.mode)
     doc = min_certificate_to_doc(s, cert)
     lines = [
         f"minimal node count ({cert.mode} weights): {cert.m_min}",
@@ -232,7 +231,6 @@ def cmd_grid(args) -> int:
             args.m,
             mode=args.mode,
             max_subsets=args.max_subsets,
-            jobs=args.jobs,
             pairs=pairs,
         )
     except (ValueError, DomainError) as e:
@@ -268,13 +266,17 @@ def cmd_reduce(args) -> int:
 
 def cmd_bound(args) -> int:
     s = _load_subspace(args.subspace)
-    (w_idx,) = _name_indices(s, args.witness, "witness")
+    witness = _name_indices(s, args.witness, "witness")
+    if len(witness) != 1:
+        raise InputError(f"bad --witness {args.witness!r}: expected one NAME")
     targets = _name_indices(s, args.targets, "target")
-    cert = support_lower_bound(s, w_idx, targets)
-    refined = None
+    refine = None
     if args.refine:
-        u1, u2 = _name_indices(s, args.refine, "refine pair")[:2]
-        refined = forced_region_contradiction(s, cert, u1, u2)
+        refine = _name_indices(s, args.refine, "refine pair")
+        if len(refine) != 2:
+            raise InputError(f"bad --refine {args.refine!r}: expected NAME,NAME")
+    cert = support_lower_bound(s, witness[0], targets)
+    refined = forced_region_contradiction(s, cert, *refine) if refine else None
     doc = lower_bound_to_doc(s, cert, refined)
     lines = [f"lower bound: {doc['bound']} nodes"]
     for c in cert.clauses:
@@ -333,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("min", help="minimal node count for piecewise-constant bases")
     p.add_argument("subspace")
     p.add_argument("--mode", choices=("signed", "positive"), default="signed")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     common(p)
     p.set_defaults(fn=cmd_min)
 
@@ -343,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", type=int, required=True, help="subset size")
     p.add_argument("--mode", choices=("signed", "positive"), default="signed")
     p.add_argument("--max-subsets", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     p.add_argument(
         "--skip-pair",
         action="append",
@@ -383,7 +385,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     try:
         return args.fn(args)
-    except InputError as e:
+    except (InputError, UnsupportedProduct, ExactNumError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (PreconditionError, DomainError) as e:

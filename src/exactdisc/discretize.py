@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -184,10 +183,7 @@ def moment_vector(s: Subspace, x) -> MomentVec:
     """The vector (f_i(x) f_s(x)) over pairs i <= s."""
     x = Fraction(x)
     vals = [pw_eval(f, x) for f in s.funcs]
-    return MomentVec(
-        s.dimension,
-        tuple(vals[i] * vals[j] for i, j in index_pairs(s.dimension)),
-    )
+    return MomentVec(s.dimension, _moment_entries_from_values(vals))
 
 
 def _moment_entries_from_values(vals) -> tuple:
@@ -223,17 +219,24 @@ def _check_nodes(s: Subspace, nodes):
     return tuple(out)
 
 
+def _moment_columns(s: Subspace, nodes) -> list:
+    return [moment_vector(s, x).entries for x in _check_nodes(s, nodes)]
+
+
 def verify_rule(s: Subspace, rule: Rule) -> VerifyReport:
     """Exact per-pair residuals of the moment identity; pass iff all zero."""
-    nodes = _check_nodes(s, rule.nodes)
+    return _verify_columns(s, rule.weights, _moment_columns(s, rule.nodes))
+
+
+def _verify_columns(s: Subspace, weights, cols) -> VerifyReport:
+    """verify_rule for nodes whose moment columns are already known."""
     g, _ = gram(s)
-    cols = [moment_vector(s, x).entries for x in nodes]
     pairs = tuple(index_pairs(s.dimension))
     residuals = []
     failing = []
     for k, (i, sx) in enumerate(pairs):
         acc = Radical(0)
-        for w, col in zip(rule.weights, cols):
+        for w, col in zip(weights, cols):
             acc = acc + w * col[k]
         r = acc - g[i][sx]
         residuals.append(r)
@@ -523,20 +526,6 @@ def constancy_groups(s: Subspace):
     return groups, regions
 
 
-def _ordered_map(fn, items, jobs):
-    """fn over items, in order.
-
-    Lazy at jobs <= 1, so a caller that stops early evaluates nothing
-    more; otherwise every item is evaluated up front on a thread pool.
-    """
-    if jobs and jobs > 1:
-        items = list(items)
-        if len(items) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as ex:
-                return list(ex.map(fn, items))
-    return map(fn, items)
-
-
 def _region_rule(regions) -> Rule:
     return Rule(
         [(lo + hi) / 2 for lo, hi in regions],
@@ -550,7 +539,17 @@ def measure_rule(s: Subspace) -> Rule:
     return _region_rule(regions)
 
 
-def decide_min(s: Subspace, mode: str = "signed", jobs: int = 1) -> MinCertificate:
+def _feasible_rule(sol: WeightSolution, mode: str) -> Rule | None:
+    """A rule from a weight solution; in positive mode None if none is positive."""
+    if mode == "signed":
+        return Rule(sol.nodes, sol.particular)
+    pf = positive_feasible(sol)
+    if isinstance(pf, NoPositive):
+        return None
+    return Rule(sol.nodes, pf.weights)
+
+
+def decide_min(s: Subspace, mode: str = "signed") -> MinCertificate:
     """Minimal node count for a piecewise-constant subspace, with certificate.
 
     mode "signed" allows arbitrary real weights; "positive" requires all
@@ -559,7 +558,7 @@ def decide_min(s: Subspace, mode: str = "signed", jobs: int = 1) -> MinCertifica
     the exact reason (multisets rather than subsets: a repeated vector is
     feasibility-equivalent to its support set, so the repeats are redundant
     but make the case list explicit); enumeration and logging follow
-    lexicographic order regardless of the parallelism degree.
+    lexicographic order, and the search stops at the first feasible subset.
 
     Only the subsets of distinct vectors are solved, one elimination each.
     A multiset with a repeated vector takes its reason from its support
@@ -577,45 +576,31 @@ def decide_min(s: Subspace, mode: str = "signed", jobs: int = 1) -> MinCertifica
     rhs = [g[i][sx] for i, sx in row_pairs]
     fallback = _region_rule(regions)
 
-    def eval_subset(subset):
-        cols = [groups[i].moments for i in subset]
-        result, rank = _solve_system(cols, rhs, row_pairs)
-        if isinstance(result, Infeasible):
-            reason = "rank-deficient" if rank < len(subset) else "inconsistent"
-            return subset, reason, None
-        particular, null_basis = result
-        sol = WeightSolution(
-            tuple(groups[i].representative for i in subset), particular, null_basis
-        )
-        if mode == "positive":
-            pf = positive_feasible(sol)
-            if isinstance(pf, NoPositive):
-                return subset, "positivity-infeasible", None
-            weights = pf.weights
-        else:
-            weights = particular
-        return subset, None, Rule(sol.nodes, weights)
-
     reasons = {}  # every subset of distinct groups refuted so far
     exhaustion = []
     for m in range(1, len(groups) + 1):
-        subsets = itertools.combinations(range(len(groups)), m)
-        for subset, reason, rule in _ordered_map(eval_subset, subsets, jobs):
-            if rule is not None:
-                report = verify_rule(s, rule)
-                if not report.passed:
-                    raise AssertionError("minimality witness failed verification")
-                return MinCertificate(
-                    mode,
-                    m,
-                    rule,
-                    groups,
-                    tuple(exhaustion),
-                    _MERGE_JUSTIFICATION,
-                    fallback,
-                    s.flags,
-                )
-            reasons[subset] = reason
+        for subset in itertools.combinations(range(len(groups)), m):
+            result, rank = _solve_system([groups[i].moments for i in subset], rhs, row_pairs)
+            if isinstance(result, Infeasible):
+                reasons[subset] = "rank-deficient" if rank < m else "inconsistent"
+                continue
+            nodes = tuple(groups[i].representative for i in subset)
+            rule = _feasible_rule(WeightSolution(nodes, *result), mode)
+            if rule is None:
+                reasons[subset] = "positivity-infeasible"
+                continue
+            if not verify_rule(s, rule).passed:
+                raise AssertionError("minimality witness failed verification")
+            return MinCertificate(
+                mode,
+                m,
+                rule,
+                groups,
+                tuple(exhaustion),
+                _MERGE_JUSTIFICATION,
+                fallback,
+                s.flags,
+            )
         cases = []
         for multiset in itertools.combinations_with_replacement(range(len(groups)), m):
             support = tuple(dict.fromkeys(multiset))
@@ -633,7 +618,6 @@ def search_grid(
     m: int,
     mode: str = "signed",
     max_subsets: int | None = None,
-    jobs: int = 1,
     pairs=None,
 ):
     """Enumerate size-m node subsets of the candidates; return feasible rules.
@@ -641,7 +625,7 @@ def search_grid(
     Exploration only -- an empty result is not a nonexistence certificate.
     `pairs` restricts the enforced pair conditions (the returned rules then
     satisfy only those); `max_subsets` caps how many subsets are examined.
-    Deterministic lexicographic order at any parallelism degree.
+    Subsets are examined in lexicographic order.
     """
     if mode not in ("signed", "positive"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -649,22 +633,15 @@ def search_grid(
     if not 1 <= m <= len(cand):
         raise ValueError(f"subset size {m} out of range for {len(cand)} candidates")
     subsets = itertools.combinations(range(len(cand)), m)
-    if max_subsets is not None:
-        subsets = itertools.islice(subsets, max_subsets)
-
-    def eval_subset(subset):
-        nodes = [cand[i] for i in subset]
-        sol = solve_weights(s, nodes, pairs=pairs)
+    rules = []
+    for subset in itertools.islice(subsets, max_subsets):
+        sol = solve_weights(s, [cand[i] for i in subset], pairs=pairs)
         if isinstance(sol, Infeasible):
-            return None
-        if mode == "positive":
-            pf = positive_feasible(sol)
-            if isinstance(pf, NoPositive):
-                return None
-            return Rule(sol.nodes, pf.weights)
-        return Rule(sol.nodes, sol.particular)
-
-    return [r for r in _ordered_map(eval_subset, subsets, jobs) if r is not None]
+            continue
+        rule = _feasible_rule(sol, mode)
+        if rule is not None:
+            rules.append(rule)
+    return rules
 
 
 # ---------------------------------------------------------------------------
@@ -815,8 +792,8 @@ def caratheodory_reduce(s: Subspace, rule: Rule, mode: str = "signed") -> Reduce
     """
     if mode not in ("signed", "positive"):
         raise ValueError(f"unknown mode {mode!r}")
-    report = verify_rule(s, rule)
-    if not report.passed:
+    cols = _moment_columns(s, rule.nodes)
+    if not _verify_columns(s, rule.weights, cols).passed:
         raise PreconditionError("input rule does not verify; nothing to reduce")
     weights = list(rule.weights)
     if mode == "positive" and any(w.sign() <= 0 for w in weights):
@@ -824,7 +801,6 @@ def caratheodory_reduce(s: Subspace, rule: Rule, mode: str = "signed") -> Reduce
     nodes = list(rule.nodes)
     steps = []
     row_pairs = index_pairs(s.dimension)
-    cols = [moment_vector(s, x).entries for x in nodes]
     while True:
         result, _rank = _solve_system(cols, [Radical(0)] * len(row_pairs), row_pairs)
         _, null_basis = result

@@ -16,7 +16,6 @@ Rationals are plain :class:`fractions.Fraction` (aliased ``Rat``);
 from __future__ import annotations
 
 import math
-import os
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -26,8 +25,8 @@ Rat = Fraction
 #: trial-division limit for extracting square factors from radicands
 DEFAULT_FACTOR_BOUND = 10**6
 
-#: environment variable overriding the sign oracle's starting precision
-SIGN_PRECISION_ENV = "DISQ_PRECISION_BITS"
+#: starting interval precision (bits) of the sign oracle
+SIGN_START_BITS = 64
 
 
 class ExactNumError(ArithmeticError):
@@ -291,7 +290,7 @@ class Radical:
     def __bool__(self):
         return bool(self._terms)
 
-    def sign(self, start_bits: int | None = None) -> int:
+    def sign(self, start_bits: int = SIGN_START_BITS) -> int:
         """Exact sign: -1, 0 or +1.
 
         Zero iff the term tuple is empty (canonical form).  Otherwise the
@@ -304,8 +303,6 @@ class Radical:
         signs = {1 if c > 0 else -1 for _, c in self._terms}
         if len(signs) == 1:
             return signs.pop()  # all terms pull the same way
-        if start_bits is None:
-            start_bits = int(os.environ.get(SIGN_PRECISION_ENV, "64"))
         bits = max(8, start_bits)
         for _ in range(4):
             s = self._interval_sign(bits)
@@ -467,22 +464,6 @@ def rad_sqrt(q: int | Fraction, bound: int = DEFAULT_FACTOR_BOUND) -> Radical:
         return Radical(0)
     s, d = _split_square(q.numerator * q.denominator, bound)
     return Radical.single(d, Fraction(s, q.denominator))
-
-
-def rad_add(x: Radical, y: Radical) -> Radical:
-    return Radical(x) + Radical(y)
-
-
-def rad_mul(x: Radical, y: Radical) -> Radical:
-    return Radical(x) * Radical(y)
-
-
-def rad_inv(x: Radical) -> Radical:
-    return Radical(x).inverse()
-
-
-def rad_sign(x: Radical, start_bits: int | None = None) -> int:
-    return Radical(x).sign(start_bits)
 
 
 def float_str(x: Radical | Fraction | int, sig: int = 17) -> str:

@@ -43,15 +43,6 @@ class UnsupportedProduct(ValueError):
     """Product of sqrt pieces over genuinely different radicand lines."""
 
 
-class UnsupportedCombination(ValueError):
-    """Reserved: a linear combination that would leave the piece algebra.
-
-    The current representation is closed under scaling by any Radical
-    (constant radicals ride on (0, d) lines), so this is never raised;
-    the class is kept so callers can guard against future piece forms.
-    """
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 

@@ -178,9 +178,9 @@ def test_criterion_8_property_batteries():
         for mode in ("signed", "positive"):
             outs = [
                 json.dumps(
-                    min_certificate_to_doc(X2, decide_min(X2, mode, jobs=jobs)),
+                    min_certificate_to_doc(X2, decide_min(X2, mode)),
                     sort_keys=True,
                 )
-                for jobs in (1, 4, 4)
+                for _ in range(3)
             ]
             assert outs[0] == outs[1] == outs[2]

@@ -1,5 +1,5 @@
 """End-to-end command-line checks: exit codes, document output, and
-byte-stable JSON across repeat runs and parallelism degrees."""
+byte-stable JSON across repeat runs."""
 
 import json
 import os
@@ -230,6 +230,21 @@ def test_bound_unknown_names(corpus_dir, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        (["--witness", "h0,h1", "--targets", "h4"], "expected one NAME"),
+        (["--witness", "h0", "--targets", "h4", "--refine", "h0"], "expected NAME,NAME"),
+        (["--witness", "h0", "--targets", "h4", "--refine", "h0,h1,h2"], "expected NAME,NAME"),
+    ],
+)
+def test_bound_name_counts(corpus_dir, capsys, flags, expected):
+    code = cli.main(["bound", str(corpus_dir / "ex2.subspace.json")] + flags)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert expected in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # reduce
 
@@ -252,6 +267,57 @@ def test_reduce_rejects_non_verifying_rule(corpus_dir, capsys):
     )
     assert code == 3
     assert "does not verify" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# hostile documents: errors raised mid-computation are bad input
+
+# a product of five primes above 10**6: sqrt(1/N + 1) needs a radicand
+# that trial division cannot certify squarefree
+HUGE = 1000003 * 1000033 * 1000037 * 1000039 * 1000081
+
+
+def _sqrt_fn(name, beta):
+    piece = {"lo": "0", "hi": "1", "poly": ["1"], "sqrt": {"alpha": "1", "beta": beta}}
+    return {"name": name, "pieces": [piece]}
+
+
+@pytest.fixture
+def hostile_dir(tmp_path):
+    docs = {
+        # sqrt(x+1) * sqrt(x+2) leaves the piece algebra
+        "two-lines.subspace.json": {
+            "domain": ["0", "1"],
+            "functions": [_sqrt_fn("a", "1"), _sqrt_fn("b", "2")],
+        },
+        "half.rule.json": {"nodes": ["1/2"], "weights": ["1"]},
+        "one-line.subspace.json": {"domain": ["0", "1"], "functions": [_sqrt_fn("a", "1")]},
+        "huge.rule.json": {"nodes": [f"1/{HUGE}"], "weights": ["1"]},
+    }
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gram", "two-lines.subspace.json"],
+        ["verify", "two-lines.subspace.json", "half.rule.json"],
+        ["bound", "two-lines.subspace.json", "--witness", "a", "--targets", "b"],
+        ["reduce", "two-lines.subspace.json", "half.rule.json"],
+        ["verify", "one-line.subspace.json", "huge.rule.json"],
+        ["grid", "one-line.subspace.json", "--candidates", f"1/{HUGE}", "-m", "1"],
+        ["reduce", "one-line.subspace.json", "huge.rule.json"],
+    ],
+    ids=lambda argv: "-".join(argv[:2]),
+)
+def test_errors_mid_computation_exit_2(hostile_dir, capsys, argv):
+    argv = [str(hostile_dir / a) if a.endswith(".json") else a for a in argv]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,6 @@ from exactdisc.exactnum import (
     Radical,
     _split_square,
     float_str,
-    rad_add,
-    rad_inv,
-    rad_mul,
-    rad_sign,
     rad_sqrt,
 )
 
@@ -158,14 +154,6 @@ def test_scalar_coercion_and_pow():
         Radical(0) ** (-1)
 
 
-def test_module_level_wrappers():
-    x, y = rad_sqrt(2), rad_sqrt(3)
-    assert rad_add(x, y) == x + y
-    assert rad_mul(x, y) == rad_sqrt(6)
-    assert rad_inv(x) == x.inverse()
-    assert rad_sign(x - y) == -1
-
-
 # --- sign oracle -------------------------------------------------------------
 
 
@@ -193,12 +181,11 @@ def test_sign_on_tight_cancellations():
     assert z.sign() == 0
 
 
-def test_sign_env_override(monkeypatch):
-    monkeypatch.setenv("DISQ_PRECISION_BITS", "8")
+def test_sign_env_override():
+    # the sign is exact whatever the starting precision
     x = Radical.single(2, Fraction(70, 99)) - 1
-    assert x.sign() == -1
-    monkeypatch.setenv("DISQ_PRECISION_BITS", "512")
-    assert x.sign() == -1
+    assert x.sign(start_bits=8) == -1
+    assert x.sign(start_bits=512) == -1
 
 
 def test_comparisons_and_abs():
