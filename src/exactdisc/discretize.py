@@ -9,7 +9,9 @@ orthogonality is assumed.)  Everything here works over the exact Radical
 scalar field: Gram matrices, rule verification, weight solving, strict
 positivity via Fourier-Motzkin with multiplier tracking, minimal node
 counts for piecewise-constant subspaces, structural lower bounds, and
-Caratheodory support reduction.
+Caratheodory support reduction.  Elimination and Fourier-Motzkin compute
+internally in the cheapest representation that holds their inputs (see
+`exactnum._field_for`) and hand back Radicals.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import Radical, Rat, float_str
+from .exactnum import Radical, Rat, _as_radical, _field_for, float_str
 from .piecewise import (
     DomainError,
     PiecewiseFn,
@@ -40,12 +42,8 @@ class PreconditionError(ValueError):
     """An operation's structural precondition does not hold."""
 
 
-def _rad(x) -> Radical:
-    return x if isinstance(x, Radical) else Radical(x)
-
-
 def _val_doc(x) -> dict:
-    x = _rad(x)
+    x = _as_radical(x)
     return {"exact": str(x), "float": float_str(x)}
 
 
@@ -93,7 +91,7 @@ class Rule:
 
     def __init__(self, nodes, weights):
         nodes = [Fraction(x) for x in nodes]
-        weights = [_rad(w) for w in weights]
+        weights = [_as_radical(w) for w in weights]
         if len(nodes) != len(weights):
             raise ValueError("need one weight per node")
         if not nodes:
@@ -277,15 +275,17 @@ def _solve_system(columns, rhs, labels):
     consistent.  Returns (result, rank) with result either
     (particular, null_basis) or an Infeasible carrying the witness label.
 
-    When every column and right-hand-side entry is rational the
-    elimination runs over Fraction, skipping the Radical normal form on
-    every operation; the results are wrapped as Radical once at the end.
+    The elimination runs in the representation `_field_for` picks from
+    the entries: Fraction when every entry is rational, a two-Fraction
+    Q(sqrt(d)) value when the irrational entries share one radicand d,
+    and Radical when they involve several.  Results are wrapped as
+    Radical once, at the end.
     """
     m = len(columns)
-    rational = all(_rad(v).is_rational for col in (*columns, rhs) for v in col)
-    if rational:
-        columns = [[_rad(v).as_fraction() for v in col] for col in columns]
-        rhs = [_rad(v).as_fraction() for v in rhs]
+    lift, _sign, lower = _field_for(v for col in (*columns, rhs) for v in col)
+    columns = [[lift(v) for v in col] for col in columns]
+    rhs = [lift(v) for v in rhs]
+    zero, one = lift(0), lift(1)
     witness = None
     pivot_rows = []  # (pivot_col, normalized fully-reduced row), sorted by col
     for r in range(len(rhs)):
@@ -301,7 +301,7 @@ def _solve_system(columns, rhs, labels):
             if row[m] and witness is None:
                 witness = labels[r]
             continue
-        inv = 1 / row[lead] if rational else row[lead].inverse()
+        inv = one / row[lead]
         row = [v * inv if v else v for v in row]
         for i, (pc, prow) in enumerate(pivot_rows):
             if prow[lead]:
@@ -312,18 +312,18 @@ def _solve_system(columns, rhs, labels):
     if witness is not None:
         return Infeasible(witness), len(pivot_rows)
     pivots = [pc for pc, _ in pivot_rows]
-    particular = [0] * m
+    particular = [zero] * m
     for pc, prow in pivot_rows:
         particular[pc] = prow[m]
     free = [c for c in range(m) if c not in pivots]
     null_basis = []
     for fc in free:
-        v = [0] * m
-        v[fc] = 1
+        v = [zero] * m
+        v[fc] = one
         for pc, prow in pivot_rows:
             v[pc] = -prow[fc]
-        null_basis.append(tuple(_rad(x) for x in v))
-    return (tuple(_rad(x) for x in particular), tuple(null_basis)), len(pivots)
+        null_basis.append(tuple(map(lower, v)))
+    return (tuple(map(lower, particular)), tuple(null_basis)), len(pivots)
 
 
 def _row_pairs(n: int, pairs=None):
@@ -386,35 +386,44 @@ def positive_feasible(sol: WeightSolution):
     over the original inequalities, so an infeasible outcome returns a
     checkable combination: multipliers >= 0 with
     sum(mult_i * lambda_i(t)) identically equal to a constant <= 0.
+
+    The elimination runs in the representation `_field_for` picks from
+    the particular solution and the null basis (Fraction, a Q(sqrt(d))
+    value, or Radical for several radicands, as in `_solve_system`); the
+    returned weights, assignment, multipliers and constant are Radicals.
     """
     m = len(sol.particular)
     k = len(sol.null_basis)
+    lift, sign, lower = _field_for(itertools.chain(sol.particular, *sol.null_basis))
+    particular = [lift(v) for v in sol.particular]
+    null_basis = [[lift(v) for v in nu] for nu in sol.null_basis]
+    zero, one = lift(0), lift(1)
     # inequality i: particular[i] + sum_k t_k null_basis[k][i] > 0
     ineqs = []
     for i in range(m):
-        coefs = tuple(sol.null_basis[j][i] for j in range(k))
-        mults = tuple(Radical(1 if r == i else 0) for r in range(m))
-        ineqs.append((coefs, sol.particular[i], mults))
+        coefs = tuple(null_basis[j][i] for j in range(k))
+        mults = tuple(one if r == i else zero for r in range(m))
+        ineqs.append((coefs, particular[i], mults))
     levels = []
     for var in range(k):
         levels.append(ineqs)
-        lowers = [q for q in ineqs if q[0][var].sign() > 0]
-        uppers = [q for q in ineqs if q[0][var].sign() < 0]
+        lowers = [q for q in ineqs if sign(q[0][var]) > 0]
+        uppers = [q for q in ineqs if sign(q[0][var]) < 0]
         keep = [q for q in ineqs if not q[0][var]]
         new = list(keep)
         for cl, kl, ml in lowers:
             for cu, ku, mu in uppers:
-                a, b = cl[var], cu[var]  # a > 0, b < 0
-                coefs = tuple((-b) * x + a * y for x, y in zip(cl, cu))
-                const = (-b) * kl + a * ku
-                mults = tuple((-b) * x + a * y for x, y in zip(ml, mu))
+                a, b = cl[var], -cu[var]  # a > 0, b > 0
+                coefs = tuple(b * x + a * y for x, y in zip(cl, cu))
+                const = b * kl + a * ku
+                mults = tuple(b * x + a * y for x, y in zip(ml, mu))
                 new.append((coefs, const, mults))
         ineqs = new
     for _, const, mults in ineqs:
-        if const.sign() <= 0:
-            return NoPositive(mults, const)
+        if sign(const) <= 0:
+            return NoPositive(tuple(map(lower, mults)), lower(const))
     # feasible: back-substitute a strictly interior parameter point
-    ts = [Radical(0)] * k
+    ts = [zero] * k
     for var in range(k - 1, -1, -1):
         lb = ub = None
         for coefs, const, _ in levels[var]:
@@ -425,22 +434,22 @@ def positive_feasible(sol: WeightSolution):
             for j in range(var + 1, k):
                 rest = rest + coefs[j] * ts[j]
             bound = -rest / c
-            if c.sign() > 0:
-                lb = bound if lb is None or bound > lb else lb
+            if sign(c) > 0:
+                lb = bound if lb is None or sign(bound - lb) > 0 else lb
             else:
-                ub = bound if ub is None or bound < ub else ub
+                ub = bound if ub is None or sign(bound - ub) < 0 else ub
         if lb is not None and ub is not None:
-            ts[var] = (lb + ub) / Radical(2)
+            ts[var] = (lb + ub) / lift(2)
         elif lb is not None:
-            ts[var] = lb + Radical(1)
+            ts[var] = lb + one
         elif ub is not None:
-            ts[var] = ub - Radical(1)
-    weights = list(sol.particular)
+            ts[var] = ub - one
+    weights = particular
     for j in range(k):
-        weights = [w + ts[j] * v for w, v in zip(weights, sol.null_basis[j])]
-    if any(w.sign() <= 0 for w in weights):
+        weights = [w + ts[j] * v for w, v in zip(weights, null_basis[j])]
+    if any(sign(w) <= 0 for w in weights):
         raise AssertionError("elimination produced a non-interior witness")
-    return PositiveWitness(tuple(weights), tuple(ts))
+    return PositiveWitness(tuple(map(lower, weights)), tuple(map(lower, ts)))
 
 
 # ---------------------------------------------------------------------------
@@ -625,19 +634,31 @@ def search_grid(
     Exploration only -- an empty result is not a nonexistence certificate.
     `pairs` restricts the enforced pair conditions (the returned rules then
     satisfy only those); `max_subsets` caps how many subsets are examined.
-    Subsets are examined in lexicographic order.
+    Subsets are examined in lexicographic order.  Each candidate's column
+    (its moment vector restricted to the enforced pairs) is computed once,
+    when the first examined subset reaches it.
     """
     if mode not in ("signed", "positive"):
         raise ValueError(f"unknown mode {mode!r}")
     cand = _check_nodes(s, candidates)
     if not 1 <= m <= len(cand):
         raise ValueError(f"subset size {m} out of range for {len(cand)} candidates")
+    g, _ = gram(s)
+    row_pairs = _row_pairs(s.dimension, pairs)
+    rows = [pair_index(i, sx, s.dimension) for i, sx in row_pairs]
+    rhs = [g[i][sx] for i, sx in row_pairs]
+    columns = {}  # candidate index -> its column, filled on first use
     subsets = itertools.combinations(range(len(cand)), m)
     rules = []
     for subset in itertools.islice(subsets, max_subsets):
-        sol = solve_weights(s, [cand[i] for i in subset], pairs=pairs)
-        if isinstance(sol, Infeasible):
+        for i in subset:
+            if i not in columns:
+                entries = moment_vector(s, cand[i]).entries
+                columns[i] = [entries[r] for r in rows]
+        result, _rank = _solve_system([columns[i] for i in subset], rhs, row_pairs)
+        if isinstance(result, Infeasible):
             continue
+        sol = WeightSolution(tuple(cand[i] for i in subset), *result)
         rule = _feasible_rule(sol, mode)
         if rule is not None:
             rules.append(rule)

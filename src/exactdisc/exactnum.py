@@ -10,7 +10,10 @@ nonzero value is decidable by interval refinement with a provable
 separation bound.
 
 Rationals are plain :class:`fractions.Fraction` (aliased ``Rat``);
-:class:`Radical` carries the sqrt combinations.
+:class:`Radical` carries the sqrt combinations.  Exact linear algebra may
+compute in a cheaper private representation of the same values
+(``_field_for``: Fraction, or :class:`_QSqrt` for a single radicand) and
+convert back to :class:`Radical` at the end.
 """
 
 from __future__ import annotations
@@ -445,6 +448,143 @@ class Radical:
                     raise ExactNumError(f"cannot parse Radical term {tok!r}") from exc
             total = total + term
         return total
+
+
+# -- working representations for exact linear algebra --------------------
+
+
+class _QSqrt:
+    """The value ``a + b*sqrt(d)`` of Q(sqrt(d)) for one fixed squarefree d > 1.
+
+    A working type for elimination and Fourier-Motzkin: operands always
+    share ``d`` (the caller picks it once per computation), so no radicand
+    bookkeeping happens per operation.  Results go back to :class:`Radical`
+    through :meth:`radical`.
+    """
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a: Fraction, b: Fraction, d: int):
+        self.a = a
+        self.b = b
+        self.d = d
+
+    @classmethod
+    def of(cls, x: "Radical", d: int) -> "_QSqrt":
+        a = b = Fraction(0)
+        for r, c in x._terms:
+            if r == 1:
+                a = c
+            else:  # r == d: the caller checked the radicands
+                b = c
+        return cls(a, b, d)
+
+    def radical(self) -> "Radical":
+        if self.a:
+            return Radical._raw(((1, self.a), (self.d, self.b)) if self.b else ((1, self.a),))
+        return Radical._raw(((self.d, self.b),) if self.b else ())
+
+    def __bool__(self):
+        return bool(self.a) or bool(self.b)
+
+    def __add__(self, o):
+        a, b, c, e = self.a, self.b, o.a, o.b
+        return _QSqrt(a + c if c else a, b + e if e else b, self.d)
+
+    def __sub__(self, o):
+        a, b, c, e = self.a, self.b, o.a, o.b
+        return _QSqrt(a - c if c else a, b - e if e else b, self.d)
+
+    def __neg__(self):
+        return _QSqrt(-self.a, -self.b, self.d)
+
+    def __mul__(self, o):
+        # (a + b*r)(c + e*r) = (ac + d*be) + (ae + bc)*r with r = sqrt(d).
+        # Rational and pure-sqrt operands are common, so products with a
+        # zero part are skipped: each costs as much as a Fraction product.
+        a, b, c, e = self.a, self.b, o.a, o.b
+        if not b:
+            if not a:
+                return self
+            return _QSqrt(a * c if c else c, a * e if e else e, self.d)
+        if not e:
+            if not c:
+                return o
+            return _QSqrt(a * c if a else a, b * c, self.d)
+        if not a:
+            return _QSqrt(self.d * b * e, b * c if c else c, self.d)
+        if not c:
+            return _QSqrt(self.d * b * e, a * e, self.d)
+        return _QSqrt(a * c + self.d * b * e, a * e + b * c, self.d)
+
+    def inverse(self) -> "_QSqrt":
+        """Reciprocal through the conjugate: (a - b*sqrt(d)) / (a^2 - d*b^2)."""
+        a, b = self.a, self.b
+        if not b:
+            if not a:
+                raise ZeroDivisionError("division by zero in Q(sqrt(d))")
+            return _QSqrt(1 / a, b, self.d)
+        norm = a * a - self.d * b * b  # nonzero: sqrt(d) is irrational
+        return _QSqrt(a / norm, -b / norm, self.d)
+
+    def __truediv__(self, o):
+        return self * o.inverse()
+
+    def sign(self) -> int:
+        """Exact sign from the signs of a and b and, when they differ,
+        from comparing a^2 with d*b^2 (never equal for b != 0)."""
+        a, b = self.a, self.b
+        sa = (a > 0) - (a < 0)
+        sb = (b > 0) - (b < 0)
+        if sa == sb or not sb:
+            return sa
+        if not sa:
+            return sb
+        return sa if a * a > self.d * b * b else sb
+
+    def __repr__(self):
+        return f"_QSqrt({self.a}, {self.b}, {self.d})"
+
+
+def _fraction_sign(q: Fraction) -> int:
+    n = q.numerator
+    return (n > 0) - (n < 0)
+
+
+def _lift_fraction(x) -> Fraction:
+    # only called on values _field_for found rational: terms () or ((1, q),)
+    if isinstance(x, Radical):
+        return x._terms[0][1] if x._terms else Fraction(0)
+    return Fraction(x)
+
+
+def _as_radical(x) -> "Radical":
+    return x if isinstance(x, Radical) else Radical(x)
+
+
+def _field_for(values):
+    """The cheapest exact representation that holds every value.
+
+    ``values`` are ints, Fractions or Radicals.  Returns ``(lift, sign,
+    lower)``: ``lift`` maps one of the values (or an int) into the
+    representation, ``sign`` gives the exact sign of a represented value,
+    and ``lower`` turns it back into a canonical :class:`Radical`.  The
+    representation is ``Fraction`` when every value is rational,
+    :class:`_QSqrt` when the irrational values share a single radicand d,
+    and ``Radical`` itself otherwise.
+    """
+    radicands = set()
+    for v in values:
+        if isinstance(v, Radical):
+            for r, _ in v._terms:
+                if r != 1:
+                    radicands.add(r)
+    if not radicands:
+        return _lift_fraction, _fraction_sign, Radical
+    if len(radicands) == 1:
+        (d,) = radicands
+        return (lambda x: _QSqrt.of(_as_radical(x), d)), _QSqrt.sign, _QSqrt.radical
+    return _as_radical, Radical.sign, _as_radical
 
 
 # -- operation-style entry points -----------------------------------------

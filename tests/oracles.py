@@ -10,6 +10,7 @@ import itertools
 import mpmath as mp
 import sympy
 from sympy import Matrix, Rational, linsolve, symbols
+from sympy.polys.matrices import DomainMatrix
 
 QUAD_DPS = 60
 
@@ -123,6 +124,25 @@ def solve_moment_system(columns, rhs):
 
 def column_rank(columns):
     return Matrix([list(c) for c in columns]).T.rank()
+
+
+def column_rank_over_sqrt(columns, d):
+    """Column rank of sympy entries in Q(sqrt(d)), computed in sympy's
+    algebraic field QQ<sqrt(d)> so that zero tests are exact."""
+    field = sympy.QQ.algebraic_field(sympy.sqrt(d))
+    M = Matrix([list(c) for c in columns]).T
+    return DomainMatrix.from_Matrix(M).convert_to(field).rank()
+
+
+def sqrt_coefficients(expr, d):
+    """(a, b) with expr == a + b*sqrt(d) for rational a, b; raises if expr
+    is not of that form."""
+    e = sympy.expand(sympy.radsimp(expr))
+    b = e.coeff(sympy.sqrt(d))
+    a = sympy.expand(e - b * sympy.sqrt(d))
+    if not (a.is_Rational and b.is_Rational):
+        raise ValueError(f"{expr} is not in Q(sqrt({d}))")
+    return a, b
 
 
 def strictly_positive_solution_exists(columns, rhs):

@@ -1,11 +1,13 @@
 """End-to-end command-line checks: exit codes, document output, and
 byte-stable JSON across repeat runs."""
 
+import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,15 @@ import pytest
 import exactdisc
 from exactdisc import cli
 from exactdisc.corpus import build_X2, build_X8, golden_rules
-from exactdisc.discretize import measure_rule, rule_from_doc, rule_to_doc, subspace_from_doc
+from exactdisc.discretize import (
+    Subspace,
+    measure_rule,
+    rule_from_doc,
+    rule_to_doc,
+    subspace_from_doc,
+    subspace_to_doc,
+)
+from exactdisc.piecewise import Piece, PiecewiseFn
 
 
 @pytest.fixture
@@ -177,6 +187,66 @@ def test_grid_skip_pair_recovers_nine_node_rule(corpus_dir, capsys):
     assert doc["rules"][0] == nine
     assert ["h0", "h1"] not in doc["pairs"]
     assert ["h0", "h0"] in doc["pairs"]
+
+
+def pwc_doc(rows):
+    """Subspace document of piecewise-constant functions on the eight
+    quarter-cells of [-1, 1]; a value (c, d) stands for c*sqrt(d)."""
+    edges = [Fraction(k, 4) for k in range(-4, 5)]
+
+    def piece(lo, hi, v):
+        if isinstance(v, tuple):
+            return Piece.from_poly_sqrt(lo, hi, [Fraction(v[0])], 0, v[1])
+        return Piece.from_poly(lo, hi, [Fraction(v)])
+
+    funcs = tuple(
+        PiecewiseFn([piece(lo, hi, v) for lo, hi, v in zip(edges, edges[1:], row)])
+        for row in rows
+    )
+    return subspace_to_doc(Subspace(tuple(f"f{i + 1}" for i in range(len(rows))), funcs))
+
+
+QUARTER_MIDS = ",".join(str(Fraction(2 * k + 1, 8)) for k in range(-4, 4))
+H = Fraction(1, 2)
+
+#: (weights field, basis rows, extra arguments, sha256 of the JSON output).
+#: The digests were recorded from `python -m exactdisc grid ... --mode
+#: positive --format json` before elimination and Fourier-Motzkin picked a
+#: representation per call, when every non-rational value went through
+#: Radical arithmetic.
+GRID_PINS = {
+    "rational": (
+        ((1, 2, -1, 1, 3, 1, -2, 1), (2, -1, 1, 1, -1, 2, 1, 1), (1, 1, 2, -1, 1, -2, 1, 3)),
+        ["--candidates=" + QUARTER_MIDS + ",-15/16,1/16", "-m", "8"],
+        "260113b30263c21a41419bffe0fb314b75e0a30cc5701450db275115a61372a5",
+    ),
+    "sqrt2": (
+        ((1, (1, 2), -1, 2, (H, 2), 1, (-1, 2), 3 * H),
+         ((1, 2), 1, 2, (-1, 2), 1, -H, 1, (1, 2))),
+        ["--candidates=" + QUARTER_MIDS, "-m", "5"],
+        "efc4ca904ca230a546bc00489b24117808fbf57b83f3f31740fdd19dec24b96c",
+    ),
+    "sqrt2-sqrt3": (
+        ((1, (1, 2), -1, (1, 3), 2, (H, 2), 1, (-1, 3)),
+         ((1, 3), 1, 2, (-1, 2), 1, (H, 3), (1, 2), 1),
+         (1, -1, (1, 2), 1, (1, 3), 1, 2, H)),
+        ["--candidates=" + QUARTER_MIDS + ",-1/16", "-m", "7",
+         "--max-subsets", "25", "--skip-pair", "f1,f3"],
+        "2fdb13fd22ec36882692af96dfd53fe4b8be185e34ce5eaaf519c43a87ff4065",
+    ),
+}
+
+
+@pytest.mark.parametrize("field", sorted(GRID_PINS))
+def test_grid_positive_output_bytes_are_pinned(tmp_path, capsys, field):
+    rows, extra, digest = GRID_PINS[field]
+    sub = tmp_path / "grid.subspace.json"
+    sub.write_text(json.dumps(pwc_doc(rows)))
+    argv = ["grid", str(sub), *extra, "--mode", "positive", "--format", "json"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["count"] > 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_grid_bad_arguments(corpus_dir, capsys):

@@ -10,6 +10,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+import sympy
 
 import oracles
 import props
@@ -333,6 +334,86 @@ def test_solve_system_matches_sympy_on_random_rational_systems():
     assert statuses["empty"] and statuses["unique"] and statuses["affine"]
 
 
+def random_sqrt_system(rng, d):
+    """random_rational_system with entries a + b*sqrt(d): zeros, pure
+    rationals, pure multiples of sqrt(d) and mixed values, sometimes a
+    column that is a Q(sqrt(d)) multiple of another, and sometimes a
+    right-hand side built from the columns."""
+    n_rows, m = rng.randint(1, 6), rng.randint(1, 4)
+    r = rad_sqrt(d)
+
+    def value(num=3, den=2):
+        a, b = props.random_fraction(rng, num, den), props.random_fraction(rng, num, den)
+        kind = rng.random()
+        if kind < 0.3:
+            return Radical(0)
+        if kind < 0.45:
+            return Radical(a)
+        if kind < 0.6:
+            return Radical(b) * r
+        return Radical(a) + Radical(b) * r
+
+    cols = [[value() for _ in range(n_rows)] for _ in range(m)]
+    if m > 1 and rng.random() < 0.4:
+        a, b = rng.sample(range(m), 2)
+        c = value(9, 4) or Radical(1)
+        cols[b] = [c * v for v in cols[a]]
+    if rng.random() < 0.5:
+        coefs = [value(9, 4) for _ in range(m)]
+        rhs = [sum((c * col[k] for c, col in zip(coefs, cols)), Radical(0)) for k in range(n_rows)]
+    else:
+        rhs = [value() for _ in range(n_rows)]
+    return cols, rhs
+
+
+def to_sympy(x):
+    return sum((sympy.Rational(c.numerator, c.denominator) * sympy.sqrt(r) for r, c in x.terms),
+               sympy.Integer(0))
+
+
+def from_sympy(expr, d):
+    a, b = oracles.sqrt_coefficients(expr, d)
+    return Radical(Fraction(a.p, a.q)) + Radical(Fraction(b.p, b.q)) * rad_sqrt(d)
+
+
+def test_solve_system_matches_sympy_on_random_q_sqrt_d_systems():
+    rng = random.Random(11)
+    statuses = Counter()
+    for trial in range(60):
+        d = (2, 3, 5, 6, 7)[trial % 5]
+        cols, rhs = random_sqrt_system(rng, d)
+        labels = [f"r{k}" for k in range(len(rhs))]
+        result, rank = _solve_system(cols, rhs, labels)
+        scols = [[to_sympy(v) for v in col] for col in cols]
+        srhs = [to_sympy(v) for v in rhs]
+        assert rank == oracles.column_rank_over_sqrt(scols, d)
+        status, sol = oracles.solve_moment_system(scols, srhs)
+        statuses[status] += 1
+        if status == "empty":
+            assert isinstance(result, Infeasible)
+            k = labels.index(result.witness_pair)
+            before, _ = solve_rows(cols, rhs, labels, k)
+            assert not isinstance(before, Infeasible)
+            through, through_rank = solve_rows(cols, rhs, labels, k + 1)
+            assert isinstance(through, Infeasible)
+            assert through.witness_pair == result.witness_pair
+            assert through_rank == oracles.column_rank_over_sqrt(
+                [col[: k + 1] for col in scols], d
+            )
+            continue
+        particular, null_basis = result
+        assert all(type(v) is Radical for v in particular)
+        assert all(type(v) is Radical for nu in null_basis for v in nu)
+        free = sorted({f for e in sol for f in e.free_symbols}, key=lambda f: int(f.name[1:]))
+        zero = {f: 0 for f in free}
+        assert particular == tuple(from_sympy(e.subs(zero), d) for e in sol)
+        assert null_basis == tuple(
+            tuple(from_sympy(sympy.expand(e).coeff(f), d) for e in sol) for f in free
+        )
+        assert len(null_basis) == len(cols) - rank
+    assert statuses["empty"] and statuses["unique"] and statuses["affine"]
+
+
 def test_solve_system_over_q_sqrt2():
     r2 = rad_sqrt(2)
     c0 = [Radical(1), r2, Radical(3)]
@@ -430,6 +511,113 @@ def test_positive_feasible_trivial_subspace():
     wit = positive_feasible(sol)
     assert isinstance(wit, PositiveWitness)
     assert wit.weights == (Radical(1),)
+
+
+def reference_positive_feasible(sol):
+    """Fourier-Motzkin with every operation in Radical arithmetic, as
+    positive_feasible computed it before it picked a representation."""
+    m = len(sol.particular)
+    k = len(sol.null_basis)
+    ineqs = []
+    for i in range(m):
+        coefs = tuple(sol.null_basis[j][i] for j in range(k))
+        mults = tuple(Radical(1 if r == i else 0) for r in range(m))
+        ineqs.append((coefs, sol.particular[i], mults))
+    levels = []
+    for var in range(k):
+        levels.append(ineqs)
+        lowers = [q for q in ineqs if q[0][var].sign() > 0]
+        uppers = [q for q in ineqs if q[0][var].sign() < 0]
+        keep = [q for q in ineqs if not q[0][var]]
+        new = list(keep)
+        for cl, kl, ml in lowers:
+            for cu, ku, mu in uppers:
+                a, b = cl[var], cu[var]
+                coefs = tuple((-b) * x + a * y for x, y in zip(cl, cu))
+                const = (-b) * kl + a * ku
+                mults = tuple((-b) * x + a * y for x, y in zip(ml, mu))
+                new.append((coefs, const, mults))
+        ineqs = new
+    for _, const, mults in ineqs:
+        if const.sign() <= 0:
+            return NoPositive(mults, const)
+    ts = [Radical(0)] * k
+    for var in range(k - 1, -1, -1):
+        lb = ub = None
+        for coefs, const, _ in levels[var]:
+            c = coefs[var]
+            if not c:
+                continue
+            rest = const
+            for j in range(var + 1, k):
+                rest = rest + coefs[j] * ts[j]
+            bound = -rest / c
+            if c.sign() > 0:
+                lb = bound if lb is None or bound > lb else lb
+            else:
+                ub = bound if ub is None or bound < ub else ub
+        if lb is not None and ub is not None:
+            ts[var] = (lb + ub) / Radical(2)
+        elif lb is not None:
+            ts[var] = lb + Radical(1)
+        elif ub is not None:
+            ts[var] = ub - Radical(1)
+    weights = list(sol.particular)
+    for j in range(k):
+        weights = [w + ts[j] * v for w, v in zip(weights, sol.null_basis[j])]
+    assert all(w.sign() > 0 for w in weights)
+    return PositiveWitness(tuple(weights), tuple(ts))
+
+
+FIELDS = {"rational": (), "sqrt": (2,), "two-radicand": (2, 3)}
+
+
+def random_weight_solution(rng, field, k):
+    """A WeightSolution with m <= 5 weights and a k-dimensional null space
+    whose entries lie in Q, Q(sqrt(d)) or Q(sqrt(2), sqrt(3))."""
+    radicands = FIELDS[field]
+    if field == "sqrt":
+        radicands = (rng.choice((2, 3, 5, 6, 7)),)
+
+    def value():
+        x = Radical(props.random_fraction(rng, 5, 3)) if rng.random() < 0.75 else Radical(0)
+        for d in radicands:
+            if rng.random() < 0.5:
+                x = x + Radical.single(d, props.random_fraction(rng, 5, 3))
+        return x
+
+    m = rng.randint(max(k, 1), 5)
+    nodes = tuple(Fraction(i, m) for i in range(m))
+    null_basis = tuple(tuple(value() for _ in range(m)) for _ in range(k))
+    return WeightSolution(nodes, tuple(value() for _ in range(m)), null_basis)
+
+
+def rendered(result):
+    """The result as the strings a document would print."""
+    if isinstance(result, PositiveWitness):
+        return ("witness", [str(w) for w in result.weights], [str(t) for t in result.assignment])
+    return ("refuted", [str(v) for v in result.multipliers], str(result.constant))
+
+
+def test_positive_feasible_matches_radical_reference():
+    rng = random.Random(3)
+    outcomes = Counter()
+    for field in FIELDS:
+        for trial in range(40):
+            k = trial % 4
+            sol = random_weight_solution(rng, field, k)
+            got = positive_feasible(sol)
+            assert rendered(got) == rendered(reference_positive_feasible(sol)), sol
+            if isinstance(got, PositiveWitness):
+                assert all(type(v) is Radical for v in got.weights + got.assignment)
+            else:
+                assert all(type(v) is Radical for v in got.multipliers + (got.constant,))
+                recheck_no_positive(sol, got)
+            outcomes[field, k, type(got).__name__] += 1
+    for field in FIELDS:
+        for kind in ("PositiveWitness", "NoPositive"):
+            assert sum(outcomes[field, k, kind] for k in range(4)) >= 5, (field, kind)
+        assert all(outcomes[field, k, "PositiveWitness"] for k in range(1, 4)), field
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +876,37 @@ def test_search_grid_max_subsets_cap():
         )
     ]
     assert search_grid(X2, MIDS, 3, "positive", max_subsets=2) == []
+
+
+def test_search_grid_evaluates_each_candidate_once(monkeypatch):
+    from exactdisc import discretize
+
+    calls = []
+    evaluate = discretize.pw_eval
+
+    def counted_eval(f, x):
+        calls.append(x)
+        return evaluate(f, x)
+
+    monkeypatch.setattr(discretize, "pw_eval", counted_eval)
+    grid = MIDS + (Fraction(-3, 4), Fraction(1, 4), Fraction(3, 4))
+    pairs = [p for p in index_pairs(8) if p != (0, 1)]
+    cases = [
+        (X2, grid, 3, None, None),
+        (X2, grid, 4, 5, None),  # the cap stops before the last candidates
+        (X2, grid, 5, 1, [(0, 0), (1, 1)]),
+        (SIGN_GAP, grid, 6, 20, None),
+        (X8, NINE_RULE.nodes, 9, None, pairs),
+    ]
+    for s, cands, m, cap, rows in cases:
+        gram(s)
+        for mode in ("signed", "positive"):
+            calls.clear()
+            search_grid(s, cands, m, mode, max_subsets=cap, pairs=rows)
+            examined = itertools.islice(itertools.combinations(range(len(cands)), m), cap)
+            reached = set().union(*examined)
+            assert len(calls) == s.dimension * len(reached)
+            assert len(set(calls)) == len(reached)
 
 
 def test_search_grid_recovers_nine_node_rule_under_restriction():

@@ -11,6 +11,8 @@ from exactdisc.exactnum import (
     DEFAULT_FACTOR_BOUND,
     ExactNumError,
     Radical,
+    _QSqrt,
+    _field_for,
     _split_square,
     float_str,
     rad_sqrt,
@@ -245,3 +247,83 @@ def test_hash_consistency():
     b = Radical.single(2, 3)
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+# --- the Q(sqrt(d)) working value ----------------------------------------------
+
+# a + b*sqrt(d) with a^2 - d*b^2 = 1/den(a)^2: the two squares agree to
+# within one part in up to 4*10^8, so a and b*sqrt(d) nearly cancel
+PELL_NEAR_MISSES = (
+    (Fraction(99), Fraction(-70), 2),
+    (Fraction(19601), Fraction(-13860), 2),
+    (Fraction(1351, 780), Fraction(-1), 3),
+    (Fraction(-485), Fraction(198), 6),
+    (Fraction(8), Fraction(-3), 7),
+)
+
+
+def quad_values(rng, d, n):
+    """Zero, the near misses in Q(sqrt(d)) with both signs, and n random
+    values with zero, pure-rational and pure-sqrt parts mixed in."""
+    out = [_QSqrt(Fraction(0), Fraction(0), d)]
+    for a, b, dd in PELL_NEAR_MISSES:
+        if dd == d:
+            out += [_QSqrt(a, b, d), _QSqrt(-a, -b, d), _QSqrt(a, -b, d)]
+    for _ in range(n):
+        a = Fraction(rng.randint(-40, 40), rng.randint(1, 12)) if rng.random() < 0.8 else Fraction(0)
+        b = Fraction(rng.randint(-40, 40), rng.randint(1, 12)) if rng.random() < 0.8 else Fraction(0)
+        out.append(_QSqrt(a, b, d))
+    return out
+
+
+def test_qsqrt_arithmetic_and_sign_match_radical():
+    rng = random.Random(17)
+    for d in (2, 3, 5, 6, 7):
+        values = quad_values(rng, d, 25)
+        for x in values:
+            rx = x.radical()
+            assert rx == Radical(x.a) + Radical(x.b) * rad_sqrt(d)
+            back = _QSqrt.of(rx, d)
+            assert (back.a, back.b, back.d) == (x.a, x.b, d)
+            assert x.sign() == rx.sign()
+            assert bool(x) == bool(rx)
+            assert (-x).radical() == -rx
+            if x:
+                assert x.inverse().radical() == rx.inverse()
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    x.inverse()
+            for y in values:
+                ry = y.radical()
+                assert (x + y).radical() == rx + ry
+                assert (x - y).radical() == rx - ry
+                assert (x * y).radical() == rx * ry
+                assert (x - y).sign() == (rx - ry).sign()
+                if y:
+                    assert (x / y).radical() == rx / ry
+
+
+def test_qsqrt_sign_of_pell_near_misses():
+    for a, b, d in PELL_NEAR_MISSES:
+        x = _QSqrt(a, b, d)
+        dominant = a if a * a > d * b * b else b
+        expected = 1 if dominant > 0 else -1
+        assert x.sign() == expected == x.radical().sign()
+        assert (-x).sign() == -expected
+        # the norm a^2 - d*b^2 is +-1 times the square of a's denominator
+        assert abs((x * _QSqrt(a, -b, d)).a) == Fraction(1, a.denominator**2)
+
+
+def test_field_for_picks_the_representation():
+    r2, r3 = rad_sqrt(2), rad_sqrt(3)
+    lift, sign, lower = _field_for([Radical(Fraction(1, 2)), 3, Fraction(-2)])
+    assert type(lift(Radical(Fraction(1, 2)))) is Fraction
+    assert lower(lift(Fraction(-2))) == Radical(-2) and sign(lift(-2)) == -1
+    lift, sign, lower = _field_for([Radical(1), r3, Radical(2) - r3 * Radical(5)])
+    x = lift(Radical(2) - r3)
+    assert type(x) is _QSqrt and (x.a, x.b, x.d) == (2, -1, 3)
+    assert lower(x) == Radical(2) - r3 and sign(x) == 1
+    assert type(lift(7)) is _QSqrt and lower(lift(7)) == Radical(7)
+    lift, sign, lower = _field_for([r2, r3, Radical(1)])
+    assert lift(r2 + r3) == r2 + r3 and type(lift(1)) is Radical
+    assert sign(r2 - r3) == -1 and lower(r2) == r2
