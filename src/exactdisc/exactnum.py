@@ -5,9 +5,11 @@ squarefree positive integer radicands ``d_i`` form a field that is closed
 under the four arithmetic operations and has a unique normal form: the
 square roots of distinct squarefree integers are linearly independent over
 the rationals, so two values are equal iff their coefficient maps are
-equal.  Equality is therefore decidable by inspection, and the sign of a
-nonzero value is decidable by interval refinement with a provable
-separation bound.
+equal.  Equality is therefore decidable by inspection.  The sign of a
+nonzero value comes from rational interval enclosures of 64 to 512 bits
+and, when they straddle zero, from exact quadratic steps: writing the
+value as ``A + B*sqrt(q)`` with sqrt(q) independent of ``A`` and ``B``
+reduces it to signs in a field with one generator fewer.
 
 Rationals are plain :class:`fractions.Fraction` (aliased ``Rat``);
 :class:`Radical` carries the sqrt combinations.  Exact linear algebra may
@@ -27,9 +29,6 @@ Rat = Fraction
 
 #: trial-division limit for extracting square factors from radicands
 DEFAULT_FACTOR_BOUND = 10**6
-
-#: starting interval precision (bits) of the sign oracle
-SIGN_START_BITS = 64
 
 
 class ExactNumError(ArithmeticError):
@@ -229,36 +228,44 @@ class Radical:
         return out
 
     def inverse(self) -> "Radical":
-        """Exact reciprocal via the product of sign-flip conjugates.
+        """Exact reciprocal, one quadratic step at a time.
 
-        Flipping the signs of any subset of the sqrt terms yields another
-        nonzero value (each flip pattern is again a canonical Radical, and
-        a canonical form vanishes only when all coefficients do).  The
-        product over all flip patterns is even in every sqrt separately and
-        hence rational, so dividing the product of the nontrivial
-        conjugates by it gives the reciprocal.
+        With ``self = A + B*sqrt(q)`` (:meth:`_split`), the reciprocal is
+        ``(A - B*sqrt(q)) / (A^2 - q*B^2)``.  The conjugate is nonzero
+        (canonical forms vanish only when every coefficient does), so the
+        norm is too, and it lies in a field with one generator fewer: the
+        recursion ends at a rational.
         """
         if not self._terms:
             raise ZeroDivisionError("Radical division by zero")
         if self.is_rational:
             return Radical(1 / self._terms[0][1])
-        prod = self._conjugate_product()
-        norm = self * prod
-        if not norm.is_rational or norm.is_zero:
-            raise ExactNumError("conjugate product did not yield a nonzero rational")
-        return prod * Radical(1 / norm.as_fraction())
+        q, a, b = self._split()
+        conj = Radical._raw(tuple((d, c if d % q else -c) for d, c in self._terms))
+        return conj * (a * a - q * (b * b)).inverse()
 
-    def _conjugate_product(self) -> "Radical":
-        """Product of the conjugates that flip a nonempty set of sqrt signs."""
+    def _split(self) -> tuple[int, "Radical", "Radical"]:
+        """``(q, A, B)`` with ``self == A + B*sqrt(q)``, for an irrational self.
+
+        ``q > 1`` is squarefree and divides or is coprime to every radicand,
+        so the radicands of ``A`` and ``B`` are coprime to q and sqrt(q) lies
+        outside the field they generate.  One pass finds q: shrinking it to
+        a divisor keeps each earlier radicand's relation to it.
+        """
         rads = [d for d, _ in self._terms if d != 1]
-        prod = Radical(1)
-        for mask in range(1, 1 << len(rads)):
-            flip = {rads[i] for i in range(len(rads)) if mask >> i & 1}
-            conj = Radical._raw(
-                tuple((d, -c if d in flip else c) for d, c in self._terms)
-            )
-            prod = prod * conj
-        return prod
+        q = rads[0]
+        for d in rads:
+            g = math.gcd(q, d)
+            if 1 < g < q:
+                q = g
+        a: dict[int, Fraction] = {}
+        b: dict[int, Fraction] = {}
+        for d, c in self._terms:
+            if d % q:
+                a[d] = c
+            else:
+                b[d // q] = c
+        return q, Radical._from_map(a), Radical._from_map(b)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -293,34 +300,30 @@ class Radical:
     def __bool__(self):
         return bool(self._terms)
 
-    def sign(self, start_bits: int = SIGN_START_BITS) -> int:
+    def sign(self) -> int:
         """Exact sign: -1, 0 or +1.
 
         Zero iff the term tuple is empty (canonical form).  Otherwise the
-        value is enclosed in a rational interval whose width halves each
-        round; a separation bound derived from the conjugate-product norm
-        caps the refinement, so the loop provably terminates.
+        value is enclosed in rational intervals of 64 to 512 bits; when
+        none excludes zero, ``self = A + B*sqrt(q)`` (:meth:`_split`) is
+        decided from the signs of ``A`` and ``B`` and, when they differ, of
+        the norm ``A^2 - q*B^2``, each with one generator fewer.
         """
         if not self._terms:
             return 0
         signs = {1 if c > 0 else -1 for _, c in self._terms}
         if len(signs) == 1:
             return signs.pop()  # all terms pull the same way
-        bits = max(8, start_bits)
-        for _ in range(4):
+        for bits in (64, 128, 256, 512):
             s = self._interval_sign(bits)
             if s is not None:
                 return s
-            bits *= 2
-        # refine once more at the provable separation width
-        sep = self._separation_bound()
-        weight = sum(abs(c) for _, c in self._terms)
-        while Fraction(weight, 1 << bits) >= sep:
-            bits *= 2
-        s = self._interval_sign(bits)
-        if s is None:
-            raise ExactNumError("sign refinement failed below the separation bound")
-        return s
+        q, a, b = self._split()  # b != 0: q divides a radicand
+        sa, sb = a.sign(), b.sign()
+        if sa == sb or not sa:
+            return sb
+        # |A| > |B|*sqrt(q) iff A^2 > q*B^2; never equal as self != 0
+        return sa * (a * a - q * (b * b)).sign()
 
     def _interval_sign(self, bits: int) -> int | None:
         lo = hi = Fraction(0)
@@ -341,14 +344,6 @@ class Radical:
         if hi < 0:
             return -1
         return None
-
-    def _separation_bound(self) -> Fraction:
-        """A positive rational ``b`` with ``|self| >= b`` (self nonzero)."""
-        k = sum(1 for d, _ in self._terms if d != 1)
-        norm = self * self._conjugate_product() if k else self
-        val = abs(norm.as_fraction())
-        big = sum(abs(c) * (math.isqrt(d) + 1) for d, c in self._terms)
-        return val / max(Fraction(1), Fraction(big)) ** (2**k - 1)
 
     def __lt__(self, other):
         o = self._coerce(other)

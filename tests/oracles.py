@@ -5,6 +5,7 @@ JSON document formats, not against the package's own arithmetic, so that
 agreement between the two paths actually means something.
 """
 
+import functools
 import itertools
 
 import mpmath as mp
@@ -126,12 +127,41 @@ def column_rank(columns):
     return Matrix([list(c) for c in columns]).T.rank()
 
 
-def column_rank_over_sqrt(columns, d):
-    """Column rank of sympy entries in Q(sqrt(d)), computed in sympy's
-    algebraic field QQ<sqrt(d)> so that zero tests are exact."""
-    field = sympy.QQ.algebraic_field(sympy.sqrt(d))
-    M = Matrix([list(c) for c in columns]).T
-    return DomainMatrix.from_Matrix(M).convert_to(field).rank()
+@functools.lru_cache(maxsize=None)
+def _sqrt_field(ds):
+    return sympy.QQ.algebraic_field(*(sympy.sqrt(d) for d in ds))
+
+
+@functools.lru_cache(maxsize=None)
+def _surd_in(ds, surd):
+    # sympy's conversion finds a minimal polynomial per element: slow, so
+    # only the square roots themselves go through it, once each
+    return _sqrt_field(ds).from_sympy(surd)
+
+
+def _matrix_over_sqrts(columns, ds):
+    field = _sqrt_field(ds)
+
+    def element(expr):
+        total = field.zero
+        for term in sympy.Add.make_args(sympy.expand(expr)):
+            c, surd = term.as_coeff_Mul()
+            total += field.from_sympy(c) * _surd_in(ds, surd)
+        return total
+
+    rows = [[element(col[r]) for col in columns] for r in range(len(columns[0]))]
+    return DomainMatrix(rows, (len(rows), len(columns)), field)
+
+
+def column_rank_over_sqrt(columns, *ds):
+    """Column rank of sympy entries in Q(sqrt(d), ...), computed in sympy's
+    algebraic field QQ<sqrt(d), ...> so that zero tests are exact."""
+    return _matrix_over_sqrts(columns, ds).rank()
+
+
+def pivot_columns_over_sqrt(columns, *ds):
+    """Pivot columns of the reduced row echelon form in QQ<sqrt(d), ...>."""
+    return tuple(_matrix_over_sqrts(columns, ds).rref()[1])
 
 
 def sqrt_coefficients(expr, d):

@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 
 import exactdisc
 from exactdisc import cli
@@ -206,14 +207,22 @@ def pwc_doc(rows):
     return subspace_to_doc(Subspace(tuple(f"f{i + 1}" for i in range(len(rows))), funcs))
 
 
-QUARTER_MIDS = ",".join(str(Fraction(2 * k + 1, 8)) for k in range(-4, 4))
 H = Fraction(1, 2)
+
+#: three functions whose values span Q(sqrt(2), sqrt(3), sqrt(5))
+Q235_ROWS = (
+    (1, (1, 2), -1, (1, 5), 2, (H, 3), 1, (-1, 5)),
+    ((1, 3), 1, (1, 5), (-1, 2), 1, (H, 3), (1, 2), 1),
+    (1, -1, (1, 2), 1, (1, 3), (1, 5), 2, H),
+)
+QUARTER_MIDS = ",".join(str(Fraction(2 * k + 1, 8)) for k in range(-4, 4))
 
 #: (weights field, basis rows, extra arguments, sha256 of the JSON output).
 #: The digests were recorded from `python -m exactdisc grid ... --mode
 #: positive --format json` before elimination and Fourier-Motzkin picked a
 #: representation per call, when every non-rational value went through
-#: Radical arithmetic.
+#: Radical arithmetic; the Q(sqrt(2), sqrt(3), sqrt(5)) one was recorded
+#: while Radical signs and inverses still expanded conjugate products.
 GRID_PINS = {
     "rational": (
         ((1, 2, -1, 1, 3, 1, -2, 1), (2, -1, 1, 1, -1, 2, 1, 1), (1, 1, 2, -1, 1, -2, 1, 3)),
@@ -234,6 +243,11 @@ GRID_PINS = {
          "--max-subsets", "25", "--skip-pair", "f1,f3"],
         "2fdb13fd22ec36882692af96dfd53fe4b8be185e34ce5eaaf519c43a87ff4065",
     ),
+    "sqrt2-sqrt3-sqrt5": (
+        Q235_ROWS,
+        ["--candidates=" + QUARTER_MIDS, "-m", "7"],
+        "77f3c457881e0d4b95c681b5ddeb5062fa7f6e590ebf55fc4d31400cec03a5b1",
+    ),
 }
 
 
@@ -246,6 +260,17 @@ def test_grid_positive_output_bytes_are_pinned(tmp_path, capsys, field):
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["count"] > 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_gram_output_bytes_are_pinned(tmp_path, capsys):
+    # recorded while Radical signs and inverses expanded conjugate products
+    sub = tmp_path / "q235.subspace.json"
+    sub.write_text(json.dumps(pwc_doc(Q235_ROWS)))
+    assert cli.main(["gram", str(sub), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["rank"] == 3
+    digest = "a420b580f5a7d20f8c23920fe201032532943a32a0301af3abdb89bb0107b22f"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -404,7 +429,7 @@ def test_output_file(corpus_dir, tmp_path, capsys):
     assert json.loads(target.read_text())["rank"] == 2
 
 
-def _run_command(args):
+def _run_command(args, timeout=None):
     """Run the `exactdisc` script where one is on PATH, else `python -m exactdisc`,
     in a child process that imports the package under test."""
     script = shutil.which("exactdisc")
@@ -412,7 +437,7 @@ def _run_command(args):
     env = dict(os.environ)
     src = str(Path(exactdisc.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(command + args, capture_output=True, text=True, env=env)
+    return subprocess.run(command + args, capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def test_installed_script(tmp_path):
@@ -439,3 +464,47 @@ def test_module_entry_point_matches_script():
     from exactdisc import __main__ as module_entry
 
     assert module_entry.main is cli.main
+
+
+#: f and g on [0, 1/2) and [1/2, 1]: (rational part, {radicand: coefficient})
+#: per piece.  Their products span Q(sqrt(2), sqrt(3), sqrt(5), sqrt(7)).
+FOUR_ROOT_VALUES = {
+    "f": ((1, {2: 1, 3: 1, 5: 1, 7: 1}), (2, {2: -1, 3: 1})),
+    "g": ((1, {2: 1}), (1, {5: -1, 7: 2})),
+}
+
+
+def test_gram_over_four_square_roots_finishes(tmp_path):
+    halves = (("0", "1/2"), ("1/2", "1"))
+    doc = {
+        "domain": ["0", "1"],
+        "functions": [
+            {"name": name, "pieces": [
+                {"lo": lo, "hi": hi, "poly": [str(a)], "sqrt_terms": [
+                    {"coeff": [str(c)], "alpha": "0", "beta": str(d)} for d, c in terms.items()
+                ]}
+                for (lo, hi), (a, terms) in zip(halves, values)
+            ]}
+            for name, values in FOUR_ROOT_VALUES.items()
+        ],
+    }
+    sub = tmp_path / "four-roots.subspace.json"
+    sub.write_text(json.dumps(doc))
+    proc = _run_command(["gram", str(sub), "--format", "json"], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["rank"] == 2
+
+    def value(a, terms):
+        return a + sum(c * sympy.sqrt(d) for d, c in terms.items())
+
+    names = list(FOUR_ROOT_VALUES)
+    assert out["names"] == names
+    for i, u in enumerate(names):
+        for j, v in enumerate(names):
+            expected = sum(
+                sympy.Rational(1, 2) * value(*a) * value(*b)
+                for a, b in zip(FOUR_ROOT_VALUES[u], FOUR_ROOT_VALUES[v])
+            )
+            got = sympy.sympify(out["matrix"][i][j]["exact"])
+            assert sympy.expand(got - expected) == 0

@@ -339,7 +339,6 @@ def random_sqrt_system(rng, d):
     rationals, pure multiples of sqrt(d) and mixed values, sometimes a
     column that is a Q(sqrt(d)) multiple of another, and sometimes a
     right-hand side built from the columns."""
-    n_rows, m = rng.randint(1, 6), rng.randint(1, 4)
     r = rad_sqrt(d)
 
     def value(num=3, den=2):
@@ -353,6 +352,30 @@ def random_sqrt_system(rng, d):
             return Radical(b) * r
         return Radical(a) + Radical(b) * r
 
+    return random_system_of(rng, value)
+
+
+def random_multi_sqrt_system(rng, ds):
+    """random_sqrt_system over Q(sqrt(d) for d in ds): each entry is zero or
+    a rational part plus a random subset of the square roots and of their
+    pairwise products."""
+    roots = [rad_sqrt(d) for d in ds]
+    roots += [a * b for a, b in itertools.combinations(roots, 2)]
+
+    def value(num=3, den=2):
+        if rng.random() < 0.3:
+            return Radical(0)
+        v = Radical(props.random_fraction(rng, num, den))
+        for r in rng.sample(roots, rng.randint(1, 3)):
+            v = v + Radical(props.random_fraction(rng, num, den)) * r
+        return v
+
+    return random_system_of(rng, value)
+
+
+def random_system_of(rng, value):
+    """Columns and right-hand side drawn from ``value(num, den)``."""
+    n_rows, m = rng.randint(1, 6), rng.randint(1, 4)
     cols = [[value() for _ in range(n_rows)] for _ in range(m)]
     if m > 1 and rng.random() < 0.4:
         a, b = rng.sample(range(m), 2)
@@ -411,6 +434,42 @@ def test_solve_system_matches_sympy_on_random_q_sqrt_d_systems():
             tuple(from_sympy(sympy.expand(e).coeff(f), d) for e in sol) for f in free
         )
         assert len(null_basis) == len(cols) - rank
+    assert statuses["empty"] and statuses["unique"] and statuses["affine"]
+
+
+def test_solve_system_matches_sympy_on_random_multi_sqrt_systems():
+    rng = random.Random(13)
+    statuses = Counter()
+    for trial in range(40):
+        ds = ((2, 3), (2, 5, 7))[trial % 2]
+        cols, rhs = random_multi_sqrt_system(rng, ds)
+        m = len(cols)
+        labels = [f"r{k}" for k in range(len(rhs))]
+        result, rank = _solve_system(cols, rhs, labels)
+        scols = [[to_sympy(v) for v in col] for col in cols]
+        srhs = [to_sympy(v) for v in rhs]
+        assert rank == oracles.column_rank_over_sqrt(scols, *ds)
+        if oracles.column_rank_over_sqrt(scols + [srhs], *ds) > rank:
+            statuses["empty"] += 1
+            assert isinstance(result, Infeasible)
+            k = labels.index(result.witness_pair)
+            assert not isinstance(solve_rows(cols, rhs, labels, k)[0], Infeasible)
+            assert isinstance(solve_rows(cols, rhs, labels, k + 1)[0], Infeasible)
+            continue
+        particular, null_basis = result
+        statuses["unique" if rank == m else "affine"] += 1
+        for r in range(len(rhs)):
+            assert sum((x * col[r] for x, col in zip(particular, cols)), Radical(0)) == rhs[r]
+            for nu in null_basis:
+                assert sum((x * col[r] for x, col in zip(nu, cols)), Radical(0)) == Radical(0)
+        # reduced row echelon form: free variables are 0 in the particular
+        # solution and unit vectors across the null basis
+        pivots = oracles.pivot_columns_over_sqrt(scols, *ds)
+        free = [c for c in range(m) if c not in pivots]
+        assert len(pivots) == rank and len(null_basis) == len(free)
+        assert all(particular[c] == 0 for c in free)
+        for i, nu in enumerate(null_basis):
+            assert [nu[c] for c in free] == [Radical(int(i == j)) for j in range(len(free))]
     assert statuses["empty"] and statuses["unique"] and statuses["affine"]
 
 

@@ -19,6 +19,7 @@ from exactdisc.exactnum import (
 )
 
 from oracles import radical_to_mpf
+import props
 from props import RADICANDS, random_radical
 
 fractions_st = st.fractions(
@@ -183,11 +184,70 @@ def test_sign_on_tight_cancellations():
     assert z.sign() == 0
 
 
-def test_sign_env_override():
-    # the sign is exact whatever the starting precision
-    x = Radical.single(2, Fraction(70, 99)) - 1
-    assert x.sign(start_bits=8) == -1
-    assert x.sign(start_bits=512) == -1
+#: radicand sets of 2 to 5 generators; the composite radicands make
+#: ``_split`` shrink its first choice of q to a proper gcd
+BEYOND_LADDER_RADICANDS = (
+    (2, 3),
+    (2, 3, 6),
+    (6, 10, 15),
+    (2, 5, 7, 10),
+    (2, 3, 5, 30),
+    (6, 10, 15, 7, 21),
+    (2, 3, 5, 7, 11),
+    (30, 6, 10, 15, 7, 11, 77),
+)
+
+
+def sqrt_sum_minus_approximations(rng, rads):
+    """S - floor(S) and S - ceil(S) at 10^-170 for S = sum c_i*sqrt(d_i):
+    both lie within 10^-170 of zero, past the 512-bit interval round."""
+    s = sum((Radical.single(d, Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                        rng.randint(1, 4))) for d in rads), Radical(0))
+    scale = 10**170
+    with mp.workdps(300):
+        scaled = radical_to_mpf(s.terms, dps=300) * scale
+        lo, hi = int(mp.floor(scaled)), int(mp.ceil(scaled))
+    return [s - Fraction(lo, scale), s - Fraction(hi, scale)]
+
+
+def pell_units():
+    """(sqrt(2)-1)^a * (2-sqrt(3))^b and their exact reciprocals: positive
+    values of 10^-80 to 10^-86 with coefficients of 10^80 to 10^85."""
+    u, v = rad_sqrt(2) - 1, 2 - rad_sqrt(3)
+    for a, b in ((210, 0), (0, 140), (120, 70), (60, 110)):
+        yield u**a * v**b, (rad_sqrt(2) + 1) ** a * (2 + rad_sqrt(3)) ** b
+
+
+def test_split_isolates_one_generator():
+    rng = random.Random(5)
+    for rads in BEYOND_LADDER_RADICANDS:
+        for _ in range(5):
+            x = sum((Radical.single(d, props.random_fraction(rng) or 1) for d in rads),
+                    Radical(props.random_fraction(rng)))
+            q, a, b = x._split()
+            assert q > 1 and _split_square(q) == (1, q)
+            assert all(math.gcd(d, q) == 1 for d, _ in a.terms + b.terms if d != 1)
+            assert b and a + b * rad_sqrt(q) == x
+    # 6 shrinks to gcd(6, 10) = 2, which stays coprime to 15
+    q, a, b = Radical.parse("sqrt(6) + sqrt(10) + sqrt(15)")._split()
+    assert (q, a, b) == (2, rad_sqrt(15), rad_sqrt(3) + rad_sqrt(5))
+
+
+def test_sign_and_inverse_beyond_the_interval_ladder():
+    rng = random.Random(2026)
+    values = [(x, None) for rads in BEYOND_LADDER_RADICANDS
+              for x in sqrt_sum_minus_approximations(rng, rads)]
+    values += list(pell_units())
+    for x, reciprocal in values:
+        assert x._interval_sign(512) is None  # the exact steps decide
+        expected = int(mp.sign(radical_to_mpf(x.terms, dps=300)))
+        assert expected != 0
+        assert x.sign() == expected
+        assert (-x).sign() == -expected
+        inv = x.inverse()
+        assert x * inv == Radical(1)
+        if reciprocal is not None:
+            assert inv == reciprocal
 
 
 def test_comparisons_and_abs():
