@@ -1,10 +1,10 @@
 """Command-line front end: corpus dump, verification, search, certificates.
 
 Exit codes: 0 success (verify: rule passes), 1 verification failure,
-2 unusable input (unknown names, malformed files or numbers, values the
-exact arithmetic cannot represent or certify), 3 violated
-operation precondition (non-piecewise-constant input to `min`, overlapping
-supports for `bound`, non-verifying input rule for `reduce`).
+2 unusable input (unknown names, malformed files or numbers, nodes outside
+the domain, values the exact arithmetic cannot represent or certify),
+3 violated operation precondition (non-piecewise-constant input to `min`,
+overlapping supports for `bound`, non-verifying input rule for `reduce`).
 
 All JSON output is byte-stable across runs.
 """
@@ -233,7 +233,7 @@ def cmd_grid(args) -> int:
             max_subsets=args.max_subsets,
             pairs=pairs,
         )
-    except (ValueError, DomainError) as e:
+    except ValueError as e:
         raise InputError(str(e)) from e
     doc = {
         "kind": "grid",
@@ -310,10 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, output=True):
+    def common(p):
         p.add_argument("--format", choices=("human", "json"), default="human")
-        if output:
-            p.add_argument("--output", help="write the report to this file")
+        p.add_argument("--output", help="write the report to this file")
 
     p = sub.add_parser("corpus", help="write a bundled subspace and its known rules")
     p.add_argument("name", help="ex1 or ex2")
@@ -385,9 +384,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     try:
         return args.fn(args)
-    except (InputError, UnsupportedProduct, ExactNumError) as e:
+    except (InputError, UnsupportedProduct, ExactNumError, DomainError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except (PreconditionError, DomainError) as e:
+    except PreconditionError as e:
         print(f"precondition violated: {e}", file=sys.stderr)
         return EXIT_PRECONDITION

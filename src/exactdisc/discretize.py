@@ -9,9 +9,10 @@ orthogonality is assumed.)  Everything here works over the exact Radical
 scalar field: Gram matrices, rule verification, weight solving, strict
 positivity via Fourier-Motzkin with multiplier tracking, minimal node
 counts for piecewise-constant subspaces, structural lower bounds, and
-Caratheodory support reduction.  Elimination and Fourier-Motzkin compute
-internally in the cheapest representation that holds their inputs (see
-`exactnum._field_for`) and hand back Radicals.
+Caratheodory support reduction.  The minimality and grid searches decide
+each node subset through one engine, `_subset_outcomes`.  Elimination and
+Fourier-Motzkin compute internally in the cheapest representation that
+holds their inputs (see `exactnum._field_for`) and hand back Radicals.
 """
 
 from __future__ import annotations
@@ -228,19 +229,18 @@ def verify_rule(s: Subspace, rule: Rule) -> VerifyReport:
 
 def _verify_columns(s: Subspace, weights, cols) -> VerifyReport:
     """verify_rule for nodes whose moment columns are already known."""
-    g, _ = gram(s)
-    pairs = tuple(index_pairs(s.dimension))
+    pairs, _, rhs = _pair_system(s)
     residuals = []
     failing = []
-    for k, (i, sx) in enumerate(pairs):
+    for k, (pair, target) in enumerate(zip(pairs, rhs)):
         acc = Radical(0)
         for w, col in zip(weights, cols):
             acc = acc + w * col[k]
-        r = acc - g[i][sx]
+        r = acc - target
         residuals.append(r)
         if r:
-            failing.append((i, sx))
-    return VerifyReport(pairs, tuple(residuals), not failing, tuple(failing))
+            failing.append(pair)
+    return VerifyReport(tuple(pairs), tuple(residuals), not failing, tuple(failing))
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +326,20 @@ def _solve_system(columns, rhs, labels):
     return (tuple(map(lower, particular)), tuple(null_basis)), len(pivots)
 
 
-def _row_pairs(n: int, pairs=None):
-    allp = index_pairs(n)
-    if pairs is None:
-        return allp
-    wanted = {(min(i, s), max(i, s)) for i, s in pairs}
-    unknown = wanted - set(allp)
-    if unknown:
-        raise ValueError(f"pairs outside the basis: {sorted(unknown)}")
-    return [p for p in allp if p in wanted]
+def _pair_system(s: Subspace, pairs=None):
+    """(labels, rows, rhs) of the moment system: the enforced basis pairs in
+    canonical order (all of them when `pairs` is None), their positions in a
+    moment vector, and the Gram entries the weighted node sums must match."""
+    g, _ = gram(s)
+    labels = index_pairs(s.dimension)
+    if pairs is not None:
+        wanted = {(min(i, sx), max(i, sx)) for i, sx in pairs}
+        unknown = wanted - set(labels)
+        if unknown:
+            raise ValueError(f"pairs outside the basis: {sorted(unknown)}")
+        labels = [p for p in labels if p in wanted]
+    rows = [pair_index(i, sx, s.dimension) for i, sx in labels]
+    return labels, rows, [g[i][sx] for i, sx in labels]
 
 
 def solve_weights(s: Subspace, nodes, pairs=None):
@@ -345,14 +350,12 @@ def solve_weights(s: Subspace, nodes, pairs=None):
     restricts the enforced conditions to a subset of basis pairs.
     """
     nodes = _check_nodes(s, nodes)
-    g, _ = gram(s)
-    row_pairs = _row_pairs(s.dimension, pairs)
+    labels, rows, rhs = _pair_system(s, pairs)
     cols = []
     for x in nodes:
-        mv = moment_vector(s, x)
-        cols.append([mv.entry(i, sx) for i, sx in row_pairs])
-    rhs = [g[i][sx] for i, sx in row_pairs]
-    result, _rank = _solve_system(cols, rhs, row_pairs)
+        entries = moment_vector(s, x).entries
+        cols.append([entries[r] for r in rows])
+    result, _rank = _solve_system(cols, rhs, labels)
     if isinstance(result, Infeasible):
         return result
     particular, null_basis = result
@@ -548,14 +551,32 @@ def measure_rule(s: Subspace) -> Rule:
     return _region_rule(regions)
 
 
-def _feasible_rule(sol: WeightSolution, mode: str) -> Rule | None:
-    """A rule from a weight solution; in positive mode None if none is positive."""
-    if mode == "signed":
-        return Rule(sol.nodes, sol.particular)
-    pf = positive_feasible(sol)
-    if isinstance(pf, NoPositive):
-        return None
-    return Rule(sol.nodes, pf.weights)
+def _subset_outcomes(column, nodes, rhs, labels, m: int, mode: str):
+    """Decide each size-m subset of the nodes, in lexicographic order.
+
+    `column(i)` is node i's column over the pair rows `labels`; it is called
+    once per node, when the first subset reaches it.  Yields (subset of node
+    indices, outcome): the subset's Rule (the particular solution, or in
+    positive mode the interior witness) or the CaseLog reason it has none.
+    """
+    columns = {}
+    for subset in itertools.combinations(range(len(nodes)), m):
+        for i in subset:
+            if i not in columns:
+                columns[i] = column(i)
+        result, rank = _solve_system([columns[i] for i in subset], rhs, labels)
+        if isinstance(result, Infeasible):
+            yield subset, "rank-deficient" if rank < m else "inconsistent"
+            continue
+        sol = WeightSolution(tuple(nodes[i] for i in subset), *result)
+        if mode == "signed":
+            yield subset, Rule(sol.nodes, sol.particular)
+            continue
+        pf = positive_feasible(sol)
+        if isinstance(pf, NoPositive):
+            yield subset, "positivity-infeasible"
+        else:
+            yield subset, Rule(sol.nodes, pf.weights)
 
 
 def decide_min(s: Subspace, mode: str = "signed") -> MinCertificate:
@@ -569,7 +590,8 @@ def decide_min(s: Subspace, mode: str = "signed") -> MinCertificate:
     but make the case list explicit); enumeration and logging follow
     lexicographic order, and the search stops at the first feasible subset.
 
-    Only the subsets of distinct vectors are solved, one elimination each.
+    Only the subsets of distinct vectors are solved (`_subset_outcomes`),
+    one elimination each; the first Rule found is verified and returned.
     A multiset with a repeated vector takes its reason from its support
     set, which is smaller and so was refuted at an earlier size: the
     repeated column makes it "rank-deficient", except in positive mode
@@ -580,34 +602,27 @@ def decide_min(s: Subspace, mode: str = "signed") -> MinCertificate:
     if mode not in ("signed", "positive"):
         raise ValueError(f"unknown mode {mode!r}")
     groups, regions = constancy_groups(s)
-    g, _ = gram(s)
-    row_pairs = index_pairs(s.dimension)
-    rhs = [g[i][sx] for i, sx in row_pairs]
-    fallback = _region_rule(regions)
+    labels, _, rhs = _pair_system(s)
+    nodes = tuple(grp.representative for grp in groups)
 
     reasons = {}  # every subset of distinct groups refuted so far
     exhaustion = []
     for m in range(1, len(groups) + 1):
-        for subset in itertools.combinations(range(len(groups)), m):
-            result, rank = _solve_system([groups[i].moments for i in subset], rhs, row_pairs)
-            if isinstance(result, Infeasible):
-                reasons[subset] = "rank-deficient" if rank < m else "inconsistent"
+        outcomes = _subset_outcomes(lambda i: groups[i].moments, nodes, rhs, labels, m, mode)
+        for subset, outcome in outcomes:
+            if isinstance(outcome, str):
+                reasons[subset] = outcome
                 continue
-            nodes = tuple(groups[i].representative for i in subset)
-            rule = _feasible_rule(WeightSolution(nodes, *result), mode)
-            if rule is None:
-                reasons[subset] = "positivity-infeasible"
-                continue
-            if not verify_rule(s, rule).passed:
+            if not verify_rule(s, outcome).passed:
                 raise AssertionError("minimality witness failed verification")
             return MinCertificate(
                 mode,
                 m,
-                rule,
+                outcome,
                 groups,
                 tuple(exhaustion),
                 _MERGE_JUSTIFICATION,
-                fallback,
+                _region_rule(regions),
                 s.flags,
             )
         cases = []
@@ -634,35 +649,23 @@ def search_grid(
     Exploration only -- an empty result is not a nonexistence certificate.
     `pairs` restricts the enforced pair conditions (the returned rules then
     satisfy only those); `max_subsets` caps how many subsets are examined.
-    Subsets are examined in lexicographic order.  Each candidate's column
-    (its moment vector restricted to the enforced pairs) is computed once,
-    when the first examined subset reaches it.
+    Subsets are examined in lexicographic order (`_subset_outcomes`), and
+    each candidate's column (its moment vector restricted to the enforced
+    pairs) is computed once, when the first examined subset reaches it.
     """
     if mode not in ("signed", "positive"):
         raise ValueError(f"unknown mode {mode!r}")
     cand = _check_nodes(s, candidates)
     if not 1 <= m <= len(cand):
         raise ValueError(f"subset size {m} out of range for {len(cand)} candidates")
-    g, _ = gram(s)
-    row_pairs = _row_pairs(s.dimension, pairs)
-    rows = [pair_index(i, sx, s.dimension) for i, sx in row_pairs]
-    rhs = [g[i][sx] for i, sx in row_pairs]
-    columns = {}  # candidate index -> its column, filled on first use
-    subsets = itertools.combinations(range(len(cand)), m)
-    rules = []
-    for subset in itertools.islice(subsets, max_subsets):
-        for i in subset:
-            if i not in columns:
-                entries = moment_vector(s, cand[i]).entries
-                columns[i] = [entries[r] for r in rows]
-        result, _rank = _solve_system([columns[i] for i in subset], rhs, row_pairs)
-        if isinstance(result, Infeasible):
-            continue
-        sol = WeightSolution(tuple(cand[i] for i in subset), *result)
-        rule = _feasible_rule(sol, mode)
-        if rule is not None:
-            rules.append(rule)
-    return rules
+    labels, rows, rhs = _pair_system(s, pairs)
+
+    def column(i):
+        entries = moment_vector(s, cand[i]).entries
+        return [entries[r] for r in rows]
+
+    outcomes = itertools.islice(_subset_outcomes(column, cand, rhs, labels, m, mode), max_subsets)
+    return [rule for _, rule in outcomes if isinstance(rule, Rule)]
 
 
 # ---------------------------------------------------------------------------

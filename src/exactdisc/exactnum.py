@@ -63,20 +63,20 @@ def _is_probable_prime(n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _split_square(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> tuple[int, int]:
+def _split_square(n: int) -> tuple[int, int]:
     """Write ``n = s**2 * d`` with ``d`` squarefree; return ``(s, d)``.
 
-    Trial division runs up to ``bound``.  A cofactor that survives it is
-    certified squarefree when it is prime, a perfect square, or small
-    enough (<= bound**3) that it cannot hide a square factor; otherwise we
-    refuse rather than guess.
+    Trial division runs up to ``DEFAULT_FACTOR_BOUND``.  A cofactor that
+    survives it is certified squarefree when it is prime, a perfect square,
+    or at most the bound cubed (then it cannot hide a square factor);
+    otherwise we refuse rather than guess.
     """
     if n <= 0:
         raise ExactNumError(f"radicand must be positive, got {n}")
     s = d = 1
     m = n
     p = 2
-    while p <= bound and p * p <= m:
+    while p <= DEFAULT_FACTOR_BOUND and p * p <= m:
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -93,11 +93,11 @@ def _split_square(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> tuple[int, int]:
     r = math.isqrt(m)
     if r * r == m:
         return s * r, d
-    if m <= bound**3 or _is_probable_prime(m):
+    if m <= DEFAULT_FACTOR_BOUND**3 or _is_probable_prime(m):
         # no factor <= bound and not a square: at most two distinct primes
         return s, d * m
     raise ExactNumError(
-        f"cannot certify a squarefree radicand for {n}; raise the factor bound"
+        f"cannot certify a squarefree radicand for {n}: a composite factor may hide a square"
     )
 
 
@@ -325,7 +325,8 @@ class Radical:
         # |A| > |B|*sqrt(q) iff A^2 > q*B^2; never equal as self != 0
         return sa * (a * a - q * (b * b)).sign()
 
-    def _interval_sign(self, bits: int) -> int | None:
+    def _enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
+        """Rational bounds ``(lo, hi)`` on the value, each sqrt(d) enclosed to 2**-bits."""
         lo = hi = Fraction(0)
         for d, c in self._terms:
             if d == 1:
@@ -339,6 +340,10 @@ class Radical:
             else:
                 lo += c * shi
                 hi += c * slo
+        return lo, hi
+
+    def _interval_sign(self, bits: int) -> int | None:
+        lo, hi = self._enclosure(bits)
         if lo > 0:
             return 1
         if hi < 0:
@@ -378,15 +383,7 @@ class Radical:
         """Advisory double-precision value (exact midpoint of a 128-bit enclosure)."""
         if not self._terms:
             return 0.0
-        lo = hi = Fraction(0)
-        for d, c in self._terms:
-            slo, shi = (Fraction(1), Fraction(1)) if d == 1 else _sqrt_interval(d, 128)
-            if c > 0:
-                lo += c * slo
-                hi += c * shi
-            else:
-                lo += c * shi
-                hi += c * slo
+        lo, hi = self._enclosure(128)
         return float((lo + hi) / 2)
 
     __float__ = to_float
@@ -585,7 +582,7 @@ def _field_for(values):
 # -- operation-style entry points -----------------------------------------
 
 
-def rad_sqrt(q: int | Fraction, bound: int = DEFAULT_FACTOR_BOUND) -> Radical:
+def rad_sqrt(q: int | Fraction) -> Radical:
     """Exact square root of a nonnegative rational.
 
     With ``q = p/r`` we have ``sqrt(q) = sqrt(p*r)/r``; the largest square
@@ -597,7 +594,7 @@ def rad_sqrt(q: int | Fraction, bound: int = DEFAULT_FACTOR_BOUND) -> Radical:
         raise ExactNumError(f"square root of negative rational {q}")
     if q == 0:
         return Radical(0)
-    s, d = _split_square(q.numerator * q.denominator, bound)
+    s, d = _split_square(q.numerator * q.denominator)
     return Radical.single(d, Fraction(s, q.denominator))
 
 

@@ -415,6 +415,22 @@ def test_errors_mid_computation_exit_2(hostile_dir, capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["verify", "reduce", "grid"])
+def test_node_outside_the_domain_exits_2(corpus_dir, tmp_path, capsys, command):
+    sub = str(corpus_dir / "ex1.subspace.json")
+    rule = tmp_path / "outside.rule.json"
+    rule.write_text(json.dumps({"nodes": ["3/2"], "weights": ["1"]}))
+    argv = {
+        "verify": ["verify", sub, str(rule)],
+        "reduce": ["reduce", sub, str(rule)],
+        "grid": ["grid", sub, "--candidates=3/2", "-m", "1"],
+    }[command]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "outside domain" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # output plumbing
 
@@ -429,15 +445,22 @@ def test_output_file(corpus_dir, tmp_path, capsys):
     assert json.loads(target.read_text())["rank"] == 2
 
 
+def _child_env():
+    """The environment of a child process that imports the package under test."""
+    env = dict(os.environ)
+    src = str(Path(exactdisc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def _run_command(args, timeout=None):
     """Run the `exactdisc` script where one is on PATH, else `python -m exactdisc`,
     in a child process that imports the package under test."""
     script = shutil.which("exactdisc")
     command = [script] if script else [sys.executable, "-m", "exactdisc"]
-    env = dict(os.environ)
-    src = str(Path(exactdisc.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(command + args, capture_output=True, text=True, env=env, timeout=timeout)
+    return subprocess.run(
+        command + args, capture_output=True, text=True, env=_child_env(), timeout=timeout
+    )
 
 
 def test_installed_script(tmp_path):
@@ -454,6 +477,34 @@ def test_installed_script(tmp_path):
     assert proc.returncode == 2
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+#: sha256 of every file `scripts/reproduce_all.py` writes, recorded before
+#: `decide_min` and `search_grid` shared one subset engine.
+ARTIFACT_PINS = {
+    "ex1-grid-positive.json": "5cd41fc972f446090c3539617c26a4f16016d3df6e5c79b6c500573dedd746d2",
+    "ex1-measure.rule.json": "a730e408a371b373c60670651250413dd2a656e0f73ff068bebc97e8b8644eb1",
+    "ex1-min-positive.json": "749683da953a2e33de2b8d82dbf644c6971c1d0a701bc20a534b3c15730c413d",
+    "ex1-min-signed.json": "4abeec7a0aa63eb8f7ab66bd5efdd0287ae84739a901a9b1d8e0f6ec4abf041e",
+    "ex1-negative.rule.json": "9b63cd35337a68137d90b749a4526b53f4a26a643a517118445034b66e817a9b",
+    "ex1-positive.rule.json": "0db9a0a5b1a438b19ea3e3ce0d88a9355522d4ce843b7732d23afc62562dce65",
+    "ex1-reduced.json": "76682dca77d54b654ca62b71df051d7cf226fb678583914407ef9d60e63c0d48",
+    "ex1.subspace.json": "96eb601828265d7a04560afa8da5aded628eeea693d378c4626fc8a8262cc1ed",
+    "ex2-bound.json": "0ba024f65e4e2b6b141155440820f13287b5caebdd7317130244f510724d7a43",
+    "ex2-nine.rule.json": "4408d39475bfab91efc11806a3376092052c8e08908cfb673ef221bcb496be4f",
+    "ex2.subspace.json": "cf1fa0b1bbf1b0d5ffcab30b8cb4fc9a6a1348ccc2312604ba57409004de82b8",
+}
+
+
+def test_reproduce_all_artifact_bytes_are_pinned(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_all.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--output-dir", str(tmp_path)],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == ARTIFACT_PINS
 
 
 def test_module_entry_point_matches_script():

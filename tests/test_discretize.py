@@ -40,6 +40,7 @@ from exactdisc.discretize import (
     moment_vector,
     pair_index,
     positive_feasible,
+    rule_to_doc,
     search_grid,
     solve_weights,
     subspace_to_doc,
@@ -966,6 +967,68 @@ def test_search_grid_evaluates_each_candidate_once(monkeypatch):
             reached = set().union(*examined)
             assert len(calls) == s.dimension * len(reached)
             assert len(set(calls)) == len(reached)
+
+
+def reference_grid_doc(s, candidates, m, mode, max_subsets=None, pairs=None):
+    """search_grid through the public solver: solve_weights and, in
+    positive mode, positive_feasible on each subset in lexicographic order."""
+    rules = []
+    for nodes in itertools.islice(itertools.combinations(candidates, m), max_subsets):
+        sol = solve_weights(s, nodes, pairs)
+        if isinstance(sol, Infeasible):
+            continue
+        if mode == "signed":
+            rules.append(Rule(sol.nodes, sol.particular))
+            continue
+        pf = positive_feasible(sol)
+        if isinstance(pf, PositiveWitness):
+            rules.append(Rule(sol.nodes, pf.weights))
+    return json.dumps([rule_to_doc(r) for r in rules])
+
+
+def random_quarter_subspace(rng, dim, radicands):
+    """Piecewise-constant subspace on the eight quarter-cells of [-1, 1];
+    each value is a small rational (sometimes 0) times sqrt(d), d drawn
+    from `radicands` (1 for a rational value)."""
+    edges = [Fraction(k, 4) for k in range(-4, 5)]
+
+    def piece(lo, hi):
+        c = Fraction(rng.choice((-2, -1, 0, 1, 1, 2, 3)), rng.choice((1, 2)))
+        d = rng.choice(radicands)
+        if d == 1:
+            return Piece.from_poly(lo, hi, [c])
+        return Piece.from_poly_sqrt(lo, hi, [c], 0, d)
+
+    funcs = tuple(
+        PiecewiseFn([piece(lo, hi) for lo, hi in zip(edges, edges[1:])]) for _ in range(dim)
+    )
+    return Subspace(tuple(f"f{i + 1}" for i in range(dim)), funcs)
+
+
+def test_search_grid_matches_public_solver_reference():
+    rng = random.Random(88)
+    # the quarter-cell midpoints, a second point in the cell of 1/8, and a cell edge
+    cands = tuple(Fraction(2 * k + 1, 8) for k in range(-4, 4)) + (Fraction(1, 16), Fraction(-3, 4))
+    found = Counter()
+    for field, radicands in (("rational", (1,)), ("sqrt5", (1, 5)), ("sqrt2-sqrt3", (1, 2, 3))):
+        for dim in (2, 3):
+            s = random_quarter_subspace(rng, dim, radicands)
+            n_pairs = dim * (dim + 1) // 2
+            skipped = rng.choice(index_pairs(dim))
+            restricted = [p for p in index_pairs(dim) if p != skipped]
+            for m, cap, pairs in (
+                (n_pairs, None if dim == 2 else 20, None),  # all 120 subsets of size 3
+                (n_pairs + 1, 12, restricted),
+                (n_pairs + 2, 8, None),
+            ):
+                for mode in ("signed", "positive"):
+                    got = search_grid(s, cands, m, mode, max_subsets=cap, pairs=pairs)
+                    want = reference_grid_doc(s, cands, m, mode, cap, pairs)
+                    assert json.dumps([rule_to_doc(r) for r in got]) == want, (
+                        field, dim, m, cap, pairs, mode, subspace_to_doc(s))
+                    found[field, mode] += len(got)
+    # every field and mode finds rules, so the comparison covers the weights
+    assert len(found) == 6 and all(found.values()), found
 
 
 def test_search_grid_recovers_nine_node_rule_under_restriction():
