@@ -1,8 +1,9 @@
 """Command-line front end: corpus dump, verification, search, certificates.
 
 Exit codes: 0 success (verify: rule passes), 1 verification failure,
-2 unusable input (unknown names, malformed files or numbers, nodes outside
-the domain, values the exact arithmetic cannot represent or certify),
+2 unusable input (unknown names, malformed files or numbers such as a zero
+denominator, nodes outside the domain, values the exact arithmetic cannot
+represent or certify, an --output path that cannot be written),
 3 violated operation precondition (non-piecewise-constant input to `min`,
 overlapping supports for `bound`, non-verifying input rule for `reduce`).
 
@@ -15,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .exactnum import ExactNumError, Radical, float_str
@@ -54,6 +56,15 @@ class InputError(Exception):
     """Unusable command input (exit code 2)."""
 
 
+@contextmanager
+def _writing(path: str):
+    """Report an OSError raised while writing ``path`` as unusable input."""
+    try:
+        yield
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e}") from e
+
+
 def _emit(doc: dict, args, human_lines) -> None:
     if args.format == "json":
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -61,7 +72,7 @@ def _emit(doc: dict, args, human_lines) -> None:
         text = "\n".join(human_lines) + "\n"
     out = getattr(args, "output", None)
     if out:
-        with open(out, "w") as fh:
+        with _writing(out), open(out, "w") as fh:
             fh.write(text)
         print(f"wrote {out}")
     else:
@@ -78,51 +89,47 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path} is not valid JSON: {e}") from e
 
 
-def _load_subspace(path: str):
+def _load_doc(path: str, from_doc, what: str):
     try:
-        return subspace_from_doc(_load_json(path))
+        return from_doc(_load_json(path))
     except InputError:
         raise
-    except (KeyError, ValueError, TypeError, ExactNumError) as e:
-        raise InputError(f"bad subspace file {path}: {e}") from e
+    except (KeyError, ValueError, TypeError, ZeroDivisionError, ExactNumError) as e:
+        raise InputError(f"bad {what} file {path}: {e}") from e
+
+
+def _load_subspace(path: str):
+    return _load_doc(path, subspace_from_doc, "subspace")
 
 
 def _load_rule(path: str) -> Rule:
-    try:
-        return rule_from_doc(_load_json(path))
-    except InputError:
-        raise
-    except (KeyError, ValueError, TypeError, ExactNumError) as e:
-        raise InputError(f"bad rule file {path}: {e}") from e
+    return _load_doc(path, rule_from_doc, "rule")
+
+
+def _list_tokens(text: str, what: str) -> list[str]:
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not tokens:
+        raise InputError(f"empty {what} list")
+    return tokens
 
 
 def _parse_fraction_list(text: str, what: str):
     out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+    for tok in _list_tokens(text, what):
         try:
             out.append(Fraction(tok))
         except (ValueError, ZeroDivisionError) as e:
             raise InputError(f"bad {what} entry {tok!r}: {e}") from e
-    if not out:
-        raise InputError(f"empty {what} list")
     return out
 
 
 def _name_indices(s, text: str, what: str):
     out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+    for tok in _list_tokens(text, what):
         try:
             out.append(s.index_of(tok))
         except KeyError as e:
             raise InputError(f"bad {what}: {e.args[0]}") from e
-    if not out:
-        raise InputError(f"empty {what} list")
     return out
 
 
@@ -137,12 +144,13 @@ def cmd_corpus(args) -> int:
     except KeyError as e:
         raise InputError(e.args[0]) from e
     outdir = args.output or "."
-    os.makedirs(outdir, exist_ok=True)
+    with _writing(outdir):
+        os.makedirs(outdir, exist_ok=True)
     written = []
 
     def write(filename: str, doc: dict):
         path = os.path.join(outdir, filename)
-        with open(path, "w") as fh:
+        with _writing(path), open(path, "w") as fh:
             fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         written.append(path)
 
@@ -314,6 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("human", "json"), default="human")
         p.add_argument("--output", help="write the report to this file")
 
+    def mode(p):
+        p.add_argument("--mode", choices=("signed", "positive"), default="signed")
+
     p = sub.add_parser("corpus", help="write a bundled subspace and its known rules")
     p.add_argument("name", help="ex1 or ex2")
     p.add_argument("--output", help="target directory (default: .)")
@@ -333,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("min", help="minimal node count for piecewise-constant bases")
     p.add_argument("subspace")
-    p.add_argument("--mode", choices=("signed", "positive"), default="signed")
+    mode(p)
     p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     common(p)
     p.set_defaults(fn=cmd_min)
@@ -342,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("subspace")
     p.add_argument("--candidates", required=True, help="comma-separated rationals")
     p.add_argument("-m", type=int, required=True, help="subset size")
-    p.add_argument("--mode", choices=("signed", "positive"), default="signed")
+    mode(p)
     p.add_argument("--max-subsets", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     p.add_argument(
@@ -358,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="shrink a verifying rule along null combinations")
     p.add_argument("subspace")
     p.add_argument("rule")
-    p.add_argument("--mode", choices=("signed", "positive"), default="signed")
+    mode(p)
     common(p)
     p.set_defaults(fn=cmd_reduce)
 

@@ -315,9 +315,11 @@ class Radical:
         if len(signs) == 1:
             return signs.pop()  # all terms pull the same way
         for bits in (64, 128, 256, 512):
-            s = self._interval_sign(bits)
-            if s is not None:
-                return s
+            lo, hi = self._enclosure(bits)
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
         q, a, b = self._split()  # b != 0: q divides a radicand
         sa, sb = a.sign(), b.sign()
         if sa == sb or not sa:
@@ -341,14 +343,6 @@ class Radical:
                 lo += c * shi
                 hi += c * slo
         return lo, hi
-
-    def _interval_sign(self, bits: int) -> int | None:
-        lo, hi = self._enclosure(bits)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        return None
 
     def __lt__(self, other):
         o = self._coerce(other)

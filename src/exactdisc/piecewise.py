@@ -17,12 +17,14 @@ scalars throughout; integration is closed-form via u-substitution.
 Invariant: every Piece's terms are canonical and sorted -- distinct
 canonical lines in increasing order, none of them (0, 1), each with a
 nonzero q -- and every Poly has Fraction coefficients without trailing
-zeros.  Raw sqrt terms (``_raw_sqrt``, documents) are canonicalized on
-entry, while ``Piece(lo, hi, poly, terms)`` takes terms as given, so its
-callers must pass canonical ones.  The kernel operations preserve the
-form and rely on it to skip work: scaling by a rational keeps every line
-as it is, adding an expression without terms keeps the other side's
-terms, and a term times a polynomial stays on its line.
+zeros.  ``_norm_expr`` is the only canonicalizer: document terms,
+``Piece.from_poly_sqrt`` and the cross terms of ``_expr_mul`` (the one
+place that decides products of sqrt terms, irrational scalars included)
+pass through it, and ``Piece(lo, hi, poly, terms)`` takes canonical
+terms as given.  The kernel operations preserve the form and rely on it
+to skip work: scaling by a rational keeps every line as it is, adding an
+expression without terms keeps the other side's terms, and a term times
+a polynomial stays on its line.
 """
 
 from __future__ import annotations
@@ -254,12 +256,11 @@ def canonical_line(alpha: Fraction, beta: Fraction) -> tuple[Fraction, Line]:
         return Fraction(0), (0, 1)
     if alpha == 0 and beta < 0:
         raise ExactNumError(f"constant radicand {beta} is negative")
-    lcm = alpha.denominator * beta.denominator // math.gcd(
-        alpha.denominator, beta.denominator
-    )
-    a0 = int(alpha * lcm * lcm)
-    b0 = int(beta * lcm * lcm)
-    s, _ = _split_square(math.gcd(abs(a0), abs(b0)))
+    da, db = alpha.denominator, beta.denominator
+    lcm = da * db // math.gcd(da, db)
+    a0 = alpha.numerator * (lcm // da) * lcm  # alpha * lcm**2, exactly
+    b0 = beta.numerator * (lcm // db) * lcm
+    s, _ = _split_square(math.gcd(a0, b0))
     return Fraction(s, lcm), (a0 // (s * s), b0 // (s * s))
 
 
@@ -307,29 +308,20 @@ def _expr_scale(e, c: Radical):
     """Multiply an expression by an exact scalar; always representable.
 
     A rational scalar leaves every (canonical, sorted) line where it is and
-    only scales the polynomials; a sqrt(d) part moves terms onto new lines,
-    so that case is canonicalized again.
+    only scales the polynomials.  An irrational one is the constant
+    expression sum c_d*sqrt(d), whose (0, d) lines multiply with any line.
     """
-    poly, terms = e
     if c.is_rational:
         q = c.as_fraction()
         if q == 1:
             return e
         if not q:
             return _ZERO, ()
+        poly, terms = e
         return poly * q, tuple((ln, t * q) for ln, t in terms)
-    out_poly = _ZERO
-    raw = []
-    for d, coeff in c.terms:
-        if d == 1:
-            out_poly = out_poly + poly * coeff
-            for (a, b), q in terms:
-                raw.append((Fraction(a), Fraction(b), q * coeff))
-        else:
-            raw.append((Fraction(0), Fraction(d), poly * coeff))
-            for (a, b), q in terms:
-                raw.append((Fraction(d * a), Fraction(d * b), q * coeff))
-    return _norm_expr(out_poly, raw)
+    rational = Poly._of([coeff for d, coeff in c.terms if d == 1])
+    roots = tuple(((0, d), Poly._of([coeff])) for d, coeff in c.terms if d != 1)
+    return _expr_mul(e, (rational, roots))
 
 
 def _expr_mul(e1, e2):
@@ -342,45 +334,25 @@ def _expr_mul(e1, e2):
     )
     if not (t1 and t2):
         return linear
-    poly = _ZERO
+    right = [(ln, _line_primitive(ln), q) for ln, q in t2]
     raw = []
     for (a1, b1), q1 in t1:
-        for (a2, b2), q2 in t2:
-            qq = q1 * q2
-            if (a1, b1) == (a2, b2):
-                poly = poly + qq * Poly((Fraction(b1), Fraction(a1)))
-                continue
-            if a1 == 0 and a2 == 0:
-                g = math.gcd(b1, b2)
-                d = (b1 // g) * (b2 // g)
-                if d == 1:
-                    poly = poly + qq * g
-                else:
-                    raw.append((Fraction(0), Fraction(d), qq * g))
-                continue
-            if a1 == 0 or a2 == 0:
-                d = b1 if a1 == 0 else b2
-                a, b = (a2, b2) if a1 == 0 else (a1, b1)
-                raw.append((Fraction(d * a), Fraction(d * b), qq))
-                continue
-            g1, prim1 = _line_primitive((a1, b1))
-            g2, prim2 = _line_primitive((a2, b2))
+        g1, prim1 = _line_primitive((a1, b1))
+        for (a2, b2), (g2, prim2), q2 in right:
             if prim1 == prim2:
-                # both lines are positive multiples of the same primitive
-                # line; on any piece where both radicands are admissible the
-                # product is sqrt(g1*g2) times that line.
+                # sqrt(g1*P)*sqrt(g2*P) = g*sqrt(g1*g2/g^2)*P wherever both
+                # radicands are admissible; every constant line has P = 1
                 g = math.gcd(g1, g2)
-                d = (g1 // g) * (g2 // g)
-                factor = qq * g * Poly((Fraction(prim1[1]), Fraction(prim1[0])))
-                if d == 1:
-                    poly = poly + factor
-                else:
-                    raw.append((Fraction(0), Fraction(d), factor))
-                continue
-            raise UnsupportedProduct(
-                f"cannot multiply sqrt({a1}*x+{b1}) by sqrt({a2}*x+{b2})"
-            )
-    return _expr_add(linear, _norm_expr(poly, raw))
+                line_poly = Poly._of([Fraction(g * prim1[1]), Fraction(g * prim1[0])])
+                raw.append((0, (g1 // g) * (g2 // g), q1 * q2 * line_poly))
+            elif a1 == 0 or a2 == 0:
+                # one radicand is constant, so the product is still linear
+                raw.append((a1 * b2 + a2 * b1, b1 * b2, q1 * q2))
+            else:
+                raise UnsupportedProduct(
+                    f"cannot multiply sqrt({a1}*x+{b1}) by sqrt({a2}*x+{b2})"
+                )
+    return _expr_add(linear, _norm_expr(_ZERO, raw))
 
 
 def _expr_eval(e, x: Fraction) -> Radical:
@@ -461,15 +433,13 @@ class Piece:
 
     __slots__ = ("lo", "hi", "poly", "terms")
 
-    def __init__(self, lo, hi, poly=_ZERO, terms=(), _raw_sqrt=None):
+    def __init__(self, lo, hi, poly=_ZERO, terms=()):
         if type(lo) is not Fraction:
             lo = Fraction(lo)
         if type(hi) is not Fraction:
             hi = Fraction(hi)
         if lo >= hi:
             raise ValueError(f"empty or degenerate piece [{lo}, {hi})")
-        if _raw_sqrt is not None:
-            poly, terms = _norm_expr(poly, _raw_sqrt)
         for (a, b), _ in terms:
             if a != 0 and (Fraction(a) * lo + b < 0 or Fraction(a) * hi + b < 0):
                 raise ValueError(
@@ -490,10 +460,8 @@ class Piece:
     @classmethod
     def from_poly_sqrt(cls, lo, hi, coeffs, alpha, beta) -> "Piece":
         """q(x)*sqrt(alpha*x+beta) with rational alpha, beta."""
-        return cls(
-            lo, hi, _ZERO,
-            _raw_sqrt=[(Fraction(alpha), Fraction(beta), Poly(coeffs))],
-        )
+        raw = [(Fraction(alpha), Fraction(beta), Poly(coeffs))]
+        return cls(lo, hi, *_norm_expr(_ZERO, raw))
 
     @property
     def expr(self):
@@ -876,7 +844,7 @@ def piece_from_doc(doc: dict) -> Piece:
         )
         for t in doc.get("sqrt_terms", [])
     ]
-    return Piece(lo, hi, Poly(coeffs), _raw_sqrt=raw)
+    return Piece(lo, hi, *_norm_expr(Poly(coeffs), raw))
 
 
 def fn_to_doc(name: str, f: PiecewiseFn) -> dict:

@@ -431,6 +431,42 @@ def test_node_outside_the_domain_exits_2(corpus_dir, tmp_path, capsys, command):
     assert err.startswith("error:") and "outside domain" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("where", ["rule-node", "domain-end", "piece-end"])
+def test_zero_denominator_exits_2(corpus_dir, tmp_path, capsys, where):
+    sub = json.loads((corpus_dir / "ex1.subspace.json").read_text())
+    rule = {"nodes": ["1/2"], "weights": ["1"]}
+    if where == "rule-node":
+        rule["nodes"] = ["1/0"]
+    elif where == "domain-end":
+        sub["domain"][1] = "1/0"
+    else:
+        sub["functions"][0]["pieces"][0]["hi"] = "1/0"
+    (tmp_path / "z.subspace.json").write_text(json.dumps(sub))
+    (tmp_path / "z.rule.json").write_text(json.dumps(rule))
+    code = cli.main(["verify", str(tmp_path / "z.subspace.json"), str(tmp_path / "z.rule.json")])
+    err = capsys.readouterr().err
+    bad = "rule" if where == "rule-node" else "subspace"
+    assert code == 2
+    assert err.startswith(f"error: bad {bad} file") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory", "corpus-into-file"])
+def test_unwritable_output_exits_2(corpus_dir, tmp_path, capsys, target):
+    sub = str(corpus_dir / "ex1.subspace.json")
+    existing = tmp_path / "README.md"
+    existing.write_text("kept\n")
+    argv = {
+        "missing-dir": ["gram", sub, "--output", str(tmp_path / "no" / "such" / "x.json")],
+        "directory": ["gram", sub, "--output", str(tmp_path)],
+        "corpus-into-file": ["corpus", "ex1", "--output", str(existing)],
+    }[target]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: cannot write") and "Traceback" not in captured.err
+    assert captured.out == "" and existing.read_text() == "kept\n"
+
+
 # ---------------------------------------------------------------------------
 # output plumbing
 

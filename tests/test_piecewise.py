@@ -36,6 +36,7 @@ from exactdisc.piecewise import (
     PiecewiseFn,
     Poly,
     UnsupportedProduct,
+    _expr_mul,
     _expr_scale,
     _norm_expr,
     breakpoint_limits,
@@ -86,7 +87,7 @@ def random_fn(rng, family):
             raw.append(
                 (Fraction(k * a), Fraction(k * b), Poly(random_poly_coeffs(rng, 1)))
             )
-        pieces.append(Piece(lo, hi, Poly(random_poly_coeffs(rng)), _raw_sqrt=raw))
+        pieces.append(Piece(lo, hi, *_norm_expr(Poly(random_poly_coeffs(rng)), raw)))
     return PiecewiseFn(pieces)
 
 
@@ -344,8 +345,50 @@ def test_products_of_proportional_sqrt_lines_collapse():
 def test_products_of_unrelated_sqrt_lines_are_rejected():
     root_x = PiecewiseFn([Piece.from_poly_sqrt(0, 1, [1], 1, 0)])
     root_x1 = PiecewiseFn([Piece.from_poly_sqrt(0, 1, [1], 1, 1)])
-    with pytest.raises(UnsupportedProduct):
+    with pytest.raises(UnsupportedProduct) as exc:
         pw_mul(root_x, root_x1)
+    assert str(exc.value) == "cannot multiply sqrt(1*x+0) by sqrt(1*x+1)"
+
+
+def _sqrt_expr(poly, *terms):
+    """(Poly(poly), canonical terms) from ((a, b), q-coefficients) pairs."""
+    return Poly(poly), tuple((line, Poly(q)) for line, q in terms)
+
+
+ROOT_X = _sqrt_expr((), ((1, 0), (1,)))
+MIXED = _sqrt_expr((1, 2), ((1, 0), (0, 1)))  # 1 + 2x + x*sqrt(x)
+
+# (left, right, exact canonical product); a Radical right side is a scalar
+SQRT_PRODUCT_TABLE = {
+    "x": (ROOT_X, ROOT_X, _sqrt_expr((0, 1))),
+    "2x*6x": (_sqrt_expr((), ((2, 0), (1,))), _sqrt_expr((), ((6, 0), (1,))),
+              _sqrt_expr((), ((0, 3), (0, 2)))),
+    "6*10": (_sqrt_expr((), ((0, 6), (1,))), _sqrt_expr((), ((0, 10), (1,))),
+             _sqrt_expr((), ((0, 15), (2,)))),
+    "2*2": (_sqrt_expr((), ((0, 2), (3,))), _sqrt_expr((), ((0, 2), (1,))),
+            _sqrt_expr((6,))),
+    "3*(2x+1)": (_sqrt_expr((), ((0, 3), (1,))), _sqrt_expr((), ((2, 1), (1,))),
+                 _sqrt_expr((), ((6, 3), (1,)))),
+    "(2-2x)*(3-3x)": (_sqrt_expr((), ((-2, 2), (1,))), _sqrt_expr((), ((-3, 3), (1,))),
+                      _sqrt_expr((), ((0, 6), (1, -1)))),
+    "2*3x": (_sqrt_expr((1, 1), ((3, 0), (2,))), Radical.single(2, Fraction(1)),
+             _sqrt_expr((), ((0, 2), (1, 1)), ((6, 0), (2,)))),
+    "(1+2-3)*mixed": (MIXED, Radical.parse("1 + sqrt(2) - sqrt(3)"),
+                      _sqrt_expr((1, 2), ((0, 2), (1, 2)), ((0, 3), (-1, -2)),
+                                 ((1, 0), (0, 1)), ((2, 0), (0, 1)), ((3, 0), (0, -1)))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SQRT_PRODUCT_TABLE))
+def test_sqrt_product_table(case):
+    left, right, want = SQRT_PRODUCT_TABLE[case]
+    if isinstance(right, Radical):
+        assert _expr_scale(left, right) == want
+        # the same scalar as a constant expression goes through _expr_mul
+        right = (Poly([c for d, c in right.terms if d == 1]),
+                 tuple(((0, d), Poly([c])) for d, c in right.terms if d != 1))
+    assert _expr_mul(left, right) == want
+    assert _expr_mul(right, left) == want
 
 
 def test_squared_norms_are_nonnegative():
