@@ -17,9 +17,8 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 
-from .exactnum import ExactNumError, Radical, float_str
+from .exactnum import ExactNumError, _parse_rational
 from .piecewise import DomainError, UnsupportedProduct
 from .discretize import (
     ImprovedBound,
@@ -85,7 +84,8 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
+        # RecursionError: nesting deeper than the decoder can follow
         raise InputError(f"{path} is not valid JSON: {e}") from e
 
 
@@ -117,7 +117,7 @@ def _parse_fraction_list(text: str, what: str):
     out = []
     for tok in _list_tokens(text, what):
         try:
-            out.append(Fraction(tok))
+            out.append(_parse_rational(tok))
         except (ValueError, ZeroDivisionError) as e:
             raise InputError(f"bad {what} entry {tok!r}: {e}") from e
     return out

@@ -7,12 +7,16 @@ flattened Gram matrix.  (Polarization: exactness on squares of all basis
 combinations is equivalent to exactness on all basis pair products; no
 orthogonality is assumed.)  Everything here works over the exact Radical
 scalar field: Gram matrices, rule verification, weight solving, strict
-positivity via Fourier-Motzkin with multiplier tracking, minimal node
+positivity via Fourier-Motzkin with Farkas certificates, minimal node
 counts for piecewise-constant subspaces, structural lower bounds, and
 Caratheodory support reduction.  The minimality and grid searches decide
 each node subset through one engine, `_subset_outcomes`.  Elimination and
-Fourier-Motzkin compute internally in the cheapest representation that
-holds their inputs (see `exactnum._field_for`) and hand back Radicals.
+Fourier-Motzkin run on fraction-free rows in the cheapest representation
+that holds their inputs (see `exactnum._rows_for`): ints for rational
+inputs, ints A + B*sqrt(d) for one radicand d, Radicals for several.  A
+row is divided by its content after each combination and stands for a
+nonzero (in Fourier-Motzkin, positive) multiple of the row of values, so
+results are read off as ratios and handed back as Radicals.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import Radical, Rat, _as_radical, _field_for, float_str
+from .exactnum import Radical, Rat, _as_radical, _parse_rational, _rows_for, float_str
 from .piecewise import (
     DomainError,
     PiecewiseFn,
@@ -275,55 +279,55 @@ def _solve_system(columns, rhs, labels):
     consistent.  Returns (result, rank) with result either
     (particular, null_basis) or an Infeasible carrying the witness label.
 
-    The elimination runs in the representation `_field_for` picks from
-    the entries: Fraction when every entry is rational, a two-Fraction
-    Q(sqrt(d)) value when the irrational entries share one radicand d,
-    and Radical when they involve several.  Results are wrapped as
+    The rows live in the representation `_rows_for` picks from the entries:
+    lists of ints when every entry is rational, ints A + B*sqrt(d) when the
+    irrational entries share one radicand d (a pivot row is multiplied by
+    the conjugate of its lead), and Radicals when they involve several.
+    An integer row is scaled by the lcm of its denominators, updated as
+    p*row - f*prow and divided by its content, so it is a nonzero multiple
+    of the row of the reduced row echelon form: its zeros, and so the rank
+    and the witness, are the same.  The particular solution and the null
+    basis are ratios of a pivot row's entries, formed and lowered to
     Radical once, at the end.
     """
     m = len(columns)
-    lift, _sign, lower = _field_for(v for col in (*columns, rhs) for v in col)
-    columns = [[lift(v) for v in col] for col in columns]
-    rhs = [lift(v) for v in rhs]
-    zero, one = lift(0), lift(1)
+    rows = _rows_for(itertools.chain(*columns, rhs))
     witness = None
-    pivot_rows = []  # (pivot_col, normalized fully-reduced row), sorted by col
+    pivot_rows = []  # (pivot_col, fully-reduced row), sorted by col
     for r in range(len(rhs)):
         if witness is not None and len(pivot_rows) == m:
             break  # every column already has a pivot: the rank is final
-        row = [columns[j][r] for j in range(m)] + [rhs[r]]
+        row = rows.lift([col[r] for col in columns] + [rhs[r]])
         for pc, prow in pivot_rows:
-            if row[pc]:
-                f = row[pc]
-                row = [a - f * b if b else a for a, b in zip(row, prow)]
-        lead = next((c for c in range(m) if row[c]), None)
+            if rows.nonzero(row, pc):
+                row = rows.combine(row, prow, pc)
+        lead = next((c for c in range(m) if rows.nonzero(row, c)), None)
         if lead is None:
-            if row[m] and witness is None:
+            if rows.nonzero(row, m) and witness is None:
                 witness = labels[r]
             continue
-        inv = one / row[lead]
-        row = [v * inv if v else v for v in row]
+        row = rows.pivot(row, lead)
         for i, (pc, prow) in enumerate(pivot_rows):
-            if prow[lead]:
-                f = prow[lead]
-                pivot_rows[i] = (pc, [a - f * b if b else a for a, b in zip(prow, row)])
+            if rows.nonzero(prow, lead):
+                pivot_rows[i] = (pc, rows.combine(prow, row, lead))
         pivot_rows.append((lead, row))
         pivot_rows.sort(key=lambda t: t[0])
     if witness is not None:
         return Infeasible(witness), len(pivot_rows)
     pivots = [pc for pc, _ in pivot_rows]
+    zero, one = Radical(0), Radical(1)
     particular = [zero] * m
     for pc, prow in pivot_rows:
-        particular[pc] = prow[m]
+        particular[pc] = rows.lower(rows.ratio(prow, m, pc))
     free = [c for c in range(m) if c not in pivots]
     null_basis = []
     for fc in free:
         v = [zero] * m
         v[fc] = one
         for pc, prow in pivot_rows:
-            v[pc] = -prow[fc]
-        null_basis.append(tuple(map(lower, v)))
-    return (tuple(map(lower, particular)), tuple(null_basis)), len(pivots)
+            v[pc] = rows.lower(-rows.ratio(prow, fc, pc))
+        null_basis.append(tuple(v))
+    return (tuple(particular), tuple(null_basis)), len(pivots)
 
 
 def _pair_system(s: Subspace, pairs=None):
@@ -385,74 +389,98 @@ def positive_feasible(sol: WeightSolution):
     """Decide whether the affine weight set meets the strict positive orthant.
 
     Fourier-Motzkin elimination over the null-space parameters with exact
-    sign decisions.  Every working inequality carries its multiplier vector
-    over the original inequalities, so an infeasible outcome returns a
-    checkable combination: multipliers >= 0 with
+    sign decisions.  An infeasible outcome returns a checkable combination:
+    multipliers >= 0 over the original inequalities with
     sum(mult_i * lambda_i(t)) identically equal to a constant <= 0.
 
-    The elimination runs in the representation `_field_for` picks from
-    the particular solution and the null basis (Fraction, a Q(sqrt(d))
-    value, or Radical for several radicands, as in `_solve_system`); the
-    returned weights, assignment, multipliers and constant are Radicals.
+    The inequalities are rows in the representation `_rows_for` picks from
+    the particular solution and the null basis (ints, ints A + B*sqrt(d), or
+    Radicals for several radicands, as in `_solve_system`).  Lower bound L
+    and upper bound U on a parameter combine as L[var]*U - U[var]*L divided
+    by its content, a positive multiple of the unscaled combination, so
+    every sign decision, the order of the inequalities and the ratios the
+    back-substitution reads are those of the unscaled elimination.  No
+    multipliers are carried: a derived inequality records the pair it came
+    from, and a refuting one is replayed down that tree (at most 2^k
+    leaves) in the working field, by the unscaled combinations, which gives
+    its multipliers and constant.  The returned weights, assignment,
+    multipliers and constant are Radicals.
     """
     m = len(sol.particular)
     k = len(sol.null_basis)
-    lift, sign, lower = _field_for(itertools.chain(sol.particular, *sol.null_basis))
-    particular = [lift(v) for v in sol.particular]
-    null_basis = [[lift(v) for v in nu] for nu in sol.null_basis]
-    zero, one = lift(0), lift(1)
-    # inequality i: particular[i] + sum_k t_k null_basis[k][i] > 0
-    ineqs = []
-    for i in range(m):
-        coefs = tuple(null_basis[j][i] for j in range(k))
-        mults = tuple(one if r == i else zero for r in range(m))
-        ineqs.append((coefs, particular[i], mults))
+    rows = _rows_for(itertools.chain(sol.particular, *sol.null_basis))
+    # inequality i: particular[i] + sum_j t_j null_basis[j][i] > 0, as the
+    # row (null_basis[0][i], ..., null_basis[k-1][i], particular[i]) and its
+    # origin: i, or (lower origin, upper origin, var) when derived
+    ineqs = [
+        (rows.lift([nu[i] for nu in sol.null_basis] + [sol.particular[i]]), i)
+        for i in range(m)
+    ]
     levels = []
     for var in range(k):
         levels.append(ineqs)
-        lowers = [q for q in ineqs if sign(q[0][var]) > 0]
-        uppers = [q for q in ineqs if sign(q[0][var]) < 0]
-        keep = [q for q in ineqs if not q[0][var]]
-        new = list(keep)
-        for cl, kl, ml in lowers:
-            for cu, ku, mu in uppers:
-                a, b = cl[var], -cu[var]  # a > 0, b > 0
-                coefs = tuple(b * x + a * y for x, y in zip(cl, cu))
-                const = b * kl + a * ku
-                mults = tuple(b * x + a * y for x, y in zip(ml, mu))
-                new.append((coefs, const, mults))
+        lowers, uppers, new = [], [], []
+        for q in ineqs:
+            sg = rows.sign(q[0], var)
+            (lowers if sg > 0 else uppers if sg < 0 else new).append(q)
+        for lo, lo_origin in lowers:
+            for up, up_origin in uppers:
+                new.append((rows.combine(up, lo, var), (lo_origin, up_origin, var)))
         ineqs = new
-    for _, const, mults in ineqs:
-        if sign(const) <= 0:
-            return NoPositive(tuple(map(lower, mults)), lower(const))
-    # feasible: back-substitute a strictly interior parameter point
+    for row, origin in ineqs:
+        if rows.sign(row, k) <= 0:
+            _, const, mults = _replay(rows, sol, origin)
+            return NoPositive(tuple(map(rows.lower, mults)), rows.lower(const))
+    # feasible: back-substitute a strictly interior parameter point; a
+    # bound is a ratio of entries, which the rows' scaling leaves alone
+    zero, one = rows.value(0), rows.value(1)
     ts = [zero] * k
     for var in range(k - 1, -1, -1):
         lb = ub = None
-        for coefs, const, _ in levels[var]:
-            c = coefs[var]
-            if not c:
+        for row, _ in levels[var]:
+            sg = rows.sign(row, var)
+            if not sg:
                 continue
-            rest = const
+            rest = rows.entry(row, k)
             for j in range(var + 1, k):
-                rest = rest + coefs[j] * ts[j]
-            bound = -rest / c
-            if sign(c) > 0:
-                lb = bound if lb is None or sign(bound - lb) > 0 else lb
+                rest = rest + rows.entry(row, j) * ts[j]
+            bound = -rest / rows.entry(row, var)
+            if sg > 0:
+                lb = bound if lb is None or rows.fsign(bound - lb) > 0 else lb
             else:
-                ub = bound if ub is None or sign(bound - ub) < 0 else ub
+                ub = bound if ub is None or rows.fsign(bound - ub) < 0 else ub
         if lb is not None and ub is not None:
-            ts[var] = (lb + ub) / lift(2)
+            ts[var] = (lb + ub) / rows.value(2)
         elif lb is not None:
             ts[var] = lb + one
         elif ub is not None:
             ts[var] = ub - one
-    weights = particular
-    for j in range(k):
-        weights = [w + ts[j] * v for w, v in zip(weights, null_basis[j])]
-    if any(sign(w) <= 0 for w in weights):
+    weights = [rows.value(v) for v in sol.particular]
+    for t, nu in zip(ts, sol.null_basis):
+        weights = [w + t * rows.value(v) if v else w for w, v in zip(weights, nu)]
+    if any(rows.fsign(w) <= 0 for w in weights):
         raise AssertionError("elimination produced a non-interior witness")
-    return PositiveWitness(tuple(map(lower, weights)), tuple(map(lower, ts)))
+    return PositiveWitness(tuple(map(rows.lower, weights)), tuple(map(rows.lower, ts)))
+
+
+def _replay(rows, sol, origin):
+    """(coefs, const, mults) of an inequality of `positive_feasible`, in its
+    working field and unscaled: the original inequality, or b*L + a*U with
+    a = L[var] > 0 and b = -U[var] > 0 for L and U replayed alike."""
+    if isinstance(origin, int):
+        zero, one = rows.value(0), rows.value(1)
+        coefs = [rows.value(nu[origin]) for nu in sol.null_basis]
+        mults = [one if r == origin else zero for r in range(len(sol.particular))]
+        return coefs, rows.value(sol.particular[origin]), mults
+    lo, up, var = origin
+    cl, kl, ml = _replay(rows, sol, lo)
+    cu, ku, mu = _replay(rows, sol, up)
+    a, b = cl[var], -cu[var]
+    return (
+        [b * x + a * y for x, y in zip(cl, cu)],
+        b * kl + a * ku,
+        [b * x + a * y for x, y in zip(ml, mu)],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -883,7 +911,7 @@ def subspace_from_doc(doc: dict) -> Subspace:
         names.append(n)
         funcs.append(f)
     s = Subspace(tuple(names), tuple(funcs), tuple(doc.get("flags", ())))
-    lo, hi = (Fraction(str(v)) for v in doc["domain"])
+    lo, hi = (_parse_rational(str(v)) for v in doc["domain"])
     if s.domain != (lo, hi):
         raise ValueError(
             f"declared domain [{lo}, {hi}] does not match the pieces {s.domain}"
@@ -899,7 +927,7 @@ def rule_to_doc(rule: Rule) -> dict:
 
 
 def rule_from_doc(doc: dict) -> Rule:
-    nodes = [Fraction(str(x)) for x in doc["nodes"]]
+    nodes = [_parse_rational(str(x)) for x in doc["nodes"]]
     weights = [Radical.parse(str(w)) for w in doc["weights"]]
     return Rule(nodes, weights)
 

@@ -12,16 +12,22 @@ value as ``A + B*sqrt(q)`` with sqrt(q) independent of ``A`` and ``B``
 reduces it to signs in a field with one generator fewer.
 
 Rationals are plain :class:`fractions.Fraction` (aliased ``Rat``);
-:class:`Radical` carries the sqrt combinations.  Exact linear algebra may
-compute in a cheaper private representation of the same values
-(``_field_for``: Fraction, or :class:`_QSqrt` for a single radicand) and
-convert back to :class:`Radical` at the end.
+:class:`Radical` carries the sqrt combinations.  Exact linear algebra runs
+on fraction-free rows picked per computation by ``_rows_for``: lists of
+ints for rational inputs, ints ``A + B*sqrt(d)`` for inputs with one
+radicand d, and Radicals for several.  An integer row is scaled by the lcm
+of its denominators and divided by its content (the gcd of its integer
+components) after every combination, so it stands for a nonzero multiple of
+the row of values; the few exact values a result needs are formed in a
+working field (Fraction, the two-Fraction :class:`_QSqrt`, or Radical) and
+converted back to :class:`Radical` at the end.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -99,6 +105,32 @@ def _split_square(n: int) -> tuple[int, int]:
     raise ExactNumError(
         f"cannot certify a squarefree radicand for {n}: a composite factor may hide a square"
     )
+
+
+_EXPONENT_RE = re.compile(r"[eE]([-+]?\d+)\s*$")
+#: digits Python converts between int and text (0: no limit; Python < 3.10.7)
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _parse_rational(text: str) -> Fraction:
+    """``Fraction(text)`` for a number read from a document.
+
+    Refuses, with ValueError, a number whose numerator or denominator has
+    more decimal digits than Python converts to text, since no message or
+    output could show it, and one whose exponent is over twice that limit:
+    its value would be refused too, after a computation that grows with it.
+    """
+    limit = _max_str_digits()
+    if not limit or (len(text) <= limit and "e" not in text and "E" not in text):
+        return Fraction(text)  # no part has more digits than the text
+    exp = _EXPONENT_RE.search(text)
+    if exp and abs(int(exp.group(1))) > 2 * limit:
+        raise ValueError(f"exponent beyond {2 * limit} in a number")
+    q = Fraction(text)
+    big = max(abs(q.numerator), q.denominator)
+    if big.bit_length() > 3.32 * limit and big >= 10**limit:
+        raise ValueError(f"number with more than {limit} digits")
+    return q
 
 
 def _sqrt_interval(d: int, bits: int) -> tuple[Fraction, Fraction]:
@@ -425,18 +457,21 @@ class Radical:
             body = tok.lstrip("+-")
             m = cls._TERM_RE.match(body)
             if m:
-                coeff = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+                coeff = _parse_rational(m.group(1)) if m.group(1) else Fraction(1)
                 term = rad_sqrt(int(m.group(2))) * Radical(sign * coeff)
             else:
                 try:
-                    term = cls(sign * Fraction(body))
+                    term = cls(sign * _parse_rational(body))
                 except (ValueError, ZeroDivisionError) as exc:
-                    raise ExactNumError(f"cannot parse Radical term {tok!r}") from exc
+                    raise ExactNumError(f"cannot parse Radical term {tok!r}: {exc}") from exc
             total = total + term
         return total
 
 
 # -- working representations for exact linear algebra --------------------
+
+
+_Q0 = Fraction(0)
 
 
 class _QSqrt:
@@ -457,7 +492,7 @@ class _QSqrt:
 
     @classmethod
     def of(cls, x: "Radical", d: int) -> "_QSqrt":
-        a = b = Fraction(0)
+        a = b = _Q0
         for r, c in x._terms:
             if r == 1:
                 a = c
@@ -532,45 +567,263 @@ class _QSqrt:
         return f"_QSqrt({self.a}, {self.b}, {self.d})"
 
 
-def _fraction_sign(q: Fraction) -> int:
-    n = q.numerator
-    return (n > 0) - (n < 0)
-
-
-def _lift_fraction(x) -> Fraction:
-    # only called on values _field_for found rational: terms () or ((1, q),)
-    if isinstance(x, Radical):
-        return x._terms[0][1] if x._terms else Fraction(0)
-    return Fraction(x)
-
-
 def _as_radical(x) -> "Radical":
     return x if isinstance(x, Radical) else Radical(x)
 
 
-def _field_for(values):
-    """The cheapest exact representation that holds every value.
+_ONE = Radical(1)
 
-    ``values`` are ints, Fractions or Radicals.  Returns ``(lift, sign,
-    lower)``: ``lift`` maps one of the values (or an int) into the
-    representation, ``sign`` gives the exact sign of a represented value,
-    and ``lower`` turns it back into a canonical :class:`Radical`.  The
-    representation is ``Fraction`` when every value is rational,
-    :class:`_QSqrt` when the irrational values share a single radicand d,
-    and ``Radical`` itself otherwise.
+
+def _primitive(row: list) -> list:
+    """``row`` divided by its content, the gcd of its integer components."""
+    g = math.gcd(*row)
+    return row if g < 2 else [v // g for v in row]
+
+
+def _int_row(ratios: list) -> list:
+    """The rationals ``(numerator, denominator)`` scaled by the lcm of their
+    denominators, as a primitive int row."""
+    den = math.lcm(*[d for _, d in ratios])
+    return _primitive([n * (den // d) for n, d in ratios])
+
+
+class _IntRows:
+    """Rows over Z, for rational inputs: a row is a list of ints.
+
+    Each row stands for a positive rational multiple of the row of values it
+    was lifted from, or for a nonzero multiple of the row elimination would
+    hold; its working field is ``Fraction``.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def value(x) -> Fraction:
+        # only called on values _rows_for found rational
+        if isinstance(x, Radical):
+            return x._terms[0][1] if x._terms else _Q0
+        return Fraction(x)
+
+    @staticmethod
+    def fsign(q: Fraction) -> int:
+        n = q.numerator
+        return (n > 0) - (n < 0)
+
+    @staticmethod
+    def lower(q: Fraction) -> "Radical":
+        return Radical._raw(((1, q),) if q else ())
+
+    @staticmethod
+    def lift(values) -> list:
+        ratios = []
+        for x in values:
+            if isinstance(x, Radical):
+                x = x._terms[0][1] if x._terms else 0
+            ratios.append(x.as_integer_ratio())
+        return _int_row(ratios)
+
+    @staticmethod
+    def nonzero(row, i) -> bool:
+        return row[i] != 0
+
+    @staticmethod
+    def sign(row, i) -> int:
+        v = row[i]
+        return (v > 0) - (v < 0)
+
+    @staticmethod
+    def combine(row, prow, col) -> list:
+        p, f = prow[col], row[col]
+        g = math.gcd(p, f)
+        if g > 1:
+            p //= g
+            f //= g
+        return _primitive([p * a - f * b for a, b in zip(row, prow)])
+
+    @staticmethod
+    def pivot(row, col) -> list:
+        return row
+
+    @staticmethod
+    def entry(row, i) -> Fraction:
+        return Fraction(row[i])
+
+    @staticmethod
+    def ratio(row, i, j) -> Fraction:
+        return Fraction(row[i], row[j])
+
+
+class _SqrtIntRows:
+    """Rows over Z[sqrt(d)], for inputs whose irrational parts share one
+    squarefree radicand d: the entries ``A_i + B_i*sqrt(d)`` of a row of
+    length n are the flat int list ``A_0, ..., A_{n-1}, B_0, ..., B_{n-1}``.
+
+    Scalings are as in :class:`_IntRows`, by elements of Q(sqrt(d)); the
+    working field is :class:`_QSqrt`.
+    """
+
+    __slots__ = ("d",)
+
+    def __init__(self, d: int):
+        self.d = d
+
+    def value(self, x) -> "_QSqrt":
+        return _QSqrt.of(_as_radical(x), self.d)
+
+    fsign = staticmethod(_QSqrt.sign)
+    lower = staticmethod(_QSqrt.radical)
+
+    @staticmethod
+    def lift(values) -> list:
+        n = len(values)
+        ratios = [(0, 1)] * (2 * n)
+        for i, x in enumerate(values):
+            if isinstance(x, Radical):
+                for r, c in x._terms:
+                    ratios[i if r == 1 else n + i] = c.as_integer_ratio()
+            else:
+                ratios[i] = x.as_integer_ratio()
+        return _int_row(ratios)
+
+    @staticmethod
+    def nonzero(row, i) -> bool:
+        return row[i] != 0 or row[i + (len(row) >> 1)] != 0
+
+    def sign(self, row, i) -> int:
+        # a + b*sqrt(d): b decides unless a has the other sign and
+        # a^2 > d*b^2 (never equal for b != 0, as sqrt(d) is irrational)
+        a, b = row[i], row[i + (len(row) >> 1)]
+        if not b:
+            return (a > 0) - (a < 0)
+        sb = 1 if b > 0 else -1
+        if (a > 0) - (a < 0) != -sb or self.d * b * b > a * a:
+            return sb
+        return -sb
+
+    def combine(self, row, prow, col) -> list:
+        n = len(row) >> 1
+        pa, pb, fa, fb = prow[col], prow[n + col], row[col], row[n + col]
+        g = math.gcd(pa, pb, fa, fb)
+        if g > 1:
+            pa, pb, fa, fb = pa // g, pb // g, fa // g, fb // g
+        if not pb and not fb:  # rational factors act on both halves alike
+            return _primitive([pa * a - fa * b for a, b in zip(row, prow)])
+        # (pa + pb*r)(x + y*r) - (fa + fb*r)(u + v*r) with r = sqrt(d)
+        dpb, dfb = self.d * pb, self.d * fb
+        xy = list(zip(row[:n], row[n:], prow[:n], prow[n:]))
+        return _primitive(
+            [pa * x + dpb * y - fa * u - dfb * v for x, y, u, v in xy]
+            + [pa * y + pb * x - fa * v - fb * u for x, y, u, v in xy]
+        )
+
+    def pivot(self, row, col) -> list:
+        """The row times the conjugate of its lead, which makes the lead
+        rational, so later combinations with it take the rational path."""
+        n = len(row) >> 1
+        a, b = row[col], row[n + col]
+        if not b:
+            return row
+        db = self.d * b
+        xy = list(zip(row[:n], row[n:]))
+        return _primitive([a * x - db * y for x, y in xy] + [a * y - b * x for x, y in xy])
+
+    def entry(self, row, i) -> "_QSqrt":
+        return _QSqrt(Fraction(row[i]), Fraction(row[i + (len(row) >> 1)]), self.d)
+
+    def ratio(self, row, i, j) -> "_QSqrt":
+        n = len(row) >> 1
+        c = row[j]  # rational: see pivot
+        return _QSqrt(Fraction(row[i], c), Fraction(row[n + i], c), self.d)
+
+
+class _RadicalRows:
+    """Rows of :class:`Radical` values, for inputs with several radicands.
+
+    No content to divide out: a new pivot row is scaled to lead 1, and a
+    combination with such a row only subtracts a multiple of it.
+    """
+
+    __slots__ = ()
+
+    value = lower = staticmethod(_as_radical)
+    fsign = staticmethod(Radical.sign)
+
+    @staticmethod
+    def lift(values) -> list:
+        return [_as_radical(x) for x in values]
+
+    @staticmethod
+    def nonzero(row, i) -> bool:
+        return bool(row[i])
+
+    @staticmethod
+    def sign(row, i) -> int:
+        return row[i].sign()
+
+    @staticmethod
+    def combine(row, prow, col) -> list:
+        p, f = prow[col], row[col]
+        if p == _ONE:
+            return [a - f * b if b else a for a, b in zip(row, prow)]
+        nf = -f
+        return [p * a + nf * b for a, b in zip(row, prow)]
+
+    @staticmethod
+    def pivot(row, col) -> list:
+        inv = _ONE / row[col]
+        return [v * inv if v else v for v in row]
+
+    @staticmethod
+    def entry(row, i) -> "Radical":
+        return row[i]
+
+    @staticmethod
+    def ratio(row, i, j) -> "Radical":
+        return row[i]  # row[j] is 1: see pivot
+
+
+_INT_ROWS = _IntRows()
+_RADICAL_ROWS = _RadicalRows()
+
+
+def _rows_for(values):
+    """The cheapest row representation that holds every value.
+
+    ``values`` are ints, Fractions or Radicals.  Returns a row record:
+    :class:`_IntRows` when every value is rational, :class:`_SqrtIntRows`
+    when the irrational values share a single radicand d, and
+    :class:`_RadicalRows` otherwise.  Each record supplies
+
+    * ``lift(values)``: the row of the values, scaled by the lcm of their
+      denominators and divided by its content (integer records);
+    * ``nonzero(row, i)`` and ``sign(row, i)``: entry i is nonzero, and its
+      exact sign;
+    * ``combine(row, prow, col)``: ``prow[col]*row - row[col]*prow``, which
+      clears column ``col`` (divided by its content in the integer records);
+      when ``prow[col] > 0 > row[col]`` it is a positive combination, so it
+      stands for a positive multiple if both operands do;
+    * ``pivot(row, col)``: a new pivot row with a cheap lead (rational, or
+      1 for Radical rows);
+    * ``entry(row, i)`` and ``ratio(row, i, j)``: entry i, and entry i over
+      the lead j of a row made by ``pivot``, as values of the working field;
+    * ``value(x)``, ``fsign(v)`` and ``lower(v)``: the working field
+      (Fraction, :class:`_QSqrt` or Radical) -- an input value in it, the
+      exact sign of one of its values, and that value as a canonical
+      :class:`Radical`.
+
+    An integer row stands for a nonzero multiple of its row of values, so
+    its entries are read only through zero tests, ratios, and signs where
+    every scaling was positive.
     """
     radicands = set()
     for v in values:
-        if isinstance(v, Radical):
-            for r, _ in v._terms:
-                if r != 1:
-                    radicands.add(r)
+        if isinstance(v, Radical) and v._terms and v._terms[-1][0] != 1:  # sorted: 1 first
+            radicands.update(r for r, _ in v._terms if r != 1)
     if not radicands:
-        return _lift_fraction, _fraction_sign, Radical
+        return _INT_ROWS
     if len(radicands) == 1:
-        (d,) = radicands
-        return (lambda x: _QSqrt.of(_as_radical(x), d)), _QSqrt.sign, _QSqrt.radical
-    return _as_radical, Radical.sign, _as_radical
+        return _SqrtIntRows(*radicands)
+    return _RADICAL_ROWS
 
 
 # -- operation-style entry points -----------------------------------------

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from bisect import bisect_right
 
-from .exactnum import ExactNumError, Radical, Rat, rad_sqrt, _split_square
+from .exactnum import ExactNumError, Radical, Rat, rad_sqrt, _parse_rational, _split_square
 
 
 class DomainError(ValueError):
@@ -800,7 +800,7 @@ def _frac_str(x: Fraction) -> str:
 
 def _parse_frac(s) -> Fraction:
     if isinstance(s, str):
-        return Fraction(s.strip())
+        return _parse_rational(s.strip())
     if isinstance(s, int):
         return Fraction(s)
     raise ValueError(f"expected a rational string, got {s!r}")

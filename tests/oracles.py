@@ -7,6 +7,7 @@ agreement between the two paths actually means something.
 
 import functools
 import itertools
+from fractions import Fraction
 
 import mpmath as mp
 import sympy
@@ -162,6 +163,32 @@ def column_rank_over_sqrt(columns, *ds):
 def pivot_columns_over_sqrt(columns, *ds):
     """Pivot columns of the reduced row echelon form in QQ<sqrt(d), ...>."""
     return tuple(_matrix_over_sqrts(columns, ds).rref()[1])
+
+
+def rref_of_pairs(rows, d=None):
+    """Reduced row echelon form of a matrix whose entries are rational pairs
+    (a, b) standing for a + b*sqrt(d), computed by sympy over QQ (d None,
+    every b zero) or QQ<sqrt(d)>.  Returns (rref rows as Fraction pairs,
+    pivot columns)."""
+    field = sympy.QQ if d is None else _sqrt_field((d,))
+    root = None if d is None else _surd_in((d,), sympy.sqrt(d))
+
+    def element(a, b):
+        x = field.from_sympy(Rational(a.numerator, a.denominator))
+        if b:
+            x += field.from_sympy(Rational(b.numerator, b.denominator)) * root
+        return x
+
+    def pair(x):
+        coeffs = [x] if d is None else x.to_list()
+        coeffs = [Fraction(int(c.numerator), int(c.denominator)) for c in coeffs]
+        return tuple(coeffs[::-1] + [Fraction(0)] * (2 - len(coeffs)))
+
+    shape = (len(rows), len(rows[0]))
+    reduced, pivots = DomainMatrix(
+        [[element(a, b) for a, b in row] for row in rows], shape, field
+    ).rref()
+    return [[pair(x) for x in row] for row in reduced.to_list()], tuple(pivots)
 
 
 def sqrt_coefficients(expr, d):

@@ -450,6 +450,45 @@ def test_zero_denominator_exits_2(corpus_dir, tmp_path, capsys, where):
     assert err.startswith(f"error: bad {bad} file") and "Traceback" not in err
 
 
+def test_deeply_nested_document_exits_2(corpus_dir, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code = cli.main(["verify", str(deep), str(corpus_dir / "ex1-positive.rule.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {deep} is not valid JSON") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "where", ["rule-node", "rule-weight", "domain-end", "piece-end", "coefficient", "zero-exponent"]
+)
+def test_number_too_long_to_print_exits_2(corpus_dir, tmp_path, capsys, where):
+    # each number has more digits than Python converts to text, so an error
+    # message or a residual that showed it would raise instead
+    sub = json.loads((corpus_dir / "ex1.subspace.json").read_text())
+    rule = json.loads((corpus_dir / "ex1-positive.rule.json").read_text())
+    piece = sub["functions"][0]["pieces"][0]
+    if where == "rule-node":
+        rule["nodes"][0] = "1e400000"
+    elif where == "rule-weight":
+        rule["weights"][0] = "1e5000"
+    elif where == "domain-end":
+        sub["domain"][1] = "1e5000"
+    elif where == "piece-end":
+        piece["hi"] = "1e5000"
+    elif where == "coefficient":
+        piece["poly"][0] = "1e-5000"
+    else:  # zero, but 10**(10**4000) would be computed first
+        rule["nodes"][0] = "0e" + "9" * 4000
+    (tmp_path / "n.subspace.json").write_text(json.dumps(sub))
+    (tmp_path / "n.rule.json").write_text(json.dumps(rule))
+    code = cli.main(["verify", str(tmp_path / "n.subspace.json"), str(tmp_path / "n.rule.json")])
+    err = capsys.readouterr().err
+    bad = "rule" if where.startswith("rule") or where == "zero-exponent" else "subspace"
+    assert code == 2
+    assert err.startswith(f"error: bad {bad} file") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("target", ["missing-dir", "directory", "corpus-into-file"])
 def test_unwritable_output_exits_2(corpus_dir, tmp_path, capsys, target):
     sub = str(corpus_dir / "ex1.subspace.json")

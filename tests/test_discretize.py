@@ -474,6 +474,84 @@ def test_solve_system_matches_sympy_on_random_multi_sqrt_systems():
     assert statuses["empty"] and statuses["unique"] and statuses["affine"]
 
 
+def big_fraction(rng, zero=0.2):
+    """Zero with probability ``zero``, else a signed rational whose
+    numerator and denominator have 20 to 40 digits each."""
+    if rng.random() < zero:
+        return Fraction(0)
+
+    def digits():
+        n = rng.randint(20, 40)
+        return rng.randrange(10 ** (n - 1), 10**n)
+
+    return Fraction(rng.choice((-1, 1)) * digits(), digits())
+
+
+def big_value(rng, d):
+    """big_fraction, plus big_fraction * sqrt(d) unless d is None."""
+    v = Radical(big_fraction(rng))
+    return v if d is None else v + Radical.single(d, big_fraction(rng))
+
+
+def as_pair(x, d):
+    """(a, b) with x == a + b*sqrt(d), read off the terms."""
+    terms = dict(x.terms)
+    assert set(terms) <= {1, d}
+    return terms.get(1, Fraction(0)), terms.get(d, Fraction(0))
+
+
+def test_solve_system_matches_sympy_on_large_entries():
+    rng = random.Random(29)
+    statuses = Counter()
+    for trial in range(24):
+        d = (None, 5, 23)[trial % 3]
+        n_rows = rng.randint(1, 8)
+        m = rng.randint(1, 12) if trial % 2 else rng.randint(1, n_rows)
+        cols = [[big_value(rng, d) for _ in range(n_rows)] for _ in range(m)]
+        if m > 1 and rng.random() < 0.4:
+            a, b = rng.sample(range(m), 2)
+            c = big_value(rng, d) or Radical(1)
+            cols[b] = [c * v for v in cols[a]]
+        if rng.random() < 0.5:
+            coefs = [big_value(rng, d) for _ in range(m)]
+            rhs = [
+                sum((c * col[r] for c, col in zip(coefs, cols)), Radical(0)) for r in range(n_rows)
+            ]
+        else:
+            rhs = [big_value(rng, d) for _ in range(n_rows)]
+        labels = [f"r{r}" for r in range(n_rows)]
+        result, rank = _solve_system(cols, rhs, labels)
+        rows = [[as_pair(col[r], d) for col in cols] + [as_pair(rhs[r], d)] for r in range(n_rows)]
+        reduced, pivots = oracles.rref_of_pairs(rows, d)
+        assert rank == len([pc for pc in pivots if pc < m])
+        if m in pivots:
+            statuses["empty"] += 1
+            assert isinstance(result, Infeasible)
+            # the witness is the first row whose prefix has no solution
+            first = next(
+                r for r in range(n_rows) if m in oracles.rref_of_pairs(rows[: r + 1], d)[1]
+            )
+            assert result.witness_pair == labels[first]
+            continue
+        particular, null_basis = result
+        zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+        expected = [zero] * m
+        for i, pc in enumerate(pivots):
+            expected[pc] = reduced[i][m]
+        assert [as_pair(x, d) for x in particular] == expected
+        free = [c for c in range(m) if c not in pivots]
+        assert len(null_basis) == len(free)
+        for fc, nu in zip(free, null_basis):
+            expected = [zero] * m
+            expected[fc] = one
+            for i, pc in enumerate(pivots):
+                a, b = reduced[i][fc]
+                expected[pc] = (-a, -b)
+            assert [as_pair(x, d) for x in nu] == expected
+        statuses["affine" if free else "unique"] += 1
+    assert statuses["empty"] and statuses["unique"] and statuses["affine"], statuses
+
+
 def test_solve_system_over_q_sqrt2():
     r2 = rad_sqrt(2)
     c0 = [Radical(1), r2, Radical(3)]
@@ -678,6 +756,39 @@ def test_positive_feasible_matches_radical_reference():
         for kind in ("PositiveWitness", "NoPositive"):
             assert sum(outcomes[field, k, kind] for k in range(4)) >= 5, (field, kind)
         assert all(outcomes[field, k, "PositiveWitness"] for k in range(1, 4)), field
+
+
+def test_positive_feasible_matches_radical_reference_on_large_entries():
+    # solution sets shaped as elimination returns them: k = 4 free weights,
+    # 0 in the particular solution and unit vectors across the null basis
+    rng = random.Random(31)
+    outcomes = Counter()
+    for trial in range(24):
+        d = (None, 5, 23)[trial % 3]
+        k, m = 4, rng.randint(5, 8)
+        free = sorted(rng.sample(range(m), k))
+        particular = [Radical(0) if i in free else big_value(rng, d) for i in range(m)]
+        null_basis = [
+            [Radical(int(i == fc)) if i in free else big_value(rng, d) for i in range(m)]
+            for fc in free
+        ]
+        if trial % 2:
+            # weight q is minus the sum of the others, minus a positive
+            # constant: a refutation that needs every weight
+            q = rng.choice([i for i in range(m) if i not in free])
+            others = [i for i in range(m) if i != q]
+            for nu in null_basis:
+                nu[q] = -sum((nu[i] for i in others), Radical(0))
+            particular[q] = -sum((particular[i] for i in others), Radical(abs(big_fraction(rng, 0))))
+        particular, null_basis = tuple(particular), tuple(map(tuple, null_basis))
+        sol = WeightSolution(tuple(Fraction(i, m) for i in range(m)), particular, null_basis)
+        got = positive_feasible(sol)
+        assert rendered(got) == rendered(reference_positive_feasible(sol)), sol
+        if isinstance(got, NoPositive):
+            recheck_no_positive(sol, got)
+        outcomes[d, type(got).__name__] += 1
+    for d in (None, 5, 23):
+        assert outcomes[d, "PositiveWitness"] and outcomes[d, "NoPositive"], outcomes
 
 
 # ---------------------------------------------------------------------------

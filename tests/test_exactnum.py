@@ -12,7 +12,7 @@ from exactdisc.exactnum import (
     ExactNumError,
     Radical,
     _QSqrt,
-    _field_for,
+    _rows_for,
     _split_square,
     float_str,
     rad_sqrt,
@@ -375,16 +375,31 @@ def test_qsqrt_sign_of_pell_near_misses():
         assert abs((x * _QSqrt(a, -b, d)).a) == Fraction(1, a.denominator**2)
 
 
-def test_field_for_picks_the_representation():
+def test_rows_for_picks_the_representation():
     r2, r3 = rad_sqrt(2), rad_sqrt(3)
-    lift, sign, lower = _field_for([Radical(Fraction(1, 2)), 3, Fraction(-2)])
-    assert type(lift(Radical(Fraction(1, 2)))) is Fraction
-    assert lower(lift(Fraction(-2))) == Radical(-2) and sign(lift(-2)) == -1
-    lift, sign, lower = _field_for([Radical(1), r3, Radical(2) - r3 * Radical(5)])
-    x = lift(Radical(2) - r3)
+    rows = _rows_for([Radical(Fraction(1, 2)), 3, Fraction(-2)])
+    assert type(rows.value(Radical(Fraction(1, 2)))) is Fraction
+    assert rows.lower(rows.value(Fraction(-2))) == Radical(-2) and rows.fsign(rows.value(-2)) == -1
+    # one int row: scaled by the lcm of the denominators, content divided out
+    row = rows.lift([Radical(Fraction(1, 2)), 3, Fraction(-2), Radical(0)])
+    assert row == [1, 6, -4, 0] and all(type(v) is int for v in row)
+    assert [rows.sign(row, i) for i in range(4)] == [1, 1, -1, 0]
+    assert rows.combine([2, 4, 6], [3, 1, 1], 0) == [0, 5, 8]  # (3*row - 2*prow) / 2
+    assert rows.lower(rows.ratio(row, 2, 1)) == Radical(Fraction(-2, 3))
+    rows = _rows_for([Radical(1), r3, Radical(2) - r3 * Radical(5)])
+    x = rows.value(Radical(2) - r3)
     assert type(x) is _QSqrt and (x.a, x.b, x.d) == (2, -1, 3)
-    assert lower(x) == Radical(2) - r3 and sign(x) == 1
-    assert type(lift(7)) is _QSqrt and lower(lift(7)) == Radical(7)
-    lift, sign, lower = _field_for([r2, r3, Radical(1)])
-    assert lift(r2 + r3) == r2 + r3 and type(lift(1)) is Radical
-    assert sign(r2 - r3) == -1 and lower(r2) == r2
+    assert rows.lower(x) == Radical(2) - r3 and rows.fsign(x) == 1
+    assert type(rows.value(7)) is _QSqrt and rows.lower(rows.value(7)) == Radical(7)
+    # A + B*sqrt(3) rows: the A column, then the B column
+    row = rows.lift([Radical(2) - r3, Radical(Fraction(1, 3)), r3 * Radical(Fraction(-1, 2))])
+    assert row == [12, 2, 0, -6, 0, -3]
+    assert [rows.sign(row, i) for i in range(3)] == [1, 1, -1]
+    pivot = rows.pivot(row, 0)  # times 2 + sqrt(3): a rational lead
+    assert pivot[3] == 0 and rows.lower(rows.ratio(pivot, 2, 0)) == rows.lower(
+        rows.value(r3 * Radical(Fraction(-1, 2))) / x
+    )
+    rows = _rows_for([r2, r3, Radical(1)])
+    assert rows.value(r2 + r3) == r2 + r3 and type(rows.value(1)) is Radical
+    assert rows.fsign(r2 - r3) == -1 and rows.lower(r2) == r2
+    assert rows.lift([r2, 1]) == [r2, Radical(1)] and rows.sign([r2 - r3], 0) == -1
