@@ -13,6 +13,7 @@ All JSON output is byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -309,7 +310,10 @@ def cmd_bound(args) -> int:
 # parser
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The static command-line parser, built once and shared by `main` calls
+    (parsing leaves it unchanged: `--skip-pair`'s append copies its default)."""
     ap = argparse.ArgumentParser(
         prog="exactdisc",
         description="exact discretization rules on piecewise subspaces",

@@ -619,7 +619,8 @@ def decide_min(s: Subspace, mode: str = "signed") -> MinCertificate:
     lexicographic order, and the search stops at the first feasible subset.
 
     Only the subsets of distinct vectors are solved (`_subset_outcomes`),
-    one elimination each; the first Rule found is verified and returned.
+    one elimination each; the first Rule found is verified on the moment
+    columns already held, and returned.
     A multiset with a repeated vector takes its reason from its support
     set, which is smaller and so was refuted at an earlier size: the
     repeated column makes it "rank-deficient", except in positive mode
@@ -641,7 +642,8 @@ def decide_min(s: Subspace, mode: str = "signed") -> MinCertificate:
             if isinstance(outcome, str):
                 reasons[subset] = outcome
                 continue
-            if not verify_rule(s, outcome).passed:
+            witness_cols = [groups[i].moments for i in subset]
+            if not _verify_columns(s, outcome.weights, witness_cols).passed:
                 raise AssertionError("minimality witness failed verification")
             return MinCertificate(
                 mode,
@@ -840,7 +842,7 @@ def caratheodory_reduce(s: Subspace, rule: Rule, mode: str = "signed") -> Reduce
     Ends with linearly independent vectors, so at most rank-many (hence at
     most N(N+1)/2) nodes survive.  In positive mode the step size stops at
     the first weight to reach zero from above, preserving positivity; the
-    output rule verifies exactly in both modes.
+    output rule is verified exactly, in both modes, on the columns already held.
     """
     if mode not in ("signed", "positive"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -881,7 +883,7 @@ def caratheodory_reduce(s: Subspace, rule: Rule, mode: str = "signed") -> Reduce
         if not nodes:
             raise AssertionError("reduction emptied the rule")
     out = Rule(nodes, weights)
-    if not verify_rule(s, out).passed:
+    if not _verify_columns(s, out.weights, cols).passed:
         raise AssertionError("reduced rule failed verification")
     if mode == "positive" and any(w.sign() <= 0 for w in out.weights):
         raise AssertionError("positive-mode reduction lost positivity")

@@ -122,6 +122,10 @@ def _parse_rational(text: str) -> Fraction:
     """
     limit = _max_str_digits()
     if not limit or (len(text) <= limit and "e" not in text and "E" not in text):
+        # ASCII [-]digits[/digits] straight to int(); all else as Fraction reads it
+        num, slash, den = text.partition("/")
+        if text.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+            return Fraction(int(num), int(den or 1))
         return Fraction(text)  # no part has more digits than the text
     exp = _EXPONENT_RE.search(text)
     if exp and abs(int(exp.group(1))) > 2 * limit:
@@ -419,12 +423,13 @@ class Radical:
             return "0"
         parts: list[str] = []
         for d, c in self._terms:
-            if d == 1:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = f"sqrt({d})"
-            else:
-                body = f"{abs(c)}*sqrt({d})"
+            try:
+                body = str(abs(c))  # ValueError past the int-to-text digit limit
+            except ValueError as exc:
+                limit = _max_str_digits()
+                raise ExactNumError(f"value with more than {limit} digits cannot be printed") from exc
+            if d != 1:
+                body = f"sqrt({d})" if abs(c) == 1 else f"{body}*sqrt({d})"
             if not parts:
                 parts.append(body if c > 0 else "-" + body)
             else:

@@ -489,6 +489,24 @@ def test_number_too_long_to_print_exits_2(corpus_dir, tmp_path, capsys, where):
     assert err.startswith(f"error: bad {bad} file") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_value_too_long_to_print_exits_2(corpus_dir, tmp_path, capsys, fmt):
+    # every number is within the digit limit, but on f1 = x^2 the residual of
+    # a node 1/333...3 (2,500 threes) has a 10,000-digit denominator
+    sub = json.loads((corpus_dir / "ex1.subspace.json").read_text())
+    rule = json.loads((corpus_dir / "ex1-positive.rule.json").read_text())
+    sub["functions"][0]["pieces"][1]["poly"] = ["0", "0", "1"]  # f1 on [0, 1]
+    rule["nodes"][1] = "1/" + "3" * 2500
+    (tmp_path / "sq.subspace.json").write_text(json.dumps(sub))
+    (tmp_path / "big.rule.json").write_text(json.dumps(rule))
+    argv = ["verify", str(tmp_path / "sq.subspace.json"), str(tmp_path / "big.rule.json")]
+    code = cli.main(argv + ["--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: value with more than") and "Traceback" not in captured.err
+    assert "cannot be printed" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("target", ["missing-dir", "directory", "corpus-into-file"])
 def test_unwritable_output_exits_2(corpus_dir, tmp_path, capsys, target):
     sub = str(corpus_dir / "ex1.subspace.json")
@@ -518,6 +536,54 @@ def test_output_file(corpus_dir, tmp_path, capsys):
     assert code == 0
     assert f"wrote {target}" in capsys.readouterr().out
     assert json.loads(target.read_text())["rank"] == 2
+
+
+def test_parser_is_built_once_and_reused(corpus_dir, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    base = ["grid", str(corpus_dir / "ex1.subspace.json"),
+            "--candidates=-1/2,1/8,3/8,5/8,7/8", "-m", "2", "--format", "json"]
+    skipping = base + ["--skip-pair", "f1,f2"]
+
+    def output(argv):
+        assert cli.main(argv) == 0
+        return capsys.readouterr().out
+
+    alone = {}
+    for argv in (skipping, base):
+        cli.build_parser.cache_clear()
+        alone[tuple(argv)] = output(argv)
+    assert alone[tuple(skipping)] != alone[tuple(base)]
+    # a --skip-pair list must not leak into the next call on the same parser
+    for first, second in ((skipping, base), (base, skipping)):
+        assert [output(first), output(second)] == [alone[tuple(first)], alone[tuple(second)]]
+
+
+#: sha256 of each `--help` text at 80 columns, recorded before the parser was
+#: cached (the same on Python 3.10 to 3.13).
+HELP_PINS = {
+    "": "0a18c20035c487ec2cd78b60b94071760b778ed5526df5fbcf32a808cd0c2101",
+    "corpus": "d79cbe27112867712cfb1c445424fb157181bbefaf83b647a95cf95ee5dc8e2e",
+    "verify": "fa3a7053300619995499c2231e5923a1727c9fc8e053552b8d04a73aaa8af00e",
+    "gram": "39895ec7cbd23b135188b2c011aa9a0ab5c428b32d0331e05dcbbb24620e9770",
+    "min": "15b073134d01168518bcd7f630816bca7a3f542b1c54a543869e19473402dfe2",
+    "grid": "d52765a0490a18781dd724f7ceb9b337e9bbf12823f18e37e12f892a937de66c",
+    "reduce": "1ab54be1bcac2ca5d7187da8a812d954f95d3a0faf6d52693585d4196087e96a",
+    "bound": "72400b9a8c452d369c725e66dee3a9df61ad002da831a61e1d765b2fcce584cc",
+}
+
+
+def test_help_texts_are_pinned(corpus_dir, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    sub = str(corpus_dir / "ex1.subspace.json")
+    assert cli.main(["grid", sub, "--candidates=1/8,3/8", "-m", "2", "--skip-pair", "f1,f2"]) == 0
+    capsys.readouterr()
+    digests = {}
+    for command in HELP_PINS:
+        with pytest.raises(SystemExit) as done:
+            cli.main([command, "--help"] if command else ["--help"])
+        assert done.value.code == 0
+        digests[command] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == HELP_PINS
 
 
 def _child_env():

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -902,6 +903,32 @@ def test_decide_min_solves_nothing_after_the_witness(monkeypatch):
     assert stopped_early >= 4
 
 
+@pytest.mark.parametrize("mode", ["signed", "positive"])
+def test_decide_min_evaluates_each_region_once(monkeypatch, mode):
+    from exactdisc import discretize
+
+    callers = []
+    evaluate = discretize.pw_eval
+
+    def counted_eval(f, x):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a generator expression
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
+        return evaluate(f, x)
+
+    monkeypatch.setattr(discretize, "pw_eval", counted_eval)
+    rng = random.Random(11)
+    subspaces = [X2, SIGN_GAP] + [props.random_pwc_subspace(rng, 3, 8) for _ in range(2)]
+    for s in subspaces:
+        gram(s)  # warm the Gram cache
+        _, regions = constancy_groups(s)
+        callers.clear()
+        decide_min(s, mode)
+        # the witness is checked on the columns constancy_groups made
+        assert callers == ["constancy_groups"] * (s.dimension * len(regions))
+
+
 def test_sign_gap_subspace_needs_a_negative_weight_at_the_minimum():
     doc = subspace_to_doc(SIGN_GAP)
     signed, positive = decide_min(SIGN_GAP), decide_min(SIGN_GAP, "positive")
@@ -1297,9 +1324,26 @@ def test_caratheodory_reduce_evaluates_each_node_once(monkeypatch, mode):
         return evaluate(f, x)
 
     monkeypatch.setattr(discretize, "pw_eval", counted_eval)
-    res = caratheodory_reduce(X2, rule, mode)
-    # input columns once, then the closing recheck of the output rule
-    assert len(calls) == X2.dimension * (len(rule) + len(res.rule))
+    caratheodory_reduce(X2, rule, mode)
+    # input columns once; the closing check reuses the surviving columns
+    assert len(calls) == X2.dimension * len(rule)
+
+
+def test_output_rechecks_still_fire(monkeypatch):
+    from exactdisc import discretize
+
+    rule = measure_rule(X2)
+
+    def doubled(nodes, weights):
+        return Rule(nodes, [2 * w for w in weights])
+
+    # every Rule built inside discretize now has doubled weights, so the
+    # checks on the held columns must refuse the outputs
+    monkeypatch.setattr(discretize, "Rule", doubled)
+    with pytest.raises(AssertionError, match="minimality witness failed verification"):
+        decide_min(X2)
+    with pytest.raises(AssertionError, match="reduced rule failed verification"):
+        caratheodory_reduce(X2, rule)
 
 
 def test_caratheodory_reduce_preconditions():

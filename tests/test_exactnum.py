@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -12,6 +13,7 @@ from exactdisc.exactnum import (
     ExactNumError,
     Radical,
     _QSqrt,
+    _parse_rational,
     _rows_for,
     _split_square,
     float_str,
@@ -280,6 +282,11 @@ def test_str_forms():
     assert str(rad_sqrt(2) - 1) == "-1 + sqrt(2)"
     x = Radical(Fraction(43, 240)) - Radical.single(6, Fraction(3, 40))
     assert str(x) == "43/240 - 3/40*sqrt(6)"
+    # a computed value can outgrow the digits Python converts to text
+    limit = sys.get_int_max_str_digits()
+    for big in (Radical(Fraction(1, 3**(3 * limit))), Radical.single(2, 7**(2 * limit))):
+        with pytest.raises(ExactNumError, match=f"more than {limit} digits cannot be printed"):
+            str(big)
 
 
 def test_parse_specific_literals():
@@ -295,6 +302,48 @@ def test_parse_specific_literals():
     for bad in ("", "sqrt()", "1 +", "sqrt(-2)", "two"):
         with pytest.raises(ExactNumError):
             Radical.parse(bad)
+
+
+#: Fraction accepts some (" 3 ", "+3", "1_000", the Arabic-Indic "٣") and
+#: refuses others ("²", "3/ 4", "1/-2"); _parse_rational must agree on each.
+PARSE_TABLE = [
+    "3", "-7", "3/16", "007/010", "-0", "0/5", "1/0", "-0/0", "+3", " 3 ", "3/ 4",
+    "1_000", "٣", "1/٣", "²", "--3", "-", "1/-2", "", "/", "3/", "3/4/5", "0.5",
+    "0x10", "1e3", "1.5e-2",
+]
+
+
+@pytest.mark.parametrize("text", PARSE_TABLE)
+def test_parse_rational_agrees_with_fraction(text):
+    def outcome(parse):
+        try:
+            q = parse(text)
+        except (ValueError, ZeroDivisionError) as e:
+            return type(e), str(e)
+        assert type(q) is Fraction
+        return q
+
+    assert outcome(_parse_rational) == outcome(Fraction)
+
+
+def test_parse_rational_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    for text in ("9" * limit, "-" + "9" * limit, "1/" + "9" * limit):
+        assert _parse_rational(text) == Fraction(text)
+    for text in ("9" * (limit + 1), "1/" + "9" * (limit + 1), "-" + "9" * (limit + 1)):
+        with pytest.raises(ValueError) as refused:
+            _parse_rational(text)
+        with pytest.raises(ValueError) as direct:
+            Fraction(text)
+        assert str(refused.value) == str(direct.value)
+        assert str(refused.value).startswith(f"Exceeds the limit ({limit} digits)")
+    # written with an exponent, the value is refused once formed
+    assert _parse_rational(f"1e{limit - 1}") == 10 ** (limit - 1)
+    for text in (f"1e{limit}", f"1e-{limit}"):
+        with pytest.raises(ValueError, match=f"^number with more than {limit} digits$"):
+            _parse_rational(text)
+    with pytest.raises(ValueError, match=f"^exponent beyond {2 * limit} in a number$"):
+        _parse_rational(f"0e{2 * limit + 1}")
 
 
 @settings(max_examples=150, deadline=None)
