@@ -11,12 +11,12 @@ positivity via Fourier-Motzkin with Farkas certificates, minimal node
 counts for piecewise-constant subspaces, structural lower bounds, and
 Caratheodory support reduction.  The minimality and grid searches decide
 each node subset through one engine, `_subset_outcomes`.  Elimination and
-Fourier-Motzkin run on fraction-free rows in the cheapest representation
-that holds their inputs (see `exactnum._rows_for`): ints for rational
-inputs, ints A + B*sqrt(d) for one radicand d, Radicals for several.  A
-row is divided by its content after each combination and stands for a
-nonzero (in Fourier-Motzkin, positive) multiple of the row of values, so
-results are read off as ratios and handed back as Radicals.
+Fourier-Motzkin run on fraction-free integer rows over the field of their
+inputs (see `exactnum._Rows`): for each product g_S of the radicands'
+coprime base, the coefficients of sqrt(g_S); plain ints for rational
+inputs.  A row is divided by its content after each combination and stands
+for a nonzero (in Fourier-Motzkin, positive) multiple of the row of values,
+so results are read off as ratios and handed back as Radicals.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import Radical, Rat, _as_radical, _parse_rational, _rows_for, float_str
+from .exactnum import Radical, Rat, _parse_rational, _rows_for, float_str
 from .piecewise import (
     DomainError,
     PiecewiseFn,
@@ -48,7 +48,7 @@ class PreconditionError(ValueError):
 
 
 def _val_doc(x) -> dict:
-    x = _as_radical(x)
+    x = Radical(x)
     return {"exact": str(x), "float": float_str(x)}
 
 
@@ -96,7 +96,7 @@ class Rule:
 
     def __init__(self, nodes, weights):
         nodes = [Fraction(x) for x in nodes]
-        weights = [_as_radical(w) for w in weights]
+        weights = [Radical(w) for w in weights]
         if len(nodes) != len(weights):
             raise ValueError("need one weight per node")
         if not nodes:
@@ -279,16 +279,14 @@ def _solve_system(columns, rhs, labels):
     consistent.  Returns (result, rank) with result either
     (particular, null_basis) or an Infeasible carrying the witness label.
 
-    The rows live in the representation `_rows_for` picks from the entries:
-    lists of ints when every entry is rational, ints A + B*sqrt(d) when the
-    irrational entries share one radicand d (a pivot row is multiplied by
-    the conjugate of its lead), and Radicals when they involve several.
-    An integer row is scaled by the lcm of its denominators, updated as
-    p*row - f*prow and divided by its content, so it is a nonzero multiple
-    of the row of the reduced row echelon form: its zeros, and so the rank
-    and the witness, are the same.  The particular solution and the null
-    basis are ratios of a pivot row's entries, formed and lowered to
-    Radical once, at the end.
+    The rows are the integer rows of `_rows_for` over the entries' field
+    (plain ints when every entry is rational); a new pivot row is multiplied
+    by the conjugates of its lead, which makes the lead rational.  A row is
+    scaled by the lcm of its denominators, updated as p*row - f*prow and
+    divided by its content, so it is a nonzero multiple of the row of the
+    reduced row echelon form: its zeros, and so the rank and the witness,
+    are the same.  The particular solution and the null basis are ratios of
+    a pivot row's entries, formed as Radicals once, at the end.
     """
     m = len(columns)
     rows = _rows_for(itertools.chain(*columns, rhs))
@@ -318,14 +316,14 @@ def _solve_system(columns, rhs, labels):
     zero, one = Radical(0), Radical(1)
     particular = [zero] * m
     for pc, prow in pivot_rows:
-        particular[pc] = rows.lower(rows.ratio(prow, m, pc))
+        particular[pc] = rows.ratio(prow, m, pc)
     free = [c for c in range(m) if c not in pivots]
     null_basis = []
     for fc in free:
         v = [zero] * m
         v[fc] = one
         for pc, prow in pivot_rows:
-            v[pc] = rows.lower(-rows.ratio(prow, fc, pc))
+            v[pc] = -rows.ratio(prow, fc, pc)
         null_basis.append(tuple(v))
     return (tuple(particular), tuple(null_basis)), len(pivots)
 
@@ -393,18 +391,17 @@ def positive_feasible(sol: WeightSolution):
     multipliers >= 0 over the original inequalities with
     sum(mult_i * lambda_i(t)) identically equal to a constant <= 0.
 
-    The inequalities are rows in the representation `_rows_for` picks from
-    the particular solution and the null basis (ints, ints A + B*sqrt(d), or
-    Radicals for several radicands, as in `_solve_system`).  Lower bound L
-    and upper bound U on a parameter combine as L[var]*U - U[var]*L divided
-    by its content, a positive multiple of the unscaled combination, so
-    every sign decision, the order of the inequalities and the ratios the
-    back-substitution reads are those of the unscaled elimination.  No
-    multipliers are carried: a derived inequality records the pair it came
+    The inequalities are the integer rows of `_rows_for` over the field of
+    the particular solution and the null basis, as in `_solve_system`.
+    Lower bound L and upper bound U on a parameter combine as
+    L[var]*U - U[var]*L divided by its content, a positive multiple of the
+    unscaled combination, so every sign decision, the order of the
+    inequalities and the ratios the back-substitution reads are those of the
+    unscaled elimination.  No multipliers are carried: a derived inequality records the pair it came
     from, and a refuting one is replayed down that tree (at most 2^k
-    leaves) in the working field, by the unscaled combinations, which gives
-    its multipliers and constant.  The returned weights, assignment,
-    multipliers and constant are Radicals.
+    leaves) in the record's working values, by the unscaled combinations,
+    which gives its multipliers and constant.  The returned weights,
+    assignment, multipliers and constant are Radicals.
     """
     m = len(sol.particular)
     k = len(sol.null_basis)
@@ -430,7 +427,7 @@ def positive_feasible(sol: WeightSolution):
     for row, origin in ineqs:
         if rows.sign(row, k) <= 0:
             _, const, mults = _replay(rows, sol, origin)
-            return NoPositive(tuple(map(rows.lower, mults)), rows.lower(const))
+            return NoPositive(tuple(v.radical() for v in mults), const.radical())
     # feasible: back-substitute a strictly interior parameter point; a
     # bound is a ratio of entries, which the rows' scaling leaves alone
     zero, one = rows.value(0), rows.value(1)
@@ -446,9 +443,9 @@ def positive_feasible(sol: WeightSolution):
                 rest = rest + rows.entry(row, j) * ts[j]
             bound = -rest / rows.entry(row, var)
             if sg > 0:
-                lb = bound if lb is None or rows.fsign(bound - lb) > 0 else lb
+                lb = bound if lb is None or (bound - lb).sign() > 0 else lb
             else:
-                ub = bound if ub is None or rows.fsign(bound - ub) < 0 else ub
+                ub = bound if ub is None or (bound - ub).sign() < 0 else ub
         if lb is not None and ub is not None:
             ts[var] = (lb + ub) / rows.value(2)
         elif lb is not None:
@@ -458,14 +455,14 @@ def positive_feasible(sol: WeightSolution):
     weights = [rows.value(v) for v in sol.particular]
     for t, nu in zip(ts, sol.null_basis):
         weights = [w + t * rows.value(v) if v else w for w, v in zip(weights, nu)]
-    if any(rows.fsign(w) <= 0 for w in weights):
+    if any(w.sign() <= 0 for w in weights):
         raise AssertionError("elimination produced a non-interior witness")
-    return PositiveWitness(tuple(map(rows.lower, weights)), tuple(map(rows.lower, ts)))
+    return PositiveWitness(tuple(w.radical() for w in weights), tuple(t.radical() for t in ts))
 
 
 def _replay(rows, sol, origin):
-    """(coefs, const, mults) of an inequality of `positive_feasible`, in its
-    working field and unscaled: the original inequality, or b*L + a*U with
+    """(coefs, const, mults) of an inequality of `positive_feasible`, as
+    working values of `rows` and unscaled: the original inequality, or b*L + a*U with
     a = L[var] > 0 and b = -U[var] > 0 for L and U replayed alike."""
     if isinstance(origin, int):
         zero, one = rows.value(0), rows.value(1)

@@ -13,14 +13,16 @@ reduces it to signs in a field with one generator fewer.
 
 Rationals are plain :class:`fractions.Fraction` (aliased ``Rat``);
 :class:`Radical` carries the sqrt combinations.  Exact linear algebra runs
-on fraction-free rows picked per computation by ``_rows_for``: lists of
-ints for rational inputs, ints ``A + B*sqrt(d)`` for inputs with one
-radicand d, and Radicals for several.  An integer row is scaled by the lcm
-of its denominators and divided by its content (the gcd of its integer
-components) after every combination, so it stands for a nonzero multiple of
-the row of values; the few exact values a result needs are formed in a
-working field (Fraction, the two-Fraction :class:`_QSqrt`, or Radical) and
-converted back to :class:`Radical` at the end.
+on fraction-free rows of one kind, :class:`_Rows`, over the field of its
+inputs (``_rows_for``): the radicands are split into a coprime base
+g_1, ..., g_k, and a row holds the integer coefficients of the 2^k square
+roots of products of the g_i -- a list of ints when every input is
+rational.  A row is scaled by the lcm of its denominators and divided by its
+content (the gcd of its integer components) after every combination, so it
+stands for a nonzero multiple of the row of values; the few exact values a
+result needs are formed as :class:`_Value` (integer coefficients over the
+same basis and a positive denominator) and converted back to
+:class:`Radical` at the end.
 """
 
 from __future__ import annotations
@@ -175,10 +177,10 @@ class Radical:
 
     @classmethod
     def single(cls, d: int, coeff: Fraction) -> "Radical":
-        """The value ``coeff * sqrt(d)`` for an already-squarefree ``d``."""
-        if d < 1:
-            raise ExactNumError(f"radicand must be positive, got {d}")
-        return cls._from_map({d: Fraction(coeff)})
+        """The value ``coeff * sqrt(d)`` for a positive integer ``d``, with
+        its square factor moved into the coefficient."""
+        s, d = _split_square(d)  # ExactNumError unless d >= 1
+        return cls._from_map({d: Fraction(coeff) * s if s > 1 else Fraction(coeff)})
 
     @property
     def terms(self) -> tuple[tuple[int, Fraction], ...]:
@@ -473,110 +475,21 @@ class Radical:
         return total
 
 
-# -- working representations for exact linear algebra --------------------
+# -- exact linear algebra over a multiquadratic field ----------------------
 
 
-_Q0 = Fraction(0)
-
-
-class _QSqrt:
-    """The value ``a + b*sqrt(d)`` of Q(sqrt(d)) for one fixed squarefree d > 1.
-
-    A working type for elimination and Fourier-Motzkin: operands always
-    share ``d`` (the caller picks it once per computation), so no radicand
-    bookkeeping happens per operation.  Results go back to :class:`Radical`
-    through :meth:`radical`.
-    """
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, a: Fraction, b: Fraction, d: int):
-        self.a = a
-        self.b = b
-        self.d = d
-
-    @classmethod
-    def of(cls, x: "Radical", d: int) -> "_QSqrt":
-        a = b = _Q0
-        for r, c in x._terms:
-            if r == 1:
-                a = c
-            else:  # r == d: the caller checked the radicands
-                b = c
-        return cls(a, b, d)
-
-    def radical(self) -> "Radical":
-        if self.a:
-            return Radical._raw(((1, self.a), (self.d, self.b)) if self.b else ((1, self.a),))
-        return Radical._raw(((self.d, self.b),) if self.b else ())
-
-    def __bool__(self):
-        return bool(self.a) or bool(self.b)
-
-    def __add__(self, o):
-        a, b, c, e = self.a, self.b, o.a, o.b
-        return _QSqrt(a + c if c else a, b + e if e else b, self.d)
-
-    def __sub__(self, o):
-        a, b, c, e = self.a, self.b, o.a, o.b
-        return _QSqrt(a - c if c else a, b - e if e else b, self.d)
-
-    def __neg__(self):
-        return _QSqrt(-self.a, -self.b, self.d)
-
-    def __mul__(self, o):
-        # (a + b*r)(c + e*r) = (ac + d*be) + (ae + bc)*r with r = sqrt(d).
-        # Rational and pure-sqrt operands are common, so products with a
-        # zero part are skipped: each costs as much as a Fraction product.
-        a, b, c, e = self.a, self.b, o.a, o.b
-        if not b:
-            if not a:
-                return self
-            return _QSqrt(a * c if c else c, a * e if e else e, self.d)
-        if not e:
-            if not c:
-                return o
-            return _QSqrt(a * c if a else a, b * c, self.d)
-        if not a:
-            return _QSqrt(self.d * b * e, b * c if c else c, self.d)
-        if not c:
-            return _QSqrt(self.d * b * e, a * e, self.d)
-        return _QSqrt(a * c + self.d * b * e, a * e + b * c, self.d)
-
-    def inverse(self) -> "_QSqrt":
-        """Reciprocal through the conjugate: (a - b*sqrt(d)) / (a^2 - d*b^2)."""
-        a, b = self.a, self.b
-        if not b:
-            if not a:
-                raise ZeroDivisionError("division by zero in Q(sqrt(d))")
-            return _QSqrt(1 / a, b, self.d)
-        norm = a * a - self.d * b * b  # nonzero: sqrt(d) is irrational
-        return _QSqrt(a / norm, -b / norm, self.d)
-
-    def __truediv__(self, o):
-        return self * o.inverse()
-
-    def sign(self) -> int:
-        """Exact sign from the signs of a and b and, when they differ,
-        from comparing a^2 with d*b^2 (never equal for b != 0)."""
-        a, b = self.a, self.b
-        sa = (a > 0) - (a < 0)
-        sb = (b > 0) - (b < 0)
-        if sa == sb or not sb:
-            return sa
-        if not sa:
-            return sb
-        return sa if a * a > self.d * b * b else sb
-
-    def __repr__(self):
-        return f"_QSqrt({self.a}, {self.b}, {self.d})"
-
-
-def _as_radical(x) -> "Radical":
-    return x if isinstance(x, Radical) else Radical(x)
-
-
-_ONE = Radical(1)
+def _coprime_base(radicands) -> tuple[int, ...]:
+    """The sorted pairwise-coprime integers > 1 whose products are the given
+    squarefree radicands, by repeated gcds: ``{6, 10}`` gives ``(2, 3, 5)``."""
+    base: list[int] = []
+    for x in radicands:
+        split = []
+        for b in base:
+            g = math.gcd(x, b)
+            x //= g
+            split += [v for v in (g, b // g) if v > 1]
+        base = split + [x] if x > 1 else split
+    return tuple(sorted(base))
 
 
 def _primitive(row: list) -> list:
@@ -592,243 +505,226 @@ def _int_row(ratios: list) -> list:
     return _primitive([n * (den // d) for n, d in ratios])
 
 
-class _IntRows:
-    """Rows over Z, for rational inputs: a row is a list of ints.
+def _lincomb(terms: list) -> list:
+    """The int list ``sum(c * x for c, x in terms)``, four terms to a pass."""
+    if len(terms) > 4:
+        return _lincomb([(1, _lincomb(terms[:4]))] + terms[4:])
+    if len(terms) == 4:
+        (a, x), (b, y), (c, z), (e, w) = terms
+        return [a * p + b * q + c * r + e * s for p, q, r, s in zip(x, y, z, w)]
+    if len(terms) == 3:
+        (a, x), (b, y), (c, z) = terms
+        return [a * p + b * q + c * r for p, q, r in zip(x, y, z)]
+    if len(terms) == 2:
+        (a, x), (b, y) = terms
+        return [a * p + b * q for p, q in zip(x, y)]
+    ((a, x),) = terms
+    return [a * p for p in x]
 
-    Each row stands for a positive rational multiple of the row of values it
-    was lifted from, or for a nonzero multiple of the row elimination would
-    hold; its working field is ``Fraction``.
+
+class _Rows:
+    """Fraction-free rows over Q(sqrt(g_1), ..., sqrt(g_k)), the field of a
+    set of squarefree radicands, for elimination and Fourier-Motzkin.
+
+    ``g_1 < ... < g_k`` is the radicands' coprime base.  For a bitmask S over
+    it, ``g_S`` is the product of the ``g_i`` with i in S; the 2^k roots
+    sqrt(g_S) are linearly independent (Besicovitch 1940), and
+    ``sqrt(g_S) * sqrt(g_T) = g_{S&T} * sqrt(g_{S^T})``.  A value is the
+    list of its 2^k coefficients; a row of n values is 2^k blocks of n ints,
+    block S holding the coefficients of sqrt(g_S) (at k = 1, the entries
+    A_i + B_i*sqrt(d) as A_0..A_{n-1}, B_0..B_{n-1}).  A row is scaled by
+    the lcm of its denominators and divided by its content, so it stands for
+    a nonzero multiple of its row of values, read only through zero tests,
+    ratios, and signs where every scaling was positive.
+
+    * ``lift(values)``: the row of the values, a positive multiple;
+    * ``nonzero(row, i)``, ``sign(row, i)``: entry i is nonzero; its sign;
+    * ``combine(row, prow, col)``: ``prow[col]*row - row[col]*prow``
+      divided by its content, which clears column ``col``; a positive
+      multiple when both operands are and ``prow[col] > 0 > row[col]``;
+    * ``pivot(row, col)``: the row times the conjugates of its lead, which
+      makes the lead rational;
+    * ``ratio(row, i, j)``: entry i over the rational lead j of a row made
+      by ``pivot``, as a :class:`Radical`;
+    * ``entry(row, i)``, ``value(x)``: entry i, and an int, Fraction or
+      Radical, as a :class:`_Value`.
     """
 
-    __slots__ = ()
+    __slots__ = ("k", "rad", "order", "index", "perm")
 
-    @staticmethod
-    def value(x) -> Fraction:
-        # only called on values _rows_for found rational
-        if isinstance(x, Radical):
-            return x._terms[0][1] if x._terms else _Q0
-        return Fraction(x)
+    def __init__(self, radicands):
+        base = _coprime_base(radicands)
+        self.k = len(base)
+        self.rad = [math.prod(g for i, g in enumerate(base) if S >> i & 1) for S in range(2**self.k)]
+        self.order = sorted(range(2**self.k), key=self.rad.__getitem__)
+        self.index = {r: S for S, r in enumerate(self.rad)}
+        # block U of sqrt(g_S) * x is g times block T of x: perm[S][U] == (T, g)
+        self.perm = [[(U ^ S, self.rad[S & (U ^ S)]) for U in range(2**self.k)] for S in range(2**self.k)]
 
-    @staticmethod
-    def fsign(q: Fraction) -> int:
-        n = q.numerator
-        return (n > 0) - (n < 0)
-
-    @staticmethod
-    def lower(q: Fraction) -> "Radical":
-        return Radical._raw(((1, q),) if q else ())
-
-    @staticmethod
-    def lift(values) -> list:
-        ratios = []
-        for x in values:
-            if isinstance(x, Radical):
-                x = x._terms[0][1] if x._terms else 0
-            ratios.append(x.as_integer_ratio())
-        return _int_row(ratios)
-
-    @staticmethod
-    def nonzero(row, i) -> bool:
-        return row[i] != 0
-
-    @staticmethod
-    def sign(row, i) -> int:
-        v = row[i]
-        return (v > 0) - (v < 0)
-
-    @staticmethod
-    def combine(row, prow, col) -> list:
-        p, f = prow[col], row[col]
-        g = math.gcd(p, f)
-        if g > 1:
-            p //= g
-            f //= g
-        return _primitive([p * a - f * b for a, b in zip(row, prow)])
-
-    @staticmethod
-    def pivot(row, col) -> list:
-        return row
-
-    @staticmethod
-    def entry(row, i) -> Fraction:
-        return Fraction(row[i])
-
-    @staticmethod
-    def ratio(row, i, j) -> Fraction:
-        return Fraction(row[i], row[j])
-
-
-class _SqrtIntRows:
-    """Rows over Z[sqrt(d)], for inputs whose irrational parts share one
-    squarefree radicand d: the entries ``A_i + B_i*sqrt(d)`` of a row of
-    length n are the flat int list ``A_0, ..., A_{n-1}, B_0, ..., B_{n-1}``.
-
-    Scalings are as in :class:`_IntRows`, by elements of Q(sqrt(d)); the
-    working field is :class:`_QSqrt`.
-    """
-
-    __slots__ = ("d",)
-
-    def __init__(self, d: int):
-        self.d = d
-
-    def value(self, x) -> "_QSqrt":
-        return _QSqrt.of(_as_radical(x), self.d)
-
-    fsign = staticmethod(_QSqrt.sign)
-    lower = staticmethod(_QSqrt.radical)
-
-    @staticmethod
-    def lift(values) -> list:
+    def _ratios(self, values) -> list:
         n = len(values)
-        ratios = [(0, 1)] * (2 * n)
+        ratios = [(0, 1)] * (n << self.k)
+        index = self.index
         for i, x in enumerate(values):
             if isinstance(x, Radical):
                 for r, c in x._terms:
-                    ratios[i if r == 1 else n + i] = c.as_integer_ratio()
+                    ratios[i if r == 1 else index[r] * n + i] = c.as_integer_ratio()
             else:
                 ratios[i] = x.as_integer_ratio()
-        return _int_row(ratios)
+        return ratios
 
-    @staticmethod
-    def nonzero(row, i) -> bool:
-        return row[i] != 0 or row[i + (len(row) >> 1)] != 0
+    def lift(self, values) -> list:
+        return _int_row(self._ratios(values))
+
+    def value(self, x) -> "_Value":
+        ratios = self._ratios([x])
+        den = math.lcm(*[d for _, d in ratios])
+        return _Value(self, [n * (den // d) for n, d in ratios], den)
+
+    def entry(self, row, i) -> "_Value":
+        return _Value(self, row[i :: len(row) >> self.k])
+
+    def nonzero(self, row, i) -> bool:
+        return row[i] != 0 or (self.k > 0 and any(row[i :: len(row) >> self.k]))
 
     def sign(self, row, i) -> int:
-        # a + b*sqrt(d): b decides unless a has the other sign and
-        # a^2 > d*b^2 (never equal for b != 0, as sqrt(d) is irrational)
-        a, b = row[i], row[i + (len(row) >> 1)]
-        if not b:
-            return (a > 0) - (a < 0)
-        sb = 1 if b > 0 else -1
-        if (a > 0) - (a < 0) != -sb or self.d * b * b > a * a:
-            return sb
-        return -sb
+        return self._sign(row[i :: len(row) >> self.k])
 
     def combine(self, row, prow, col) -> list:
-        n = len(row) >> 1
-        pa, pb, fa, fb = prow[col], prow[n + col], row[col], row[n + col]
-        g = math.gcd(pa, pb, fa, fb)
+        if self.k:
+            n = len(row) >> self.k
+            p, f = prow[col::n], row[col::n]
+            if any(p[1:]) or any(f[1:]):
+                g = math.gcd(*p, *f)
+                return _primitive(_lincomb(self._terms(p, row, n, g) + self._terms(f, prow, n, -g)))
+        p, f = prow[col], row[col]  # rational factors act on every block alike
+        g = math.gcd(p, f)
         if g > 1:
-            pa, pb, fa, fb = pa // g, pb // g, fa // g, fb // g
-        if not pb and not fb:  # rational factors act on both halves alike
-            return _primitive([pa * a - fa * b for a, b in zip(row, prow)])
-        # (pa + pb*r)(x + y*r) - (fa + fb*r)(u + v*r) with r = sqrt(d)
-        dpb, dfb = self.d * pb, self.d * fb
-        xy = list(zip(row[:n], row[n:], prow[:n], prow[n:]))
-        return _primitive(
-            [pa * x + dpb * y - fa * u - dfb * v for x, y, u, v in xy]
-            + [pa * y + pb * x - fa * v - fb * u for x, y, u, v in xy]
-        )
+            p, f = p // g, f // g
+        return _primitive([p * a - f * b for a, b in zip(row, prow)])
 
     def pivot(self, row, col) -> list:
-        """The row times the conjugate of its lead, which makes the lead
-        rational, so later combinations with it take the rational path."""
-        n = len(row) >> 1
-        a, b = row[col], row[n + col]
-        if not b:
-            return row
-        db = self.d * b
-        xy = list(zip(row[:n], row[n:]))
-        return _primitive([a * x - db * y for x, y in xy] + [a * y - b * x for x, y in xy])
+        n = len(row) >> self.k
+        c = self._cofactor(row[col::n])
+        return row if c is None else _primitive(_lincomb(self._terms(c, row, n)))
 
-    def entry(self, row, i) -> "_QSqrt":
-        return _QSqrt(Fraction(row[i]), Fraction(row[i + (len(row) >> 1)]), self.d)
+    def ratio(self, row, i, j) -> "Radical":
+        return self._radical(row[i :: len(row) >> self.k], row[j])
 
-    def ratio(self, row, i, j) -> "_QSqrt":
-        n = len(row) >> 1
-        c = row[j]  # rational: see pivot
-        return _QSqrt(Fraction(row[i], c), Fraction(row[n + i], c), self.d)
+    # -- field arithmetic on coefficient lists ----------------------------
 
+    def _root_times(self, S, x, n) -> list:
+        """The row x, of n entries a block, times sqrt(g_S)."""
+        if not S:
+            return x
+        out = []
+        for T, g in self.perm[S]:
+            b = x[T * n : T * n + n]
+            out += [g * v for v in b] if g > 1 else b
+        return out
 
-class _RadicalRows:
-    """Rows of :class:`Radical` values, for inputs with several radicands.
+    def _terms(self, c, x, n, g=1) -> list:
+        """The terms ``(c_S / g, sqrt(g_S) * x)`` whose sum is the row x times
+        c / g, for g dividing every c_S."""
+        return [(v // g, self._root_times(S, x, n)) for S, v in enumerate(c) if v]
 
-    No content to divide out: a new pivot row is scaled to lead 1, and a
-    combination with such a row only subtracts a multiple of it.
-    """
+    def _mul(self, x, y) -> list:
+        if not self.k:
+            return [x[0] * y[0]]
+        return _lincomb(self._terms(x, y, 1) or [(0, y)])  # x == 0: no terms
 
-    __slots__ = ()
+    def _cofactor(self, x) -> list | None:
+        """A value c with c * x rational, or None if x is: x's conjugate
+        over each generator x involves, multiplied in one at a time."""
+        if not any(x[1:]):
+            return None
+        c = None
+        for bit in (1 << i for i in range(self.k)):
+            if any(v for S, v in enumerate(x) if S & bit):
+                w = [-v if S & bit else v for S, v in enumerate(x)]
+                c = w if c is None else self._mul(c, w)
+                if 2 * bit < len(x):  # x may still involve a later generator
+                    x = self._mul(x, w)
+        return c
 
-    value = lower = staticmethod(_as_radical)
-    fsign = staticmethod(Radical.sign)
+    def _sign(self, x) -> int:
+        a = x[0]
+        if self.k > 1:
+            return self._radical(x).sign()
+        if not self.k or not x[1]:
+            return (a > 0) - (a < 0)
+        # a + b*sqrt(d): b decides unless a has the other sign and
+        # a^2 > d*b^2 (never equal for b != 0, as sqrt(d) is irrational)
+        b = x[1]
+        sb = 1 if b > 0 else -1
+        return sb if (a > 0) - (a < 0) != -sb or self.rad[1] * b * b > a * a else -sb
 
-    @staticmethod
-    def lift(values) -> list:
-        return [_as_radical(x) for x in values]
-
-    @staticmethod
-    def nonzero(row, i) -> bool:
-        return bool(row[i])
-
-    @staticmethod
-    def sign(row, i) -> int:
-        return row[i].sign()
-
-    @staticmethod
-    def combine(row, prow, col) -> list:
-        p, f = prow[col], row[col]
-        if p == _ONE:
-            return [a - f * b if b else a for a, b in zip(row, prow)]
-        nf = -f
-        return [p * a + nf * b for a, b in zip(row, prow)]
-
-    @staticmethod
-    def pivot(row, col) -> list:
-        inv = _ONE / row[col]
-        return [v * inv if v else v for v in row]
-
-    @staticmethod
-    def entry(row, i) -> "Radical":
-        return row[i]
-
-    @staticmethod
-    def ratio(row, i, j) -> "Radical":
-        return row[i]  # row[j] is 1: see pivot
+    def _radical(self, x, den=1) -> "Radical":
+        if not self.k:
+            return Radical._raw(((1, Fraction(x[0], den)),) if x[0] else ())
+        return Radical._raw(tuple([(self.rad[S], Fraction(x[S], den)) for S in self.order if x[S]]))
 
 
-_INT_ROWS = _IntRows()
-_RADICAL_ROWS = _RadicalRows()
+class _Value:
+    """The value ``sum(num[S] * sqrt(g_S)) / den`` of a :class:`_Rows`
+    record's field, with ``den > 0`` and no common factor of all of num and
+    den: the working value of Fourier-Motzkin's back-substitution."""
+
+    __slots__ = ("rows", "num", "den")
+
+    def __init__(self, rows: _Rows, num: list, den: int = 1):
+        g = math.gcd(den, *num)
+        if g > 1:
+            num, den = [v // g for v in num], den // g
+        self.rows, self.num, self.den = rows, num, den
+
+    def __add__(self, o):
+        d, e = self.den, o.den
+        if d == e:
+            return _Value(self.rows, [a + b for a, b in zip(self.num, o.num)], d)
+        return _Value(self.rows, [a * e + b * d for a, b in zip(self.num, o.num)], d * e)
+
+    def __neg__(self):
+        return _Value(self.rows, [-a for a in self.num], self.den)
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __mul__(self, o):
+        return _Value(self.rows, self.rows._mul(self.num, o.num), self.den * o.den)
+
+    def __truediv__(self, o):
+        c = self.rows._cofactor(o.num)
+        if c is not None:  # x / y = (x * c) / (y * c), with y * c rational
+            c = _Value(self.rows, c)
+            return (self * c) / (o * c)
+        q = o.num[0]
+        if not q:
+            raise ZeroDivisionError("division by zero")
+        s = o.den if q > 0 else -o.den  # x / (q / e) = x * e / q
+        return _Value(self.rows, [v * s for v in self.num], self.den * abs(q))
+
+    def __bool__(self):
+        return any(self.num)
+
+    def sign(self) -> int:
+        return self.rows._sign(self.num)
+
+    def radical(self) -> "Radical":
+        return self.rows._radical(self.num, self.den)
 
 
-def _rows_for(values):
-    """The cheapest row representation that holds every value.
+_rows_over = lru_cache(maxsize=256)(_Rows)  # one record per set of radicands
 
-    ``values`` are ints, Fractions or Radicals.  Returns a row record:
-    :class:`_IntRows` when every value is rational, :class:`_SqrtIntRows`
-    when the irrational values share a single radicand d, and
-    :class:`_RadicalRows` otherwise.  Each record supplies
 
-    * ``lift(values)``: the row of the values, scaled by the lcm of their
-      denominators and divided by its content (integer records);
-    * ``nonzero(row, i)`` and ``sign(row, i)``: entry i is nonzero, and its
-      exact sign;
-    * ``combine(row, prow, col)``: ``prow[col]*row - row[col]*prow``, which
-      clears column ``col`` (divided by its content in the integer records);
-      when ``prow[col] > 0 > row[col]`` it is a positive combination, so it
-      stands for a positive multiple if both operands do;
-    * ``pivot(row, col)``: a new pivot row with a cheap lead (rational, or
-      1 for Radical rows);
-    * ``entry(row, i)`` and ``ratio(row, i, j)``: entry i, and entry i over
-      the lead j of a row made by ``pivot``, as values of the working field;
-    * ``value(x)``, ``fsign(v)`` and ``lower(v)``: the working field
-      (Fraction, :class:`_QSqrt` or Radical) -- an input value in it, the
-      exact sign of one of its values, and that value as a canonical
-      :class:`Radical`.
-
-    An integer row stands for a nonzero multiple of its row of values, so
-    its entries are read only through zero tests, ratios, and signs where
-    every scaling was positive.
-    """
+def _rows_for(values) -> _Rows:
+    """The row record over the field of the ints, Fractions and Radicals
+    ``values``, cached per set of radicands."""
     radicands = set()
     for v in values:
         if isinstance(v, Radical) and v._terms and v._terms[-1][0] != 1:  # sorted: 1 first
             radicands.update(r for r, _ in v._terms if r != 1)
-    if not radicands:
-        return _INT_ROWS
-    if len(radicands) == 1:
-        return _SqrtIntRows(*radicands)
-    return _RADICAL_ROWS
+    return _rows_over(frozenset(radicands))
 
 
 # -- operation-style entry points -----------------------------------------

@@ -442,8 +442,8 @@ def test_solve_system_matches_sympy_on_random_q_sqrt_d_systems():
 def test_solve_system_matches_sympy_on_random_multi_sqrt_systems():
     rng = random.Random(13)
     statuses = Counter()
-    for trial in range(40):
-        ds = ((2, 3), (2, 5, 7))[trial % 2]
+    for trial in range(60):
+        ds = ((2, 3), (2, 5, 7), (6, 10))[trial % 3]
         cols, rhs = random_multi_sqrt_system(rng, ds)
         m = len(cols)
         labels = [f"r{k}" for k in range(len(rhs))]
@@ -708,12 +708,12 @@ def reference_positive_feasible(sol):
     return PositiveWitness(tuple(weights), tuple(ts))
 
 
-FIELDS = {"rational": (), "sqrt": (2,), "two-radicand": (2, 3)}
+FIELDS = {"rational": (), "sqrt": (2,), "two-radicand": (2, 3), "shared-factor": (6, 10)}
 
 
 def random_weight_solution(rng, field, k):
     """A WeightSolution with m <= 5 weights and a k-dimensional null space
-    whose entries lie in Q, Q(sqrt(d)) or Q(sqrt(2), sqrt(3))."""
+    whose entries lie in Q, Q(sqrt(d)), Q(sqrt(2), sqrt(3)) or Q(sqrt(6), sqrt(10))."""
     radicands = FIELDS[field]
     if field == "sqrt":
         radicands = (rng.choice((2, 3, 5, 6, 7)),)

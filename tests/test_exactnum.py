@@ -12,8 +12,8 @@ from exactdisc.exactnum import (
     DEFAULT_FACTOR_BOUND,
     ExactNumError,
     Radical,
-    _QSqrt,
     _parse_rational,
+    _coprime_base,
     _rows_for,
     _split_square,
     float_str,
@@ -88,6 +88,15 @@ def test_split_square_gives_up_beyond_certification_range():
     assert n > DEFAULT_FACTOR_BOUND**3
     with pytest.raises(ExactNumError):
         rad_sqrt(n)
+
+
+def test_single_normalizes_square_factors():
+    assert Radical.single(4, 1) == Radical(2) and str(Radical.single(4, 1)) == "2"
+    assert Radical.single(8, 1) * Radical.single(2, 1) == Radical(4)
+    assert Radical.single(12, Fraction(1, 2)) == rad_sqrt(3) == Radical.single(3, 1)
+    assert Radical.single(18, -1).terms == ((2, Fraction(-3)),)
+    with pytest.raises(ExactNumError):
+        Radical.single(0, 1)
 
 
 def test_sqrt_of_negative_rejected():
@@ -359,7 +368,53 @@ def test_hash_consistency():
     assert len({a, b}) == 1
 
 
-# --- the Q(sqrt(d)) working value ----------------------------------------------
+# --- rows and working values over a multiquadratic field -----------------------
+
+
+def test_coprime_base():
+    assert _coprime_base({6, 10}) == (2, 3, 5)
+    assert _coprime_base({2, 3, 6}) == (2, 3)
+    assert _coprime_base({15, 21, 35}) == (3, 5, 7)
+    assert _coprime_base(set()) == ()
+    assert _coprime_base({7}) == (7,)
+
+
+def test_rows_lift_combine_and_pivot():
+    r2, r3 = rad_sqrt(2), rad_sqrt(3)
+    rows = _rows_for([Radical(Fraction(1, 2)), 3, Fraction(-2)])
+    x = rows.value(Fraction(-2))
+    assert (x.num, x.den) == ([-2], 1) and x.radical() == Radical(-2) and x.sign() == -1
+    # one int row: scaled by the lcm of the denominators, content divided out
+    row = rows.lift([Radical(Fraction(1, 2)), 3, Fraction(-2), Radical(0)])
+    assert row == [1, 6, -4, 0] and all(type(v) is int for v in row)
+    assert [rows.sign(row, i) for i in range(4)] == [1, 1, -1, 0]
+    assert rows.combine([2, 4, 6], [3, 1, 1], 0) == [0, 5, 8]  # (3*row - 2*prow) / 2
+    assert rows.ratio(row, 2, 1) == Radical(Fraction(-2, 3))
+    rows = _rows_for([Radical(1), r3, Radical(2) - r3 * Radical(5)])
+    x = rows.value(Radical(2) - r3)
+    assert (x.num, x.den) == ([2, -1], 1) and x.radical() == Radical(2) - r3 and x.sign() == 1
+    assert rows.value(7).radical() == Radical(7)
+    # A + B*sqrt(3) rows: the A column, then the B column
+    row = rows.lift([Radical(2) - r3, Radical(Fraction(1, 3)), r3 * Radical(Fraction(-1, 2))])
+    assert row == [12, 2, 0, -6, 0, -3]
+    assert [rows.sign(row, i) for i in range(3)] == [1, 1, -1]
+    pivot = rows.pivot(row, 0)  # times 2 + sqrt(3): a rational lead
+    assert pivot[3] == 0
+    assert rows.ratio(pivot, 2, 0) == r3 * Radical(Fraction(-1, 2)) / (Radical(2) - r3)
+    # radicands 6, 10 and 30 share factors: blocks over the base (2, 3, 5)
+    a = [Radical(1) + rad_sqrt(6), rad_sqrt(10) - Radical(Fraction(1, 2)), Radical(3), rad_sqrt(15)]
+    b = [rad_sqrt(30) - r2, Radical(2) * rad_sqrt(6), Radical(0), Radical(-1) + rad_sqrt(5)]
+    rows = _rows_for(a + b)
+    assert rows.rad == [1, 2, 3, 6, 5, 10, 15, 30]
+    assert [rows.sign(rows.lift(a), i) for i in range(4)] == [1, 1, 1, 1]
+    pivot = rows.pivot(rows.lift(a), 0)  # times the conjugates of 1 + sqrt(6)
+    assert [pivot[4 * s] for s in range(1, 8)] == [0] * 7
+    assert [rows.ratio(pivot, i, 0) for i in range(4)] == [v / a[0] for v in a]
+    # a combination clears its column and is a positive multiple of the values'
+    cleared = [a[0] * v - b[0] * u for u, v in zip(a, b)]
+    assert rows.combine(rows.lift(b), rows.lift(a), 0) == rows.lift(cleared)
+    assert not rows.nonzero(rows.lift(cleared), 0) and rows.nonzero(rows.lift(cleared), 1)
+
 
 # a + b*sqrt(d) with a^2 - d*b^2 = 1/den(a)^2: the two squares agree to
 # within one part in up to 4*10^8, so a and b*sqrt(d) nearly cancel
@@ -372,83 +427,59 @@ PELL_NEAR_MISSES = (
 )
 
 
-def quad_values(rng, d, n):
+def test_rows_sign_of_pell_near_misses():
+    for a, b, d in PELL_NEAR_MISSES:
+        x, conj = Radical(a) + Radical.single(d, b), Radical(a) - Radical.single(d, b)
+        dominant = a if a * a > d * b * b else b
+        expected = 1 if dominant > 0 else -1
+        rows = _rows_for([x])
+        row = rows.lift([x, -x, conj])
+        assert [rows.sign(row, i) for i in range(3)] == [expected, -expected, 1 if a > 0 else -1]
+        assert rows.value(x).sign() == expected == x.sign()
+        assert (-rows.value(x)).sign() == -expected
+        # the norm a^2 - d*b^2 is +-1 times the square of a's denominator
+        norm = (rows.value(x) * rows.value(conj)).radical()
+        assert abs(norm.as_fraction()) == Fraction(1, a.denominator**2)
+
+
+def field_values(rng, ds, n):
     """Zero, the near misses in Q(sqrt(d)) with both signs, and n random
-    values with zero, pure-rational and pure-sqrt parts mixed in."""
-    out = [_QSqrt(Fraction(0), Fraction(0), d)]
-    for a, b, dd in PELL_NEAR_MISSES:
-        if dd == d:
-            out += [_QSqrt(a, b, d), _QSqrt(-a, -b, d), _QSqrt(a, -b, d)]
+    values over the products of the square roots of ds."""
+    roots = [Radical(1)]
+    for d in ds:
+        roots += [r * rad_sqrt(d) for r in roots]
+    out = [Radical(0)]
+    for a, b, d in PELL_NEAR_MISSES:
+        if (d,) == ds:
+            x = Radical(a) + Radical.single(d, b)
+            out += [x, -x, Radical(a) - Radical.single(d, b)]
     for _ in range(n):
-        a = Fraction(rng.randint(-40, 40), rng.randint(1, 12)) if rng.random() < 0.8 else Fraction(0)
-        b = Fraction(rng.randint(-40, 40), rng.randint(1, 12)) if rng.random() < 0.8 else Fraction(0)
-        out.append(_QSqrt(a, b, d))
+        terms = [Radical(Fraction(rng.randint(-40, 40), rng.randint(1, 12))) * r for r in roots]
+        out.append(sum((t for t in terms if rng.random() < 0.7), Radical(0)))
     return out
 
 
-def test_qsqrt_arithmetic_and_sign_match_radical():
-    rng = random.Random(17)
-    for d in (2, 3, 5, 6, 7):
-        values = quad_values(rng, d, 25)
-        for x in values:
-            rx = x.radical()
-            assert rx == Radical(x.a) + Radical(x.b) * rad_sqrt(d)
-            back = _QSqrt.of(rx, d)
-            assert (back.a, back.b, back.d) == (x.a, x.b, d)
-            assert x.sign() == rx.sign()
-            assert bool(x) == bool(rx)
-            assert (-x).radical() == -rx
-            if x:
-                assert x.inverse().radical() == rx.inverse()
+#: radicand sets and the size k of their coprime base
+FIELD_BASES = {(): 0, (2,): 1, (3,): 1, (6,): 1, (7,): 1, (2, 3): 2, (6, 10): 3, (2, 5, 7): 3}
+
+
+@pytest.mark.parametrize("ds", sorted(FIELD_BASES), ids=lambda ds: "-".join(map(str, ds)) or "Q")
+def test_working_value_arithmetic_and_sign_match_radical(ds):
+    values = field_values(random.Random(17), ds, 16)
+    rows = _rows_for([rad_sqrt(d) for d in ds])
+    assert rows.k == FIELD_BASES[ds]
+    for x in values:
+        vx = rows.value(x)
+        assert vx.radical() == x and vx.sign() == x.sign() and bool(vx) == bool(x)
+        assert (-vx).radical() == -x
+        for y in values:
+            vy = rows.value(y)
+            assert (vx + vy).radical() == x + y
+            assert (vx - vy).radical() == x - y
+            assert (vx * vy).radical() == x * y
+            assert (vx - vy).sign() == (x - y).sign()
+            if y:
+                assert (vx / vy).radical() == x / y
             else:
                 with pytest.raises(ZeroDivisionError):
-                    x.inverse()
-            for y in values:
-                ry = y.radical()
-                assert (x + y).radical() == rx + ry
-                assert (x - y).radical() == rx - ry
-                assert (x * y).radical() == rx * ry
-                assert (x - y).sign() == (rx - ry).sign()
-                if y:
-                    assert (x / y).radical() == rx / ry
-
-
-def test_qsqrt_sign_of_pell_near_misses():
-    for a, b, d in PELL_NEAR_MISSES:
-        x = _QSqrt(a, b, d)
-        dominant = a if a * a > d * b * b else b
-        expected = 1 if dominant > 0 else -1
-        assert x.sign() == expected == x.radical().sign()
-        assert (-x).sign() == -expected
-        # the norm a^2 - d*b^2 is +-1 times the square of a's denominator
-        assert abs((x * _QSqrt(a, -b, d)).a) == Fraction(1, a.denominator**2)
-
-
-def test_rows_for_picks_the_representation():
-    r2, r3 = rad_sqrt(2), rad_sqrt(3)
-    rows = _rows_for([Radical(Fraction(1, 2)), 3, Fraction(-2)])
-    assert type(rows.value(Radical(Fraction(1, 2)))) is Fraction
-    assert rows.lower(rows.value(Fraction(-2))) == Radical(-2) and rows.fsign(rows.value(-2)) == -1
-    # one int row: scaled by the lcm of the denominators, content divided out
-    row = rows.lift([Radical(Fraction(1, 2)), 3, Fraction(-2), Radical(0)])
-    assert row == [1, 6, -4, 0] and all(type(v) is int for v in row)
-    assert [rows.sign(row, i) for i in range(4)] == [1, 1, -1, 0]
-    assert rows.combine([2, 4, 6], [3, 1, 1], 0) == [0, 5, 8]  # (3*row - 2*prow) / 2
-    assert rows.lower(rows.ratio(row, 2, 1)) == Radical(Fraction(-2, 3))
-    rows = _rows_for([Radical(1), r3, Radical(2) - r3 * Radical(5)])
-    x = rows.value(Radical(2) - r3)
-    assert type(x) is _QSqrt and (x.a, x.b, x.d) == (2, -1, 3)
-    assert rows.lower(x) == Radical(2) - r3 and rows.fsign(x) == 1
-    assert type(rows.value(7)) is _QSqrt and rows.lower(rows.value(7)) == Radical(7)
-    # A + B*sqrt(3) rows: the A column, then the B column
-    row = rows.lift([Radical(2) - r3, Radical(Fraction(1, 3)), r3 * Radical(Fraction(-1, 2))])
-    assert row == [12, 2, 0, -6, 0, -3]
-    assert [rows.sign(row, i) for i in range(3)] == [1, 1, -1]
-    pivot = rows.pivot(row, 0)  # times 2 + sqrt(3): a rational lead
-    assert pivot[3] == 0 and rows.lower(rows.ratio(pivot, 2, 0)) == rows.lower(
-        rows.value(r3 * Radical(Fraction(-1, 2))) / x
-    )
-    rows = _rows_for([r2, r3, Radical(1)])
-    assert rows.value(r2 + r3) == r2 + r3 and type(rows.value(1)) is Radical
-    assert rows.fsign(r2 - r3) == -1 and rows.lower(r2) == r2
-    assert rows.lift([r2, 1]) == [r2, Radical(1)] and rows.sign([r2 - r3], 0) == -1
+                    vx / vy
