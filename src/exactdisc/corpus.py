@@ -28,10 +28,15 @@ PARAM_FLAG = "params-violate-separation-inequality"
 class Example1Params:
     """Step heights (a, A, B) for the ex1 pair, A > B > 0, a > 0.
 
-    The separation inequality A^2 > 2 a^2 + B^2 is what forces a negative
-    weight at the minimal node count; it is enforced at construction
+    The separation inequality A^2 > 2 a^2 + B^2 is enforced at construction
     unless `unchecked` is set, in which case downstream artifacts carry
-    PARAM_FLAG instead.
+    PARAM_FLAG instead.  What is certified at the defaults (1, 3, 2) is a
+    forced negative weight on one node triple: the exact weights at
+    (-1/2, 1/8, 3/8) are unique, (-3/2, 1/2, 1/2), so no positive rule
+    uses those nodes.  The inequality is not known to force a negative
+    weight at the minimal node count: over a census of 147 triples (a, A,
+    B), `min` found the signed and the positive minimum equal every time,
+    whether the inequality held or not.
     """
 
     a: Fraction = Fraction(1)

@@ -10,13 +10,15 @@ scalar field: Gram matrices, rule verification, weight solving, strict
 positivity via Fourier-Motzkin with Farkas certificates, minimal node
 counts for piecewise-constant subspaces, structural lower bounds, and
 Caratheodory support reduction.  The minimality and grid searches decide
-each node subset through one engine, `_subset_outcomes`.  Elimination and
-Fourier-Motzkin run on fraction-free integer rows over the field of their
-inputs (see `exactnum._Rows`): for each product g_S of the radicands'
-coprime base, the coefficients of sqrt(g_S); plain ints for rational
-inputs.  A row is divided by its content after each combination and stands
-for a nonzero (in Fourier-Motzkin, positive) multiple of the row of values,
-so results are read off as ratios and handed back as Radicals.
+each node subset through one engine, `_subset_outcomes`, which keeps the
+elimination state of the nodes a subset shares with the previous one.
+Elimination (one step, `_push`, per column) and Fourier-Motzkin run on
+fraction-free integer rows over the field of their inputs (see
+`exactnum._Rows`): for each product g_S of the radicands' coprime base,
+the coefficients of sqrt(g_S); plain ints for rational inputs.  A row is
+divided by its content after each combination and stands for a nonzero
+(in Fourier-Motzkin, positive) multiple of the row of values, so results
+are read off as ratios and handed back as Radicals.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
-from .exactnum import Radical, Rat, _parse_rational, _rows_for, float_str
+from .exactnum import Radical, Rat, _parse_rational, _radicands, _rows_for, _rows_over, float_str
 from .piecewise import (
     DomainError,
     PiecewiseFn,
@@ -267,65 +270,116 @@ class Infeasible:
     witness_pair: tuple
 
 
-def _solve_system(columns, rhs, labels):
-    """Exact incremental-RREF solve of sum_j x_j * columns[j] = rhs.
+class _Coords:
+    """An elimination vector read as coordinates: entry `start + i` over
+    its rational entry `at`, negated when `neg`, for i < m.  They are formed
+    as Radicals once, when first read, and shared by every subset whose
+    state holds the vector."""
 
-    Rows (labeled by basis pairs, already in canonical order) are absorbed
-    one at a time, so on inconsistency the witness label identifies the
-    exact prefix boundary: the system restricted to rows strictly before
-    the witness is solvable, and adding the witness row makes it not.
-    Rows after the witness are still reduced, so the returned rank is the
-    column rank of the coefficient matrix whether or not the system is
-    consistent.  Returns (result, rank) with result either
-    (particular, null_basis) or an Infeasible carrying the witness label.
+    __slots__ = ("vec", "at", "neg", "_radicals")
 
-    The rows are the integer rows of `_rows_for` over the entries' field
-    (plain ints when every entry is rational); a new pivot row is multiplied
-    by the conjugates of its lead, which makes the lead rational.  A row is
-    scaled by the lcm of its denominators, updated as p*row - f*prow and
-    divided by its content, so it is a nonzero multiple of the row of the
-    reduced row echelon form: its zeros, and so the rank and the witness,
-    are the same.  The particular solution and the null basis are ratios of
-    a pivot row's entries, formed as Radicals once, at the end.
+    def __init__(self, vec, at, neg=False):
+        self.vec, self.at, self.neg, self._radicals = vec, at, neg, None
+
+    def radicals(self, rows, start, m) -> tuple:
+        if self._radicals is None:
+            out = [rows.ratio(self.vec, start + i, self.at) for i in range(m)]
+            self._radicals = tuple(-x for x in out) if self.neg else tuple(out)
+        return self._radicals
+
+
+class _Prefix(NamedTuple):
+    """The elimination state of a system's first columns (see `_push`)."""
+
+    pivots: tuple  # (pivot row, vector, its root multiples) per pivot column
+    rhs: _Coords  # the right-hand side, reduced against the pivot columns
+    nulls: tuple  # _Coords per free column, whose vector has reduced to 0
+
+
+def _vector(rows, scaled, at, m) -> list:
+    """The vector of a column at position `at` < m, or of the right-hand
+    side (`at` == m), from its `(row, s)` over `rows`: its values times s,
+    then its m + 1 coordinates, s at `at` and 0 elsewhere."""
+    row, s = scaled
+    return rows.append(row, [0] * at + [s] + [0] * (m - at))
+
+
+def _start(rows, rhs, n_rows, m) -> _Prefix:
+    """The state of no columns, from the right-hand side's `(row, s)`."""
+    return _Prefix((), _Coords(_vector(rows, rhs, m, m), n_rows + m, True), ())
+
+
+def _push(rows, state, column, at, n_rows, m):
+    """The state after one more column, the one elimination step.
+
+    A vector is a column's `n_rows` values followed by its coordinates over
+    the m columns and the right-hand side (`_vector`): every step is
+    linear, so the values stay the coordinates' combination of the
+    system's columns and right-hand side.  `column` is the new column's
+    `(row, s)`, at position `at`.  The new vector is reduced against the
+    pivot columns in order, which zeroes it on their pivot rows.  If a value
+    is still nonzero, the first such row becomes its pivot row: the vector
+    is multiplied by its lead's conjugates (a rational lead) and clears that
+    row of the right-hand side.  A vector is then zero on every row before
+    its pivot row, so a non-pivot row is only ever combined with earlier
+    rows, and the right-hand side's first nonzero row is the first whose
+    row prefix has no solution.  Otherwise the column is free, and its
+    coordinates over its own are a null vector, the free column's in the
+    reduced row echelon form: the rank, pivot columns and null basis are
+    those of absorbing the rows one at a time.
     """
-    m = len(columns)
+    pivots, rhs, nulls = state
+    vec = _vector(rows, column, at, m)
+    for p, pvec, roots in pivots:
+        if rows.nonzero(vec, p):
+            vec = rows.combine(vec, pvec, p, roots)
+    lead = rows.lead(vec, n_rows)
+    if lead is None:
+        return _Prefix(pivots, rhs, nulls + (_Coords(vec, n_rows + at),))
+    vec = rows.pivot(vec, lead)
+    roots = rows.roots(vec)
+    if rows.nonzero(rhs.vec, lead):
+        rhs = _Coords(rows.combine(rhs.vec, vec, lead, roots), rhs.at, True)
+    return _Prefix(pivots + ((lead, vec, roots),), rhs, nulls)
+
+
+def _solution(rows, state, n_rows, m):
+    """(particular, null_basis) as Radicals, or None when the right-hand
+    side is outside the columns' span.  The right-hand side's coordinates
+    over its own, negated, solve the system with every free variable 0."""
+    if rows.lead(state.rhs.vec, n_rows) is not None:
+        return None
+    particular = state.rhs.radicals(rows, n_rows, m)
+    return particular, tuple(c.radicals(rows, n_rows, m) for c in state.nulls)
+
+
+def _solve_system(columns, rhs, labels):
+    """Exact solve of sum_j x_j * columns[j] = rhs, one `_push` per column.
+
+    Returns (result, rank) with result either (particular, null_basis) or
+    an Infeasible carrying the witness label: the first row such that the
+    system restricted to the rows up to it has no solution (rows are
+    labeled by basis pairs, already in canonical order).  The rank is the
+    column rank of the coefficient matrix whether or not the system is
+    consistent.  The particular solution has every free variable at 0, and
+    the null basis has one vector per free column, 1 there and 0 at the
+    other free columns: both are those of the reduced row echelon form.
+
+    The vectors are the integer rows of `_rows_for` over the entries' field
+    (plain ints when every entry is rational), each a nonzero multiple of
+    its vector of values, so its zeros, and the rank and the witness, are
+    those of the values; the solution is read off as ratios of coordinates
+    and formed as Radicals once, at the end.
+    """
+    m, n_rows = len(columns), len(rhs)
     rows = _rows_for(itertools.chain(*columns, rhs))
-    witness = None
-    pivot_rows = []  # (pivot_col, fully-reduced row), sorted by col
-    for r in range(len(rhs)):
-        if witness is not None and len(pivot_rows) == m:
-            break  # every column already has a pivot: the rank is final
-        row = rows.lift([col[r] for col in columns] + [rhs[r]])
-        for pc, prow in pivot_rows:
-            if rows.nonzero(row, pc):
-                row = rows.combine(row, prow, pc)
-        lead = next((c for c in range(m) if rows.nonzero(row, c)), None)
-        if lead is None:
-            if rows.nonzero(row, m) and witness is None:
-                witness = labels[r]
-            continue
-        row = rows.pivot(row, lead)
-        for i, (pc, prow) in enumerate(pivot_rows):
-            if rows.nonzero(prow, lead):
-                pivot_rows[i] = (pc, rows.combine(prow, row, lead))
-        pivot_rows.append((lead, row))
-        pivot_rows.sort(key=lambda t: t[0])
+    state = _start(rows, rows.scaled(rhs), n_rows, m)
+    for j, col in enumerate(columns):
+        state = _push(rows, state, rows.scaled(col), j, n_rows, m)
+    witness = rows.lead(state.rhs.vec, n_rows)
     if witness is not None:
-        return Infeasible(witness), len(pivot_rows)
-    pivots = [pc for pc, _ in pivot_rows]
-    zero, one = Radical(0), Radical(1)
-    particular = [zero] * m
-    for pc, prow in pivot_rows:
-        particular[pc] = rows.ratio(prow, m, pc)
-    free = [c for c in range(m) if c not in pivots]
-    null_basis = []
-    for fc in free:
-        v = [zero] * m
-        v[fc] = one
-        for pc, prow in pivot_rows:
-            v[pc] = -rows.ratio(prow, fc, pc)
-        null_basis.append(tuple(v))
-    return (tuple(particular), tuple(null_basis)), len(pivots)
+        return Infeasible(labels[witness]), len(state.pivots)
+    return _solution(rows, state, n_rows, m), len(state.pivots)
 
 
 def _pair_system(s: Subspace, pairs=None):
@@ -576,32 +630,69 @@ def measure_rule(s: Subspace) -> Rule:
     return _region_rule(regions)
 
 
-def _subset_outcomes(column, nodes, rhs, labels, m: int, mode: str):
-    """Decide each size-m subset of the nodes, in lexicographic order.
+def _subset_outcomes(column, nodes, rhs, labels, sizes, mode: str):
+    """Decide each subset of the nodes of each size in `sizes`, sizes in the
+    given order and subsets of one size in lexicographic order.
 
-    `column(i)` is node i's column over the pair rows `labels`; it is called
-    once per node, when the first subset reaches it.  Yields (subset of node
-    indices, outcome): the subset's Rule (the particular solution, or in
-    positive mode the interior witness) or the CaseLog reason it has none.
+    `column(i)` is node i's basis values; it is called once per node, when
+    the first subset reaches it.  Yields (subset of node indices, outcome):
+    the subset's Rule (the particular solution, or in positive mode the
+    interior witness) or the CaseLog reason it has none.
+
+    The values are lifted once into one row record, over the radicands of
+    the right-hand side and of the values seen so far; the moment column
+    over the pair rows `labels` is formed from them as ints.  A value with
+    a radicand outside the record widens it, and everything held is lifted
+    again: the zeros, and so every outcome, do not depend on the record.
+    The subsets are walked depth first: the state of a subset's first d
+    nodes (`_push`) is kept while the next subset shares them, so each
+    subset costs one elimination step per node past the shared prefix, and
+    a solution's Radicals are formed once per state that holds them.
     """
-    columns = {}
-    for subset in itertools.combinations(range(len(nodes)), m):
-        for i in subset:
-            if i not in columns:
-                columns[i] = column(i)
-        result, rank = _solve_system([columns[i] for i in subset], rhs, labels)
-        if isinstance(result, Infeasible):
-            yield subset, "rank-deficient" if rank < m else "inconsistent"
-            continue
-        sol = WeightSolution(tuple(nodes[i] for i in subset), *result)
-        if mode == "signed":
-            yield subset, Rule(sol.nodes, sol.particular)
-            continue
-        pf = positive_feasible(sol)
-        if isinstance(pf, NoPositive):
-            yield subset, "positivity-infeasible"
-        else:
-            yield subset, Rule(sol.nodes, pf.weights)
+    n_rows = len(labels)
+    radicands = _radicands(rhs)
+    values = {}  # node -> its basis values
+
+    def lift():  # the record over `radicands`; every node's (row, s) and the rhs's
+        rows = _rows_over(frozenset(radicands))
+        return rows, {i: rows.products(v, labels) for i, v in values.items()}, rows.scaled(rhs)
+
+    rows, lifted, target = lift()
+    for m in sizes:
+        stack = []  # stack[d]: the state of the current subset's first d nodes
+        prev = ()
+        for subset in itertools.combinations(range(len(nodes)), m):
+            for i in subset:
+                if i not in values:
+                    values[i] = column(i)
+                    new = _radicands(values[i]) - radicands
+                    if any(r not in rows.index for r in new):
+                        radicands.update(new)
+                        rows, lifted, target = lift()
+                        stack.clear()  # its states are over the old record
+                    else:
+                        lifted[i] = rows.products(values[i], labels)
+            keep = next((d for d, (a, b) in enumerate(zip(prev, subset)) if a != b), 0)
+            del stack[keep + 1 :]
+            if not stack:
+                stack.append(_start(rows, target, n_rows, m))
+            for d in range(len(stack) - 1, m):
+                stack.append(_push(rows, stack[-1], lifted[subset[d]], d, n_rows, m))
+            prev = subset
+            state = stack[-1]
+            result = _solution(rows, state, n_rows, m)
+            if result is None:
+                yield subset, "rank-deficient" if len(state.pivots) < m else "inconsistent"
+                continue
+            sol = WeightSolution(tuple(nodes[i] for i in subset), *result)
+            if mode == "signed":
+                yield subset, Rule(sol.nodes, sol.particular)
+                continue
+            pf = positive_feasible(sol)
+            if isinstance(pf, NoPositive):
+                yield subset, "positivity-infeasible"
+            else:
+                yield subset, Rule(sol.nodes, pf.weights)
 
 
 def decide_min(s: Subspace, mode: str = "signed") -> MinCertificate:
@@ -615,9 +706,11 @@ def decide_min(s: Subspace, mode: str = "signed") -> MinCertificate:
     but make the case list explicit); enumeration and logging follow
     lexicographic order, and the search stops at the first feasible subset.
 
-    Only the subsets of distinct vectors are solved (`_subset_outcomes`),
-    one elimination each; the first Rule found is verified on the moment
-    columns already held, and returned.
+    Only the subsets of distinct vectors are solved, by one run of
+    `_subset_outcomes` over every size: each group's values are lifted
+    once, and a subset is eliminated from the state of the groups it
+    shares with the previous subset.  The first Rule found is verified on
+    the moment columns already held, and returned.
     A multiset with a repeated vector takes its reason from its support
     set, which is smaller and so was refuted at an earlier size: the
     repeated column makes it "rank-deficient", except in positive mode
@@ -633,9 +726,10 @@ def decide_min(s: Subspace, mode: str = "signed") -> MinCertificate:
 
     reasons = {}  # every subset of distinct groups refuted so far
     exhaustion = []
-    for m in range(1, len(groups) + 1):
-        outcomes = _subset_outcomes(lambda i: groups[i].moments, nodes, rhs, labels, m, mode)
-        for subset, outcome in outcomes:
+    sizes = range(1, len(groups) + 1)
+    outcomes = _subset_outcomes(lambda i: groups[i].values, nodes, rhs, labels, sizes, mode)
+    for m, level in itertools.groupby(outcomes, lambda outcome: len(outcome[0])):
+        for subset, outcome in level:
             if isinstance(outcome, str):
                 reasons[subset] = outcome
                 continue
@@ -676,22 +770,24 @@ def search_grid(
     Exploration only -- an empty result is not a nonexistence certificate.
     `pairs` restricts the enforced pair conditions (the returned rules then
     satisfy only those); `max_subsets` caps how many subsets are examined.
-    Subsets are examined in lexicographic order (`_subset_outcomes`), and
-    each candidate's column (its moment vector restricted to the enforced
-    pairs) is computed once, when the first examined subset reaches it.
+    Subsets are examined in lexicographic order (`_subset_outcomes`).  Each
+    candidate's basis values are evaluated once, when the first examined
+    subset reaches it, and its column (its moment vector restricted to the
+    enforced pairs) is formed from them once; a subset is eliminated from
+    the state of the candidates it shares with the previous subset.
     """
     if mode not in ("signed", "positive"):
         raise ValueError(f"unknown mode {mode!r}")
     cand = _check_nodes(s, candidates)
     if not 1 <= m <= len(cand):
         raise ValueError(f"subset size {m} out of range for {len(cand)} candidates")
-    labels, rows, rhs = _pair_system(s, pairs)
+    labels, _, rhs = _pair_system(s, pairs)
 
     def column(i):
-        entries = moment_vector(s, cand[i]).entries
-        return [entries[r] for r in rows]
+        return [pw_eval(f, cand[i]) for f in s.funcs]
 
-    outcomes = itertools.islice(_subset_outcomes(column, cand, rhs, labels, m, mode), max_subsets)
+    outcomes = _subset_outcomes(column, cand, rhs, labels, (m,), mode)
+    outcomes = itertools.islice(outcomes, max_subsets)
     return [rule for _, rule in outcomes if isinstance(rule, Rule)]
 
 

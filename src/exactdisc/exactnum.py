@@ -498,11 +498,10 @@ def _primitive(row: list) -> list:
     return row if g < 2 else [v // g for v in row]
 
 
-def _int_row(ratios: list) -> list:
-    """The rationals ``(numerator, denominator)`` scaled by the lcm of their
-    denominators, as a primitive int row."""
-    den = math.lcm(*[d for _, d in ratios])
-    return _primitive([n * (den // d) for n, d in ratios])
+def _scaled(row: list, s: int) -> tuple[list, int]:
+    """``(row, s)`` divided by the gcd of every component and ``s``."""
+    g = math.gcd(s, *row)
+    return (row, s) if g < 2 else ([v // g for v in row], s // g)
 
 
 def _lincomb(terms: list) -> list:
@@ -538,10 +537,18 @@ class _Rows:
     ratios, and signs where every scaling was positive.
 
     * ``lift(values)``: the row of the values, a positive multiple;
+      ``scaled(values)`` also returns the positive int factor, and
+      ``products(values, pairs)`` does the same for the row of the products
+      ``values[i] * values[j]`` over index pairs, formed on ints;
+    * ``append(row, tail)``: the row followed by the rational entries
+      ``tail``, given as ints;
     * ``nonzero(row, i)``, ``sign(row, i)``: entry i is nonzero; its sign;
-    * ``combine(row, prow, col)``: ``prow[col]*row - row[col]*prow``
+      ``lead(row, stop)``: the first nonzero entry before ``stop``;
+    * ``combine(row, prow, col, roots)``: ``prow[col]*row - row[col]*prow``
       divided by its content, which clears column ``col``; a positive
-      multiple when both operands are and ``prow[col] > 0 > row[col]``;
+      multiple when both operands are and ``prow[col] > 0 > row[col]``.
+      ``roots``, from ``roots(prow)``, holds prow's sqrt(g_S) multiples,
+      formed once for a pivot row that reduces many rows;
     * ``pivot(row, col)``: the row times the conjugates of its lead, which
       makes the lead rational;
     * ``ratio(row, i, j)``: entry i over the rational lead j of a row made
@@ -573,13 +580,46 @@ class _Rows:
                 ratios[i] = x.as_integer_ratio()
         return ratios
 
+    def _ints(self, values) -> tuple[list, int]:
+        """The values' coefficients times the lcm of their denominators,
+        and that lcm."""
+        ratios = self._ratios(values)
+        den = math.lcm(*[d for _, d in ratios])
+        return [n * (den // d) for n, d in ratios], den
+
     def lift(self, values) -> list:
-        return _int_row(self._ratios(values))
+        return _primitive(self._ints(values)[0])
+
+    def scaled(self, values) -> tuple[list, int]:
+        return _scaled(*self._ints(values))
+
+    def products(self, values, pairs) -> tuple[list, int]:
+        a, den = self._ints(values)
+        if not self.k:
+            return _scaled([a[i] * a[j] for i, j in pairs], den * den)
+        n = len(values)
+        left = [[a[S * n + i] for i, _ in pairs] for S in range(len(self.rad))]
+        right = [[a[S * n + j] for _, j in pairs] for S in range(len(self.rad))]
+        out = [[0] * len(pairs) for _ in self.rad]
+        for S, x in enumerate(left):
+            for T, y in enumerate(right):
+                if any(x) and any(y):  # sqrt(g_S) * sqrt(g_T) = g_{S&T} * sqrt(g_{S^T})
+                    g, U = self.rad[S & T], S ^ T
+                    out[U] = [o + g * p * q for o, p, q in zip(out[U], x, y)]
+        return _scaled([v for block in out for v in block], den * den)
+
+    def append(self, row, tail) -> list:
+        if not self.k:
+            return row + tail
+        n, zeros = len(row) >> self.k, [0] * len(tail)
+        out = row[:n] + tail
+        for S in range(1, len(self.rad)):
+            out += row[S * n : S * n + n]
+            out += zeros
+        return out
 
     def value(self, x) -> "_Value":
-        ratios = self._ratios([x])
-        den = math.lcm(*[d for _, d in ratios])
-        return _Value(self, [n * (den // d) for n, d in ratios], den)
+        return _Value(self, *self._ints([x]))
 
     def entry(self, row, i) -> "_Value":
         return _Value(self, row[i :: len(row) >> self.k])
@@ -587,16 +627,30 @@ class _Rows:
     def nonzero(self, row, i) -> bool:
         return row[i] != 0 or (self.k > 0 and any(row[i :: len(row) >> self.k]))
 
+    def lead(self, row, stop) -> int | None:
+        n = len(row) >> self.k
+        for i in range(stop):
+            if row[i] or (self.k and any(row[i::n])):
+                return i
+        return None
+
     def sign(self, row, i) -> int:
         return self._sign(row[i :: len(row) >> self.k])
 
-    def combine(self, row, prow, col) -> list:
+    def roots(self, row) -> list | None:
+        if not self.k:
+            return None
+        n = len(row) >> self.k
+        return [self._root_times(S, row, n) for S in range(len(self.rad))]
+
+    def combine(self, row, prow, col, roots=None) -> list:
         if self.k:
             n = len(row) >> self.k
             p, f = prow[col::n], row[col::n]
             if any(p[1:]) or any(f[1:]):
                 g = math.gcd(*p, *f)
-                return _primitive(_lincomb(self._terms(p, row, n, g) + self._terms(f, prow, n, -g)))
+                terms = self._terms(p, row, n, g) + self._terms(f, prow, n, -g, roots)
+                return _primitive(_lincomb(terms))
         p, f = prow[col], row[col]  # rational factors act on every block alike
         g = math.gcd(p, f)
         if g > 1:
@@ -623,9 +677,11 @@ class _Rows:
             out += [g * v for v in b] if g > 1 else b
         return out
 
-    def _terms(self, c, x, n, g=1) -> list:
+    def _terms(self, c, x, n, g=1, roots=None) -> list:
         """The terms ``(c_S / g, sqrt(g_S) * x)`` whose sum is the row x times
-        c / g, for g dividing every c_S."""
+        c / g, for g dividing every c_S; ``roots`` holds x's multiples."""
+        if roots:
+            return [(v // g, roots[S]) for S, v in enumerate(c) if v]
         return [(v // g, self._root_times(S, x, n)) for S, v in enumerate(c) if v]
 
     def _mul(self, x, y) -> list:
@@ -717,14 +773,19 @@ class _Value:
 _rows_over = lru_cache(maxsize=256)(_Rows)  # one record per set of radicands
 
 
-def _rows_for(values) -> _Rows:
-    """The row record over the field of the ints, Fractions and Radicals
-    ``values``, cached per set of radicands."""
+def _radicands(values) -> set:
+    """The radicands of the ints, Fractions and Radicals ``values``."""
     radicands = set()
     for v in values:
         if isinstance(v, Radical) and v._terms and v._terms[-1][0] != 1:  # sorted: 1 first
             radicands.update(r for r, _ in v._terms if r != 1)
-    return _rows_over(frozenset(radicands))
+    return radicands
+
+
+def _rows_for(values) -> _Rows:
+    """The row record over the field of the ints, Fractions and Radicals
+    ``values``, cached per set of radicands."""
+    return _rows_over(frozenset(_radicands(values)))
 
 
 # -- operation-style entry points -----------------------------------------

@@ -130,7 +130,7 @@ def column_rank(columns):
 
 @functools.lru_cache(maxsize=None)
 def _sqrt_field(ds):
-    return sympy.QQ.algebraic_field(*(sympy.sqrt(d) for d in ds))
+    return sympy.QQ.algebraic_field(*(sympy.sqrt(d) for d in ds)) if ds else sympy.QQ
 
 
 @functools.lru_cache(maxsize=None)
@@ -140,18 +140,20 @@ def _surd_in(ds, surd):
     return _sqrt_field(ds).from_sympy(surd)
 
 
-def _matrix_over_sqrts(columns, ds):
+def field_element(expr, *ds):
+    """A sympy sum of rational multiples of square roots as an element of
+    QQ<sqrt(d), ...>, where equality is exact."""
     field = _sqrt_field(ds)
+    total = field.zero
+    for term in sympy.Add.make_args(sympy.expand(expr)):
+        c, surd = term.as_coeff_Mul()
+        total += field.from_sympy(c) * _surd_in(ds, surd)
+    return total
 
-    def element(expr):
-        total = field.zero
-        for term in sympy.Add.make_args(sympy.expand(expr)):
-            c, surd = term.as_coeff_Mul()
-            total += field.from_sympy(c) * _surd_in(ds, surd)
-        return total
 
-    rows = [[element(col[r]) for col in columns] for r in range(len(columns[0]))]
-    return DomainMatrix(rows, (len(rows), len(columns)), field)
+def _matrix_over_sqrts(columns, ds):
+    rows = [[field_element(col[r], *ds) for col in columns] for r in range(len(columns[0]))]
+    return DomainMatrix(rows, (len(rows), len(columns)), _sqrt_field(ds))
 
 
 def column_rank_over_sqrt(columns, *ds):
@@ -163,6 +165,14 @@ def column_rank_over_sqrt(columns, *ds):
 def pivot_columns_over_sqrt(columns, *ds):
     """Pivot columns of the reduced row echelon form in QQ<sqrt(d), ...>."""
     return tuple(_matrix_over_sqrts(columns, ds).rref()[1])
+
+
+def rref_over_sqrt(columns, *ds):
+    """(rows, pivot columns) of the reduced row echelon form in
+    QQ<sqrt(d), ...>, the rows as lists of field elements (see
+    field_element); with no ds, over QQ."""
+    reduced, pivots = _matrix_over_sqrts(columns, ds).rref()
+    return reduced.to_list(), tuple(pivots)
 
 
 def rref_of_pairs(rows, d=None):

@@ -2,6 +2,7 @@
 prefix witnesses, strict-positivity certificates, exhaustive minimality,
 grid exploration, structural lower bounds, and support reduction."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -15,9 +16,11 @@ import sympy
 
 import oracles
 import props
+from exactdisc import cli
 from exactdisc.corpus import build_f1, build_f2, build_X2, build_X8, Example1Params, golden_rules
 from exactdisc.discretize import (
     _MERGE_JUSTIFICATION,
+    _subset_outcomes,
     CaseLog,
     Infeasible,
     LevelLog,
@@ -573,6 +576,182 @@ def test_solve_system_over_q_sqrt2():
     assert rank == 2
 
 
+#: radicands of the fields of the kernel's differential tests
+KERNEL_FIELDS = {"rational": (), "sqrt5": (5,), "sqrt2-sqrt3-sqrt5": (2, 3, 5)}
+
+
+def random_field_value(rng, ds, num=3, den=2):
+    """Zero, or a rational plus rational multiples of up to three square
+    roots of products of the radicands ds."""
+    if rng.random() < 0.25:
+        return Radical(0)
+    products = (c for r in range(1, len(ds) + 1) for c in itertools.combinations(ds, r))
+    roots = [rad_sqrt(math.prod(c)) for c in products]
+    v = Radical(props.random_fraction(rng, num, den))
+    for root in rng.sample(roots, rng.randint(0, min(3, len(roots)))):
+        v = v + Radical(props.random_fraction(rng, num, den)) * root
+    return v
+
+
+def random_low_rank_system(rng, ds):
+    """Columns spanning a random space of lower dimension than both their
+    count and their length, and a right-hand side in that span, outside
+    it, or in it but for one row."""
+    n_rows, m = rng.randint(2, 6), rng.randint(2, 5)
+    rank = rng.randint(0, min(n_rows, m) - 1)
+    base = [[random_field_value(rng, ds) for _ in range(n_rows)] for _ in range(rank)]
+
+    def combination():
+        coefs = [random_field_value(rng, ds, 9, 4) for _ in base]
+        return [sum((c * b[r] for c, b in zip(coefs, base)), Radical(0)) for r in range(n_rows)]
+
+    cols = [combination() for _ in range(m)]
+    kind = rng.choice(("in-span", "outside", "one-row"))
+    if kind == "outside":
+        rhs = [random_field_value(rng, ds) for _ in range(n_rows)]
+    else:
+        rhs = combination()
+    if kind == "one-row":
+        r = rng.randrange(n_rows)
+        rhs[r] = rhs[r] + (random_field_value(rng, ds) or Radical(1))
+    return cols, rhs
+
+
+@pytest.mark.parametrize("field", sorted(KERNEL_FIELDS))
+def test_solve_system_matches_sympy_rref_on_low_rank_systems(field):
+    ds = KERNEL_FIELDS[field]
+    rng = random.Random(f"low-rank:{field}")
+
+    def element(x):
+        return oracles.field_element(to_sympy(x), *ds)
+
+    zero, one = element(Radical(0)), element(Radical(1))
+    statuses = Counter()
+    for _ in range(30):
+        cols, rhs = random_low_rank_system(rng, ds)
+        m, n_rows = len(cols), len(rhs)
+        labels = [f"r{k}" for k in range(n_rows)]
+        result, rank = _solve_system(cols, rhs, labels)
+        augmented = [[to_sympy(v) for v in col] for col in cols + [rhs]]
+        reduced, pivots = oracles.rref_over_sqrt(augmented, *ds)
+        assert rank == len([pc for pc in pivots if pc < m]) < min(m, n_rows)
+        if m in pivots:
+            statuses["inconsistent"] += 1
+            # the witness is the first row whose row prefix has no solution
+            first = next(
+                k for k in range(n_rows)
+                if m in oracles.rref_over_sqrt([col[: k + 1] for col in augmented], *ds)[1]
+            )
+            assert isinstance(result, Infeasible) and result.witness_pair == labels[first]
+            continue
+        statuses["consistent"] += 1
+        particular, null_basis = result
+        expected = [zero] * m
+        for i, pc in enumerate(pivots):
+            expected[pc] = reduced[i][m]
+        assert [element(x) for x in particular] == expected
+        free = [c for c in range(m) if c not in pivots]
+        assert len(null_basis) == len(free)
+        for fc, nu in zip(free, null_basis):
+            expected = [zero] * m
+            expected[fc] = one
+            for i, pc in enumerate(pivots):
+                expected[pc] = -reduced[i][fc]
+            assert [element(x) for x in nu] == expected
+    assert statuses["inconsistent"] and statuses["consistent"], statuses
+
+
+def reference_outcomes(values, nodes, rhs, labels, m, mode):
+    """The stream of `_subset_outcomes` for one size, each subset solved
+    from scratch: its moment columns formed as Radical products and handed
+    to `_solve_system`."""
+    for subset in itertools.combinations(range(len(nodes)), m):
+        cols = [[values[i][a] * values[i][b] for a, b in labels] for i in subset]
+        result, rank = _solve_system(cols, rhs, labels)
+        if isinstance(result, Infeasible):
+            yield subset, "rank-deficient" if rank < m else "inconsistent"
+            continue
+        sol = WeightSolution(tuple(nodes[i] for i in subset), *result)
+        if mode == "signed":
+            yield subset, Rule(sol.nodes, sol.particular)
+            continue
+        pf = positive_feasible(sol)
+        if isinstance(pf, NoPositive):
+            yield subset, "positivity-infeasible"
+        else:
+            yield subset, Rule(sol.nodes, pf.weights)
+
+
+def assert_outcomes_match_reference(values, rhs, labels):
+    nodes = tuple(Fraction(i, len(values)) for i in range(len(values)))
+    kinds = Counter()
+    for mode in ("signed", "positive"):
+        sizes = range(1, len(values) + 1)
+        want = [list(reference_outcomes(values, nodes, rhs, labels, m, mode)) for m in sizes]
+        for m in sizes:
+            got = _subset_outcomes(values.__getitem__, nodes, rhs, labels, (m,), mode)
+            assert list(got) == want[m - 1]
+        got = list(_subset_outcomes(values.__getitem__, nodes, rhs, labels, sizes, mode))
+        assert got == [outcome for level in want for outcome in level]
+        kinds.update(o if isinstance(o, str) else "rule" for _, o in got)
+    return kinds
+
+
+def test_subset_outcomes_widen_the_record_for_new_radicands(monkeypatch):
+    from exactdisc import discretize
+
+    r2, r3, r5 = rad_sqrt(2), rad_sqrt(3), rad_sqrt(5)
+    q = [Radical(Fraction(v)) for v in (1, 2, -1, 3, "1/2", -2)]
+    # nodes 0-2 rational; 3 brings sqrt(2), 4 sqrt(3), 6 sqrt(5); 5's
+    # sqrt(6) is already in the field of sqrt(2) and sqrt(3), and 7 has the
+    # moment column of 3
+    values = [
+        (q[0], q[1]), (q[2], q[0]), (q[3], q[4]),
+        (r2, q[0] + r2), (q[1] * r3, q[5]), (r2 * r3, q[0]), (r5 - r2, q[4]), (-r2, -q[0] - r2),
+    ]
+    labels = index_pairs(2)
+    # a rational right-hand side: positive weights on nodes 0-2
+    rhs = [
+        sum((Radical(w) * values[i][a] * values[i][b] for w, i in ((1, 0), (2, 1), (1, 2))), Radical(0))
+        for a, b in labels
+    ]
+    records = []
+    rows_over = discretize._rows_over
+
+    def recorded(radicands):
+        records.append(sorted(radicands))
+        return rows_over(radicands)
+
+    monkeypatch.setattr(discretize, "_rows_over", recorded)
+    kinds = assert_outcomes_match_reference(values, rhs, labels)
+    # one record per call of the engine: rational, then widened three times
+    assert records[:4] == [[], [2], [2, 3], [2, 3, 5]]
+    assert len(records) == 4 * 2 * (len(values) + 1)
+    assert set(kinds) == {"rule", "rank-deficient", "inconsistent", "positivity-infeasible"}, kinds
+
+
+@pytest.mark.parametrize("field", sorted(KERNEL_FIELDS))
+def test_subset_outcomes_match_per_subset_reference(field):
+    ds = KERNEL_FIELDS[field]
+    rng = random.Random(f"outcomes:{field}")
+    kinds = Counter()
+    for dim in (1, 2, 3):
+        values = [tuple(random_field_value(rng, ds) for _ in range(dim)) for _ in range(5)]
+        # a multiple of a column makes rank-deficient subsets
+        c = random_field_value(rng, ds) or Radical(2)
+        values.insert(rng.randrange(1, 6), tuple(c * v for v in rng.choice(values)))
+        pairs = index_pairs(dim)
+        labels = sorted(rng.sample(pairs, rng.randint(1, len(pairs))))
+        # positive weights on a few nodes, so that some subsets have rules
+        support = rng.sample(range(len(values)), rng.randint(1, 3))
+        rhs = [
+            sum((Radical(rng.randint(1, 3)) * values[i][a] * values[i][b] for i in support), Radical(0))
+            for a, b in labels
+        ]
+        kinds += assert_outcomes_match_reference(values, rhs, labels)
+    assert set(kinds) == {"rule", "rank-deficient", "inconsistent", "positivity-infeasible"}, kinds
+
+
 def test_gram_rank_of_dependent_basis():
     f1, f2 = build_f1(), build_f2(Example1Params())
     s = Subspace(("f1", "f2", "f1+f2"), (f1, f2, pw_scale_add(1, f1, 1, f2)))
@@ -872,23 +1051,30 @@ def test_decide_min_solves_nothing_after_the_witness(monkeypatch):
     from exactdisc import discretize
 
     events = []
-    solve, feasible = discretize._solve_system, discretize.positive_feasible
+    outcomes, push = discretize._subset_outcomes, discretize._push
+    feasible = discretize.positive_feasible
 
-    def counted_solve(columns, rhs, labels):
-        events.append("solve")
-        return solve(columns, rhs, labels)
+    def counted_outcomes(*args):
+        for subset, outcome in outcomes(*args):
+            events.append("decide")
+            yield subset, outcome
+
+    def counted_push(*args):
+        events.append("push")
+        return push(*args)
 
     def counted_feasible(sol):
         events.append("positive")
         return feasible(sol)
 
-    monkeypatch.setattr(discretize, "_solve_system", counted_solve)
+    monkeypatch.setattr(discretize, "_subset_outcomes", counted_outcomes)
+    monkeypatch.setattr(discretize, "_push", counted_push)
     monkeypatch.setattr(discretize, "positive_feasible", counted_feasible)
     rng = random.Random(5)
     subspaces = [X2, SIGN_GAP] + [props.random_pwc_subspace(rng, 3, 8) for _ in range(6)]
     stopped_early = 0
     for s in subspaces:
-        gram(s)  # warm the Gram cache, so every solve below is a subset's
+        gram(s)  # warm the Gram cache, so every elimination step below is a subset's
         groups, _ = constancy_groups(s)
         index = {g.representative: i for i, g in enumerate(groups)}
         for mode in ("signed", "positive"):
@@ -897,8 +1083,12 @@ def test_decide_min_solves_nothing_after_the_witness(monkeypatch):
             witness = tuple(index[x] for x in cert.witness.nodes)
             level = list(itertools.combinations(range(len(groups)), cert.m_min))
             earlier = sum(math.comb(len(groups), m) for m in range(1, cert.m_min))
-            assert events.count("solve") == earlier + level.index(witness) + 1
-            assert events[-1] == ("positive" if mode == "positive" else "solve")
+            assert events.count("decide") == earlier + level.index(witness) + 1
+            # the witness's decision is the last work: no elimination step
+            # after its own, and in positive mode one positivity check
+            last_push = len(events) - 1 - events[::-1].index("push")
+            tail = ["push", "positive", "decide"] if mode == "positive" else ["push", "decide"]
+            assert events[last_push:] == tail
             stopped_early += level.index(witness) < len(level) - 1
     assert stopped_early >= 4
 
@@ -953,6 +1143,24 @@ def test_sign_gap_subspace_needs_a_negative_weight_at_the_minimum():
         for case in lvl.cases:
             cols = rational_columns(positive.groups, case.subset)
             assert oracles.check_case_reason(cols, rhs, case.reason), case
+
+
+#: sha256 of the stdout of `min <SIGN_GAP> --mode M --format json`, recorded
+#: while every subset was solved from scratch
+SIGN_GAP_MIN_PINS = {
+    "signed": "4175d344e5d2cf7962e0cb9d8937224cc3d7f19d415f59ba24ef7793640851b7",
+    "positive": "ce95220188d3753a4cdb280826c05e9b197f1e17084ba374867775ac1eccd05b",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SIGN_GAP_MIN_PINS))
+def test_sign_gap_min_output_bytes_are_pinned(tmp_path, capsys, mode):
+    sub = tmp_path / "gap.subspace.json"
+    sub.write_text(json.dumps(subspace_to_doc(SIGN_GAP)))
+    assert cli.main(["min", str(sub), "--mode", mode, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["m_min"] == {"signed": 5, "positive": 6}[mode]
+    assert hashlib.sha256(out.encode()).hexdigest() == SIGN_GAP_MIN_PINS[mode]
 
 
 def reference_rank(columns):

@@ -416,6 +416,34 @@ def test_rows_lift_combine_and_pivot():
     assert not rows.nonzero(rows.lift(cleared), 0) and rows.nonzero(rows.lift(cleared), 1)
 
 
+@pytest.mark.parametrize("ds", [(), (5,), (2, 3), (6, 10, 7)], ids=str)
+def test_rows_products_scaled_append_and_held_roots(ds):
+    rng = random.Random(f"products:{ds}")
+    values = field_values(rng, ds, 3)
+    values = values[:1] + values[-3:]  # zero, then three random values
+    rows = _rows_for(values)
+    pairs = [(i, j) for i in range(4) for j in range(i, 4)]
+    # a positive int multiple with no common factor, formed on ints
+    row, s = rows.products(values, pairs)
+    assert s > 0 and math.gcd(s, *row) == 1
+    assert [rows.entry(row, p).radical() for p in range(len(pairs))] == [
+        Radical(s) * values[i] * values[j] for i, j in pairs
+    ]
+    row, s = rows.scaled(values)
+    assert s > 0 and math.gcd(s, *row) == 1
+    assert [rows.entry(row, i).radical() for i in range(4)] == [Radical(s) * v for v in values]
+    wide = rows.append(row, [s, 0])
+    assert [rows.entry(wide, i).radical() for i in range(6)] == [Radical(s) * v for v in values] + [
+        Radical(s), Radical(0)
+    ]
+    assert rows.lead(wide, 6) == 1 and rows.lead(wide, 1) is None
+    # a pivot row's held sqrt(g_S) multiples give the same combination
+    prow = rows.pivot(wide, 1)
+    other = rows.lift(field_values(rng, ds, 6)[-6:])
+    assert rows.nonzero(other, 1)
+    assert rows.combine(other, prow, 1, rows.roots(prow)) == rows.combine(other, prow, 1)
+
+
 # a + b*sqrt(d) with a^2 - d*b^2 = 1/den(a)^2: the two squares agree to
 # within one part in up to 4*10^8, so a and b*sqrt(d) nearly cancel
 PELL_NEAR_MISSES = (
