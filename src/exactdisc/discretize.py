@@ -9,7 +9,10 @@ orthogonality is assumed.)  Everything here works over the exact Radical
 scalar field: Gram matrices, rule verification, weight solving, strict
 positivity via Fourier-Motzkin with Farkas certificates, minimal node
 counts for piecewise-constant subspaces, structural lower bounds, and
-Caratheodory support reduction.  The minimality and grid searches decide
+Caratheodory support reduction.  A node enters only through its basis
+values: the solvers lift them into integer rows and form the pair products
+there (`_lift_columns`), and the checks form each product in Radical
+arithmetic (`_verify_values`).  The minimality and grid searches decide
 each node subset through one engine, `_subset_outcomes`, which keeps the
 elimination state of the nodes a subset shares with the previous one.
 Elimination (one step, `_push`, per column) and Fourier-Motzkin run on
@@ -30,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exactnum import Radical, Rat, _parse_rational, _radicands, _rows_for, _rows_over, float_str
+from .exactnum import Radical, Rat, _parse_rational, _radicands, _rows_for, float_str
 from .piecewise import (
     DomainError,
     PiecewiseFn,
@@ -141,31 +144,14 @@ class Rule:
         return f"Rule({pairs})"
 
 
-@dataclass(frozen=True)
-class MomentVec:
-    """Products f_i(x) f_s(x) over pairs i <= s, flattened canonically."""
-
-    dim: int
-    entries: tuple
-
-    def entry(self, i: int, s: int) -> Radical:
-        return self.entries[pair_index(i, s, self.dim)]
-
-
-def pair_index(i: int, s: int, n: int) -> int:
-    """Position of pair (i, s), i <= s, in lexicographic pair order."""
-    if not 0 <= i <= s < n:
-        raise IndexError(f"bad pair ({i}, {s}) for dimension {n}")
-    return i * n - i * (i - 1) // 2 + (s - i)
-
-
 def index_pairs(n: int):
-    """All (i, s) with i <= s in the canonical order matching pair_index."""
+    """All (i, s) with i <= s in lexicographic order: the rows of the
+    moment system, in the order its witnesses and residuals follow."""
     return [(i, s) for i in range(n) for s in range(i, n)]
 
 
 # ---------------------------------------------------------------------------
-# gram and moments
+# gram
 
 
 @lru_cache(maxsize=128)
@@ -183,18 +169,6 @@ def _gram_cached(s: Subspace):
 def gram(s: Subspace):
     """Exact Gram matrix of the basis plus its rank."""
     return _gram_cached(s)
-
-
-def moment_vector(s: Subspace, x) -> MomentVec:
-    """The vector (f_i(x) f_s(x)) over pairs i <= s."""
-    x = Fraction(x)
-    vals = [pw_eval(f, x) for f in s.funcs]
-    return MomentVec(s.dimension, _moment_entries_from_values(vals))
-
-
-def _moment_entries_from_values(vals) -> tuple:
-    n = len(vals)
-    return tuple(vals[i] * vals[j] for i, j in index_pairs(n))
 
 
 # ---------------------------------------------------------------------------
@@ -225,28 +199,27 @@ def _check_nodes(s: Subspace, nodes):
     return tuple(out)
 
 
-def _moment_columns(s: Subspace, nodes) -> list:
-    return [moment_vector(s, x).entries for x in _check_nodes(s, nodes)]
-
-
 def verify_rule(s: Subspace, rule: Rule) -> VerifyReport:
     """Exact per-pair residuals of the moment identity; pass iff all zero."""
-    return _verify_columns(s, rule.weights, _moment_columns(s, rule.nodes))
+    nodes = _check_nodes(s, rule.nodes)
+    return _verify_values(s, rule.weights, [[pw_eval(f, x) for f in s.funcs] for x in nodes])
 
 
-def _verify_columns(s: Subspace, weights, cols) -> VerifyReport:
-    """verify_rule for nodes whose moment columns are already known."""
-    pairs, _, rhs = _pair_system(s)
+def _verify_values(s: Subspace, weights, values) -> VerifyReport:
+    """verify_rule for nodes whose basis values are already known.  Each
+    product f_i(x) f_s(x) is formed here, in Radical arithmetic, so the check
+    shares no code with the integer rows the solvers eliminate on."""
+    pairs, rhs = _pair_system(s)
     residuals = []
     failing = []
-    for k, (pair, target) in enumerate(zip(pairs, rhs)):
+    for (i, j), target in zip(pairs, rhs):
         acc = Radical(0)
-        for w, col in zip(weights, cols):
-            acc = acc + w * col[k]
+        for w, v in zip(weights, values):
+            acc = acc + w * (v[i] * v[j])
         r = acc - target
         residuals.append(r)
         if r:
-            failing.append(pair)
+            failing.append((i, j))
     return VerifyReport(tuple(pairs), tuple(residuals), not failing, tuple(failing))
 
 
@@ -353,8 +326,30 @@ def _solution(rows, state, n_rows, m):
     return particular, tuple(c.radicals(rows, n_rows, m) for c in state.nulls)
 
 
+def _lift_columns(values, rhs, labels):
+    """(rows, columns, target): the row record over the field of the
+    right-hand side `rhs` and the nodes' basis values `values`, each node's
+    moment column over the pair rows `labels` as the `(row, s)` of the
+    products of its values (`_Rows.products`), and the right-hand side's."""
+    rows = _rows_for(itertools.chain(rhs, *values))
+    return rows, [rows.products(v, labels) for v in values], rows.scaled(rhs)
+
+
+def _eliminate(rows, columns, target, labels):
+    """`_solve_system` on columns and a right-hand side already lifted into
+    `rows` as `(row, s)` pairs, one `_push` per column."""
+    m, n_rows = len(columns), len(labels)
+    state = _start(rows, target, n_rows, m)
+    for j, col in enumerate(columns):
+        state = _push(rows, state, col, j, n_rows, m)
+    witness = rows.lead(state.rhs.vec, n_rows)
+    if witness is not None:
+        return Infeasible(labels[witness]), len(state.pivots)
+    return _solution(rows, state, n_rows, m), len(state.pivots)
+
+
 def _solve_system(columns, rhs, labels):
-    """Exact solve of sum_j x_j * columns[j] = rhs, one `_push` per column.
+    """Exact solve of sum_j x_j * columns[j] = rhs (`_eliminate`).
 
     Returns (result, rank) with result either (particular, null_basis) or
     an Infeasible carrying the witness label: the first row such that the
@@ -371,21 +366,14 @@ def _solve_system(columns, rhs, labels):
     those of the values; the solution is read off as ratios of coordinates
     and formed as Radicals once, at the end.
     """
-    m, n_rows = len(columns), len(rhs)
     rows = _rows_for(itertools.chain(*columns, rhs))
-    state = _start(rows, rows.scaled(rhs), n_rows, m)
-    for j, col in enumerate(columns):
-        state = _push(rows, state, rows.scaled(col), j, n_rows, m)
-    witness = rows.lead(state.rhs.vec, n_rows)
-    if witness is not None:
-        return Infeasible(labels[witness]), len(state.pivots)
-    return _solution(rows, state, n_rows, m), len(state.pivots)
+    return _eliminate(rows, [rows.scaled(col) for col in columns], rows.scaled(rhs), labels)
 
 
 def _pair_system(s: Subspace, pairs=None):
-    """(labels, rows, rhs) of the moment system: the enforced basis pairs in
-    canonical order (all of them when `pairs` is None), their positions in a
-    moment vector, and the Gram entries the weighted node sums must match."""
+    """(labels, rhs) of the moment system: the enforced basis pairs in
+    canonical order (all of them when `pairs` is None) and the Gram entries
+    the weighted node sums must match."""
     g, _ = gram(s)
     labels = index_pairs(s.dimension)
     if pairs is not None:
@@ -394,8 +382,7 @@ def _pair_system(s: Subspace, pairs=None):
         if unknown:
             raise ValueError(f"pairs outside the basis: {sorted(unknown)}")
         labels = [p for p in labels if p in wanted]
-    rows = [pair_index(i, sx, s.dimension) for i, sx in labels]
-    return labels, rows, [g[i][sx] for i, sx in labels]
+    return labels, [g[i][sx] for i, sx in labels]
 
 
 def solve_weights(s: Subspace, nodes, pairs=None):
@@ -406,12 +393,9 @@ def solve_weights(s: Subspace, nodes, pairs=None):
     restricts the enforced conditions to a subset of basis pairs.
     """
     nodes = _check_nodes(s, nodes)
-    labels, rows, rhs = _pair_system(s, pairs)
-    cols = []
-    for x in nodes:
-        entries = moment_vector(s, x).entries
-        cols.append([entries[r] for r in rows])
-    result, _rank = _solve_system(cols, rhs, labels)
+    labels, rhs = _pair_system(s, pairs)
+    values = [[pw_eval(f, x) for f in s.funcs] for x in nodes]
+    result, _rank = _eliminate(*_lift_columns(values, rhs, labels), labels)
     if isinstance(result, Infeasible):
         return result
     particular, null_basis = result
@@ -540,12 +524,12 @@ def _replay(rows, sol, origin):
 
 @dataclass(frozen=True)
 class VectorGroup:
-    """Constancy regions sharing one moment vector, plus a representative."""
+    """Constancy regions sharing one vector of basis values (so one moment
+    column), plus a representative."""
 
     regions: tuple
     representative: Rat
     values: tuple
-    moments: tuple
 
 
 @dataclass(frozen=True)
@@ -602,18 +586,12 @@ def constancy_groups(s: Subspace):
                 )
     edges = sorted(set().union(*(f.breakpoints() for f in s.funcs)))
     regions = list(zip(edges, edges[1:]))
-    by_vec: dict[tuple, dict] = {}
+    by_vec: dict[tuple, tuple] = {}  # values -> (representative, regions)
     for lo, hi in regions:
         mid = (lo + hi) / 2
         vals = tuple(pw_eval(f, mid) for f in s.funcs)
-        ent = by_vec.setdefault(
-            vals, {"regions": [], "rep": mid, "moments": _moment_entries_from_values(vals)}
-        )
-        ent["regions"].append((lo, hi))
-    groups = tuple(
-        VectorGroup(tuple(e["regions"]), e["rep"], vals, e["moments"])
-        for vals, e in by_vec.items()
-    )
+        by_vec.setdefault(vals, (mid, []))[1].append((lo, hi))
+    groups = tuple(VectorGroup(tuple(regs), rep, vals) for vals, (rep, regs) in by_vec.items())
     return groups, regions
 
 
@@ -640,24 +618,20 @@ def _subset_outcomes(column, nodes, rhs, labels, sizes, mode: str):
     interior witness) or the CaseLog reason it has none.
 
     The values are lifted once into one row record, over the radicands of
-    the right-hand side and of the values seen so far; the moment column
-    over the pair rows `labels` is formed from them as ints.  A value with
-    a radicand outside the record widens it, and everything held is lifted
-    again: the zeros, and so every outcome, do not depend on the record.
+    the right-hand side and of the values seen so far, and the moment column
+    over the pair rows `labels` is formed from them as ints
+    (`_lift_columns`).  A value with a radicand outside the record widens
+    it, and everything held is lifted again: the zeros, and so every
+    outcome, do not depend on the record.
     The subsets are walked depth first: the state of a subset's first d
     nodes (`_push`) is kept while the next subset shares them, so each
     subset costs one elimination step per node past the shared prefix, and
     a solution's Radicals are formed once per state that holds them.
     """
     n_rows = len(labels)
-    radicands = _radicands(rhs)
     values = {}  # node -> its basis values
-
-    def lift():  # the record over `radicands`; every node's (row, s) and the rhs's
-        rows = _rows_over(frozenset(radicands))
-        return rows, {i: rows.products(v, labels) for i, v in values.items()}, rows.scaled(rhs)
-
-    rows, lifted, target = lift()
+    lifted = {}  # node -> its column's (row, s) over `rows`
+    rows, _, target = _lift_columns([], rhs, labels)
     for m in sizes:
         stack = []  # stack[d]: the state of the current subset's first d nodes
         prev = ()
@@ -665,13 +639,12 @@ def _subset_outcomes(column, nodes, rhs, labels, sizes, mode: str):
             for i in subset:
                 if i not in values:
                     values[i] = column(i)
-                    new = _radicands(values[i]) - radicands
-                    if any(r not in rows.index for r in new):
-                        radicands.update(new)
-                        rows, lifted, target = lift()
-                        stack.clear()  # its states are over the old record
-                    else:
+                    if all(r in rows.index for r in _radicands(values[i])):
                         lifted[i] = rows.products(values[i], labels)
+                    else:  # widen the record, and lift every node held again
+                        rows, cols, target = _lift_columns(list(values.values()), rhs, labels)
+                        lifted = dict(zip(values, cols))
+                        stack.clear()  # its states are over the old record
             keep = next((d for d, (a, b) in enumerate(zip(prev, subset)) if a != b), 0)
             del stack[keep + 1 :]
             if not stack:
@@ -710,7 +683,7 @@ def decide_min(s: Subspace, mode: str = "signed") -> MinCertificate:
     `_subset_outcomes` over every size: each group's values are lifted
     once, and a subset is eliminated from the state of the groups it
     shares with the previous subset.  The first Rule found is verified on
-    the moment columns already held, and returned.
+    the groups' basis values, and returned.
     A multiset with a repeated vector takes its reason from its support
     set, which is smaller and so was refuted at an earlier size: the
     repeated column makes it "rank-deficient", except in positive mode
@@ -721,7 +694,7 @@ def decide_min(s: Subspace, mode: str = "signed") -> MinCertificate:
     if mode not in ("signed", "positive"):
         raise ValueError(f"unknown mode {mode!r}")
     groups, regions = constancy_groups(s)
-    labels, _, rhs = _pair_system(s)
+    labels, rhs = _pair_system(s)
     nodes = tuple(grp.representative for grp in groups)
 
     reasons = {}  # every subset of distinct groups refuted so far
@@ -733,8 +706,8 @@ def decide_min(s: Subspace, mode: str = "signed") -> MinCertificate:
             if isinstance(outcome, str):
                 reasons[subset] = outcome
                 continue
-            witness_cols = [groups[i].moments for i in subset]
-            if not _verify_columns(s, outcome.weights, witness_cols).passed:
+            witness_values = [groups[i].values for i in subset]
+            if not _verify_values(s, outcome.weights, witness_values).passed:
                 raise AssertionError("minimality witness failed verification")
             return MinCertificate(
                 mode,
@@ -772,7 +745,7 @@ def search_grid(
     satisfy only those); `max_subsets` caps how many subsets are examined.
     Subsets are examined in lexicographic order (`_subset_outcomes`).  Each
     candidate's basis values are evaluated once, when the first examined
-    subset reaches it, and its column (its moment vector restricted to the
+    subset reaches it, and its column (the products of its values over the
     enforced pairs) is formed from them once; a subset is eliminated from
     the state of the candidates it shares with the previous subset.
     """
@@ -781,7 +754,7 @@ def search_grid(
     cand = _check_nodes(s, candidates)
     if not 1 <= m <= len(cand):
         raise ValueError(f"subset size {m} out of range for {len(cand)} candidates")
-    labels, _, rhs = _pair_system(s, pairs)
+    labels, rhs = _pair_system(s, pairs)
 
     def column(i):
         return [pw_eval(f, cand[i]) for f in s.funcs]
@@ -935,22 +908,23 @@ def caratheodory_reduce(s: Subspace, rule: Rule, mode: str = "signed") -> Reduce
     Ends with linearly independent vectors, so at most rank-many (hence at
     most N(N+1)/2) nodes survive.  In positive mode the step size stops at
     the first weight to reach zero from above, preserving positivity; the
-    output rule is verified exactly, in both modes, on the columns already held.
+    output rule is verified exactly, in both modes, on the basis values
+    already held.  The nodes' columns are lifted once, into one row record.
     """
     if mode not in ("signed", "positive"):
         raise ValueError(f"unknown mode {mode!r}")
-    cols = _moment_columns(s, rule.nodes)
-    if not _verify_columns(s, rule.weights, cols).passed:
+    nodes = list(_check_nodes(s, rule.nodes))
+    values = [[pw_eval(f, x) for f in s.funcs] for x in nodes]
+    if not _verify_values(s, rule.weights, values).passed:
         raise PreconditionError("input rule does not verify; nothing to reduce")
     weights = list(rule.weights)
     if mode == "positive" and any(w.sign() <= 0 for w in weights):
         raise PreconditionError("positive-mode reduction needs strictly positive weights")
-    nodes = list(rule.nodes)
     steps = []
     row_pairs = index_pairs(s.dimension)
+    rows, cols, zero = _lift_columns(values, [0] * len(row_pairs), row_pairs)
     while True:
-        result, _rank = _solve_system(cols, [Radical(0)] * len(row_pairs), row_pairs)
-        _, null_basis = result
+        (_, null_basis), _rank = _eliminate(rows, cols, zero, row_pairs)
         if not null_basis:
             break
         mu = list(null_basis[0])
@@ -972,11 +946,12 @@ def caratheodory_reduce(s: Subspace, rule: Rule, mode: str = "signed") -> Reduce
         steps.append(ReduceStep(tuple(mu), t, dropped))
         nodes = [nodes[i] for i in kept]
         weights = [weights[i] for i in kept]
+        values = [values[i] for i in kept]
         cols = [cols[i] for i in kept]
         if not nodes:
             raise AssertionError("reduction emptied the rule")
     out = Rule(nodes, weights)
-    if not _verify_columns(s, out.weights, cols).passed:
+    if not _verify_values(s, out.weights, values).passed:
         raise AssertionError("reduced rule failed verification")
     if mode == "positive" and any(w.sign() <= 0 for w in out.weights):
         raise AssertionError("positive-mode reduction lost positivity")

@@ -117,16 +117,20 @@ _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 def _parse_rational(text: str) -> Fraction:
     """``Fraction(text)`` for a number read from a document.
 
-    Refuses, with ValueError, a number whose numerator or denominator has
-    more decimal digits than Python converts to text, since no message or
-    output could show it, and one whose exponent is over twice that limit:
-    its value would be refused too, after a computation that grows with it.
+    Refuses, with ValueError, a non-ASCII character or an underscore, which
+    ``Fraction`` reads (``"٣"`` as 3, ``"1_000"`` as 1000) but the program
+    never writes; a number whose numerator or denominator has more decimal
+    digits than Python converts to text, since no message or output could
+    show it; and one whose exponent is over twice that limit: its value
+    would be refused too, after a computation that grows with it.
     """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"invalid literal for a rational number: {text[:40]!r}")
     limit = _max_str_digits()
     if not limit or (len(text) <= limit and "e" not in text and "E" not in text):
-        # ASCII [-]digits[/digits] straight to int(); all else as Fraction reads it
+        # [-]digits[/digits] straight to int(); all else as Fraction reads it
         num, slash, den = text.partition("/")
-        if text.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+        if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
             return Fraction(int(num), int(den or 1))
         return Fraction(text)  # no part has more digits than the text
     exp = _EXPONENT_RE.search(text)
@@ -441,7 +445,7 @@ class Radical:
     def __repr__(self):
         return f"Radical({str(self)!r})"
 
-    _TERM_RE = re.compile(r"^(?:(\d+(?:/\d+)?)\*)?sqrt\((\d+)\)$")
+    _TERM_RE = re.compile(r"^(?:(\d+(?:/\d+)?)\*)?sqrt\((\d+)\)$", re.ASCII)
 
     @classmethod
     def parse(cls, text: str) -> "Radical":

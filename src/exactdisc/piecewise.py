@@ -800,7 +800,7 @@ def _frac_str(x: Fraction) -> str:
 
 def _parse_frac(s) -> Fraction:
     if isinstance(s, str):
-        return _parse_rational(s.strip())
+        return _parse_rational(s)  # Fraction reads surrounding ASCII blanks
     if isinstance(s, int):
         return Fraction(s)
     raise ValueError(f"expected a rational string, got {s!r}")

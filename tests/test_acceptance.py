@@ -81,9 +81,10 @@ def test_criterion_2_minimality_certificates():
             for lvl in cert.exhaustion:
                 assert len(lvl.cases) == lvl.count
                 for case in lvl.cases:
+                    values = [cert.groups[gi].values for gi in case.subset]
                     cols = [
-                        [v.as_fraction() for v in cert.groups[gi].moments]
-                        for gi in case.subset
+                        [(v[i] * v[s]).as_fraction() for i, s in index_pairs(X2.dimension)]
+                        for v in values
                     ]
                     assert oracles.check_case_reason(cols, rhs, case.reason), case
 

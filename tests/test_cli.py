@@ -489,6 +489,37 @@ def test_number_too_long_to_print_exits_2(corpus_dir, tmp_path, capsys, where):
     assert err.startswith(f"error: bad {bad} file") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "where, text",
+    [
+        ("rule-node", "1/1_000"),
+        ("rule-weight", "sqrt(٣)"),
+        ("rule-weight", "٣/4"),
+        ("coefficient", "1_0"),
+        ("coefficient", "\u00a00"),  # a no-break space before the 0 already there
+    ],
+)
+def test_number_in_an_unwritten_form_exits_2(corpus_dir, tmp_path, capsys, where, text):
+    # Fraction reads "1_000" as 1000, the Arabic-Indic "٣" as 3 and skips
+    # Unicode blanks; a document number is refused instead, so two different
+    # documents never denote one subspace or rule
+    sub = json.loads((corpus_dir / "ex1.subspace.json").read_text())
+    rule = json.loads((corpus_dir / "ex1-positive.rule.json").read_text())
+    if where == "rule-node":
+        rule["nodes"][1] = text
+    elif where == "rule-weight":
+        rule["weights"][0] = text
+    else:
+        sub["functions"][0]["pieces"][0]["poly"][0] = text
+    (tmp_path / "u.subspace.json").write_text(json.dumps(sub))
+    (tmp_path / "u.rule.json").write_text(json.dumps(rule))
+    code = cli.main(["verify", str(tmp_path / "u.subspace.json"), str(tmp_path / "u.rule.json")])
+    err = capsys.readouterr().err
+    bad = "rule" if where.startswith("rule") else "subspace"
+    assert code == 2
+    assert err.startswith(f"error: bad {bad} file") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("fmt", ["human", "json"])
 def test_value_too_long_to_print_exits_2(corpus_dir, tmp_path, capsys, fmt):
     # every number is within the digit limit, but on f1 = x^2 the residual of

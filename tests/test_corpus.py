@@ -2,6 +2,8 @@
 closed-form references, exact norms and cross products, the level
 structure, and the shipped rules."""
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,7 +22,7 @@ from exactdisc.corpus import (
     build_X8,
     golden_rules,
 )
-from exactdisc.discretize import verify_rule
+from exactdisc.discretize import decide_min, verify_rule
 from exactdisc.exactnum import Radical, rad_sqrt
 from exactdisc.piecewise import (
     constant_value_on,
@@ -239,6 +241,21 @@ def test_params_validation():
     assert build_X2(p).flags == (PARAM_FLAG,)
     assert build_X2().flags == ()
     assert Example1Params(2, 4, Fraction(5, 2)).separation_holds  # 16 > 8 + 25/4
+
+
+def test_separation_inequality_does_not_split_signed_and_positive_minimum():
+    # the census behind the Example1Params docstring: over (a, A, B) in
+    # {1/2, 1, 3/2, 2, 5/2, 3, 4}^3 with A > B, `min` finds the signed and the
+    # positive minimum equal, whether A^2 > 2 a^2 + B^2 holds or not
+    heights = [Fraction(k, 2) for k in (1, 2, 3, 4, 5, 6, 8)]
+    census = Counter()
+    for a, A, B in itertools.product(heights, repeat=3):
+        if A > B:
+            p = Example1Params(a, A, B, unchecked=True)
+            s = build_X2(p)
+            mins = (decide_min(s).m_min, decide_min(s, "positive").m_min)
+            census[p.separation_holds, mins] += 1
+    assert census == {(True, (3, 3)): 59, (False, (3, 3)): 86, (False, (2, 2)): 2}
 
 
 def test_gspec_validation():

@@ -29,6 +29,8 @@ from exactdisc.discretize import (
     NotApplicable,
     PositiveWitness,
     PreconditionError,
+    ReduceResult,
+    ReduceStep,
     Rule,
     Subspace,
     WeightSolution,
@@ -41,8 +43,6 @@ from exactdisc.discretize import (
     index_pairs,
     measure_rule,
     min_certificate_to_doc,
-    moment_vector,
-    pair_index,
     positive_feasible,
     rule_to_doc,
     search_grid,
@@ -57,6 +57,7 @@ from exactdisc.piecewise import (
     Piece,
     PiecewiseFn,
     constant_fn,
+    pw_eval,
     pw_scale_add,
     pw_support,
 )
@@ -95,8 +96,15 @@ SIGN_GAP = pwc_subspace(
 )
 
 
+def moment_column(values, labels):
+    """The products values[i] * values[s] over the pairs (i, s) of `labels`,
+    formed in Radical arithmetic."""
+    return [values[i] * values[s] for i, s in labels]
+
+
 def rational_columns(groups, subset):
-    return [[v.as_fraction() for v in groups[g].moments] for g in subset]
+    labels = index_pairs(len(groups[0].values))
+    return [[v.as_fraction() for v in moment_column(groups[g].values, labels)] for g in subset]
 
 
 def rational_rhs(s):
@@ -105,18 +113,7 @@ def rational_rhs(s):
 
 
 # ---------------------------------------------------------------------------
-# pair indexing and Gram data
-
-
-def test_pair_index_is_a_bijection():
-    for n in range(1, 9):
-        pairs = index_pairs(n)
-        assert len(pairs) == n * (n + 1) // 2
-        assert [pair_index(i, s, n) for i, s in pairs] == list(range(len(pairs)))
-    with pytest.raises(IndexError):
-        pair_index(1, 0, 2)
-    with pytest.raises(IndexError):
-        pair_index(0, 2, 2)
+# Gram data
 
 
 def test_gram_of_pair():
@@ -137,13 +134,6 @@ def test_gram_of_hierarchy():
     for i in range(8):
         for s in range(i + 1, 8):
             assert g[i][s] == (cross if (i, s) == (0, 1) else Radical(0))
-
-
-def test_moment_vector_entries():
-    mv = moment_vector(X2, Fraction(1, 8))
-    assert mv.entries == (Radical(1), Radical(3), Radical(9))
-    assert mv.entry(0, 1) == Radical(3)
-    assert mv.entry(1, 1) == Radical(9)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +235,7 @@ def test_solve_weights_underdetermined():
     assert len(sol.null_basis) == 1
     (nu,) = sol.null_basis
     # null direction is killed by every moment column
-    cols = [moment_vector(X2, x).entries for x in nodes]
+    cols = [moment_column([pw_eval(f, x) for f in X2.funcs], index_pairs(2)) for x in nodes]
     for k in range(3):
         acc = Radical(0)
         for v, col in zip(nu, cols):
@@ -666,7 +656,7 @@ def reference_outcomes(values, nodes, rhs, labels, m, mode):
     from scratch: its moment columns formed as Radical products and handed
     to `_solve_system`."""
     for subset in itertools.combinations(range(len(nodes)), m):
-        cols = [[values[i][a] * values[i][b] for a, b in labels] for i in subset]
+        cols = [moment_column(values[i], labels) for i in subset]
         result, rank = _solve_system(cols, rhs, labels)
         if isinstance(result, Infeasible):
             yield subset, "rank-deficient" if rank < m else "inconsistent"
@@ -716,13 +706,14 @@ def test_subset_outcomes_widen_the_record_for_new_radicands(monkeypatch):
         for a, b in labels
     ]
     records = []
-    rows_over = discretize._rows_over
+    lift_columns = discretize._lift_columns
 
-    def recorded(radicands):
-        records.append(sorted(radicands))
-        return rows_over(radicands)
+    def recorded(*args):
+        rows, cols, target = lift_columns(*args)
+        records.append([rows.rad[1 << i] for i in range(rows.k)])  # its coprime base
+        return rows, cols, target
 
-    monkeypatch.setattr(discretize, "_rows_over", recorded)
+    monkeypatch.setattr(discretize, "_lift_columns", recorded)
     kinds = assert_outcomes_match_reference(values, rhs, labels)
     # one record per call of the engine: rational, then widened three times
     assert records[:4] == [[], [2], [2, 3], [2, 3, 5]]
@@ -1191,7 +1182,7 @@ def reference_min_doc(s, mode):
     for m in range(1, len(groups) + 1):
         cases = []
         for subset in itertools.combinations_with_replacement(range(len(groups)), m):
-            cols = [groups[i].moments for i in subset]
+            cols = [moment_column(groups[i].values, row_pairs) for i in subset]
             result, _ = _solve_system(cols, rhs, row_pairs)
             if isinstance(result, Infeasible):
                 reason = "rank-deficient" if reference_rank(cols) < m else "inconsistent"
@@ -1377,6 +1368,36 @@ def test_search_grid_matches_public_solver_reference():
     assert len(found) == 6 and all(found.values()), found
 
 
+def field_subspaces(seed):
+    """One quarter-cell subspace of dimension 3 per field of FIELDS."""
+    rng = random.Random(seed)
+    return {field: random_quarter_subspace(rng, 3, (1,) + ds) for field, ds in FIELDS.items()}
+
+
+def test_solve_weights_matches_radical_product_reference():
+    # solve_weights forms its columns on the integer rows of the lifted basis
+    # values; the reference forms the products as Radicals and hands them to
+    # _solve_system, which lifts them as they are
+    rng = random.Random(14)
+    cands = tuple(Fraction(2 * k + 1, 8) for k in range(-4, 4))
+    kinds = Counter()
+    for field, s in field_subspaces(14).items():
+        g, _ = gram(s)
+        for pairs in (None, rng.sample(index_pairs(3), 4)):
+            labels = index_pairs(3) if pairs is None else sorted(pairs)
+            rhs = [g[i][sx] for i, sx in labels]
+            for m in (3, 6, 8):  # all eight midpoints carry the measure rule
+                nodes = tuple(rng.sample(cands, m))
+                cols = [moment_column([pw_eval(f, x) for f in s.funcs], labels) for x in nodes]
+                result, _ = _solve_system(cols, rhs, labels)
+                want = result if isinstance(result, Infeasible) else WeightSolution(nodes, *result)
+                got = solve_weights(s, nodes, pairs)
+                assert got == want, (field, nodes, pairs)
+                kind = "infeasible" if isinstance(got, Infeasible) else "unique" if got.unique else "free"
+                kinds[field, kind] += 1
+    assert all(kinds[f, k] for f in FIELDS for k in ("infeasible", "unique", "free")), kinds
+
+
 def test_search_grid_recovers_nine_node_rule_under_restriction():
     pairs = [p for p in index_pairs(8) if p != (0, 1)]
     found = search_grid(X8, NINE_RULE.nodes, 9, "signed", pairs=pairs)
@@ -1516,6 +1537,38 @@ def test_caratheodory_reduce_signed():
 def test_caratheodory_reduce_fixpoint():
     res = caratheodory_reduce(X2, NEG_RULE)
     assert res.rule == NEG_RULE and res.steps == ()
+
+
+def reference_reduce(s, rule, mode):
+    """caratheodory_reduce as a loop over _solve_system: the columns of the
+    surviving nodes formed as Radical products and solved afresh each step."""
+    labels = index_pairs(s.dimension)
+    nodes, weights, steps = list(rule.nodes), list(rule.weights), []
+    while True:
+        cols = [moment_column([pw_eval(f, x) for f in s.funcs], labels) for x in nodes]
+        (_, null_basis), _ = _solve_system(cols, [Radical(0)] * len(labels), labels)
+        if not null_basis:
+            return ReduceResult(Rule(nodes, weights), tuple(steps), mode)
+        mu = list(null_basis[0])
+        if mode == "positive":
+            if not any(v.sign() > 0 for v in mu):
+                mu = [-v for v in mu]
+            t = min(w / v for w, v in zip(weights, mu) if v.sign() > 0)
+        else:
+            t = next(w / v for w, v in zip(weights, mu) if v)
+        weights = [w - t * v for w, v in zip(weights, mu)]
+        steps.append(ReduceStep(tuple(mu), t, tuple(x for x, w in zip(nodes, weights) if not w)))
+        nodes = [x for x, w in zip(nodes, weights) if w]
+        weights = [w for w in weights if w]
+
+
+def test_caratheodory_reduce_matches_solve_system_reference():
+    for field, s in field_subspaces(15).items():
+        rule = measure_rule(s)
+        for mode in ("signed", "positive"):
+            got = caratheodory_reduce(s, rule, mode)
+            assert got == reference_reduce(s, rule, mode), (field, mode)
+            assert got.steps, (field, mode)
 
 
 @pytest.mark.parametrize("mode", ["signed", "positive"])

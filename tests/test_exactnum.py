@@ -308,13 +308,16 @@ def test_parse_specific_literals():
     # non-squarefree radicands are normalized on entry
     assert Radical.parse("sqrt(8)") == Radical.single(2, 2)
     assert Radical.parse("sqrt(4)") == Radical(2)
-    for bad in ("", "sqrt()", "1 +", "sqrt(-2)", "two"):
+    for bad in ("", "sqrt()", "1 +", "sqrt(-2)", "two", "sqrt(٣)", "sqrt(1_0)"):
         with pytest.raises(ExactNumError):
             Radical.parse(bad)
 
 
 #: Fraction accepts some (" 3 ", "+3", "1_000", the Arabic-Indic "٣") and
-#: refuses others ("²", "3/ 4", "1/-2"); _parse_rational must agree on each.
+#: refuses others ("²", "3/ 4", "1/-2"); _parse_rational must agree on each,
+#: except that it refuses every non-ASCII character and underscore, which the
+#: program never writes: REFUSED.
+REFUSED = {"1_000", "٣", "1/٣", "²"}
 PARSE_TABLE = [
     "3", "-7", "3/16", "007/010", "-0", "0/5", "1/0", "-0/0", "+3", " 3 ", "3/ 4",
     "1_000", "٣", "1/٣", "²", "--3", "-", "1/-2", "", "/", "3/", "3/4/5", "0.5",
@@ -332,7 +335,13 @@ def test_parse_rational_agrees_with_fraction(text):
         assert type(q) is Fraction
         return q
 
-    assert outcome(_parse_rational) == outcome(Fraction)
+    if text in REFUSED:
+        with pytest.raises(ValueError, match="^invalid literal for a rational number"):
+            _parse_rational(text)
+        with pytest.raises(ExactNumError):
+            Radical.parse(f"{text}*sqrt(2)")
+    else:
+        assert outcome(_parse_rational) == outcome(Fraction)
 
 
 def test_parse_rational_digit_limit():
