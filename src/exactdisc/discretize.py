@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exactnum import Radical, Rat, _parse_rational, _radicands, _rows_for, float_str
+from .exactnum import Radical, Rat, _parse_rational, _rows_for, float_str
 from .piecewise import (
     DomainError,
     PiecewiseFn,
@@ -245,19 +245,18 @@ class Infeasible:
 
 class _Coords:
     """An elimination vector read as coordinates: entry `start + i` over
-    its rational entry `at`, negated when `neg`, for i < m.  They are formed
-    as Radicals once, when first read, and shared by every subset whose
-    state holds the vector."""
+    its rational entry `at`, for i < m.  They are formed as Radicals once,
+    when first read, and shared by every subset whose state holds the
+    vector."""
 
-    __slots__ = ("vec", "at", "neg", "_radicals")
+    __slots__ = ("vec", "at", "_radicals")
 
-    def __init__(self, vec, at, neg=False):
-        self.vec, self.at, self.neg, self._radicals = vec, at, neg, None
+    def __init__(self, vec, at):
+        self.vec, self.at, self._radicals = vec, at, None
 
     def radicals(self, rows, start, m) -> tuple:
         if self._radicals is None:
-            out = [rows.ratio(self.vec, start + i, self.at) for i in range(m)]
-            self._radicals = tuple(-x for x in out) if self.neg else tuple(out)
+            self._radicals = tuple([rows.ratio(self.vec, start + i, self.at) for i in range(m)])
         return self._radicals
 
 
@@ -270,25 +269,27 @@ class _Prefix(NamedTuple):
 
 
 def _vector(rows, scaled, at, m) -> list:
-    """The vector of a column at position `at` < m, or of the right-hand
-    side (`at` == m), from its `(row, s)` over `rows`: its values times s,
-    then its m + 1 coordinates, s at `at` and 0 elsewhere."""
+    """The vector of the column at position `at` < m from its `(row, s)`
+    over `rows`: its values times s, then its m + 1 coordinates, s at `at`
+    and 0 elsewhere."""
     row, s = scaled
     return rows.append(row, [0] * at + [s] + [0] * (m - at))
 
 
 def _start(rows, rhs, n_rows, m) -> _Prefix:
-    """The state of no columns, from the right-hand side's `(row, s)`."""
-    return _Prefix((), _Coords(_vector(rows, rhs, m, m), n_rows + m, True), ())
+    """The state of no columns, from the right-hand side b's `(row, s)`: its
+    values times s and the coordinate -s at m, as the vector of -b."""
+    row, s = rhs
+    return _Prefix((), _Coords(rows.append(row, [0] * m + [-s]), n_rows + m), ())
 
 
 def _push(rows, state, column, at, n_rows, m):
     """The state after one more column, the one elimination step.
 
     A vector is a column's `n_rows` values followed by its coordinates over
-    the m columns and the right-hand side (`_vector`): every step is
-    linear, so the values stay the coordinates' combination of the
-    system's columns and right-hand side.  `column` is the new column's
+    the m columns and the negated right-hand side -b (`_vector`, `_start`):
+    every step is linear, so the values stay the coordinates' combination
+    of the system's columns and -b.  `column` is the new column's
     `(row, s)`, at position `at`.  The new vector is reduced against the
     pivot columns in order, which zeroes it on their pivot rows.  If a value
     is still nonzero, the first such row becomes its pivot row: the vector
@@ -312,14 +313,14 @@ def _push(rows, state, column, at, n_rows, m):
     vec = rows.pivot(vec, lead)
     roots = rows.roots(vec)
     if rows.nonzero(rhs.vec, lead):
-        rhs = _Coords(rows.combine(rhs.vec, vec, lead, roots), rhs.at, True)
+        rhs = _Coords(rows.combine(rhs.vec, vec, lead, roots), rhs.at)
     return _Prefix(pivots + ((lead, vec, roots),), rhs, nulls)
 
 
 def _solution(rows, state, n_rows, m):
     """(particular, null_basis) as Radicals, or None when the right-hand
     side is outside the columns' span.  The right-hand side's coordinates
-    over its own, negated, solve the system with every free variable 0."""
+    over its own (that of -b) solve the system with every free variable 0."""
     if rows.lead(state.rhs.vec, n_rows) is not None:
         return None
     particular = state.rhs.radicals(rows, n_rows, m)
@@ -608,49 +609,33 @@ def measure_rule(s: Subspace) -> Rule:
     return _region_rule(regions)
 
 
-def _subset_outcomes(column, nodes, rhs, labels, sizes, mode: str):
+def _subset_outcomes(values, nodes, rhs, labels, sizes, mode: str):
     """Decide each subset of the nodes of each size in `sizes`, sizes in the
     given order and subsets of one size in lexicographic order.
 
-    `column(i)` is node i's basis values; it is called once per node, when
-    the first subset reaches it.  Yields (subset of node indices, outcome):
-    the subset's Rule (the particular solution, or in positive mode the
-    interior witness) or the CaseLog reason it has none.
+    `values[i]` is node i's basis values.  Yields (subset of node indices,
+    outcome): the subset's Rule (the particular solution, or in positive
+    mode the interior witness) or the CaseLog reason it has none.
 
-    The values are lifted once into one row record, over the radicands of
-    the right-hand side and of the values seen so far, and the moment column
-    over the pair rows `labels` is formed from them as ints
-    (`_lift_columns`).  A value with a radicand outside the record widens
-    it, and everything held is lifted again: the zeros, and so every
-    outcome, do not depend on the record.
+    Every node's values are lifted once, up front, into one row record over
+    the field of the right-hand side and the values, and its moment column
+    over the pair rows `labels` is formed there as ints (`_lift_columns`).
     The subsets are walked depth first: the state of a subset's first d
     nodes (`_push`) is kept while the next subset shares them, so each
     subset costs one elimination step per node past the shared prefix, and
     a solution's Radicals are formed once per state that holds them.
     """
     n_rows = len(labels)
-    values = {}  # node -> its basis values
-    lifted = {}  # node -> its column's (row, s) over `rows`
-    rows, _, target = _lift_columns([], rhs, labels)
+    rows, columns, target = _lift_columns(values, rhs, labels)
     for m in sizes:
-        stack = []  # stack[d]: the state of the current subset's first d nodes
+        # stack[d]: the state of the current subset's first d nodes
+        stack = [_start(rows, target, n_rows, m)]
         prev = ()
         for subset in itertools.combinations(range(len(nodes)), m):
-            for i in subset:
-                if i not in values:
-                    values[i] = column(i)
-                    if all(r in rows.index for r in _radicands(values[i])):
-                        lifted[i] = rows.products(values[i], labels)
-                    else:  # widen the record, and lift every node held again
-                        rows, cols, target = _lift_columns(list(values.values()), rhs, labels)
-                        lifted = dict(zip(values, cols))
-                        stack.clear()  # its states are over the old record
             keep = next((d for d, (a, b) in enumerate(zip(prev, subset)) if a != b), 0)
             del stack[keep + 1 :]
-            if not stack:
-                stack.append(_start(rows, target, n_rows, m))
-            for d in range(len(stack) - 1, m):
-                stack.append(_push(rows, stack[-1], lifted[subset[d]], d, n_rows, m))
+            for d in range(keep, m):
+                stack.append(_push(rows, stack[-1], columns[subset[d]], d, n_rows, m))
             prev = subset
             state = stack[-1]
             result = _solution(rows, state, n_rows, m)
@@ -700,7 +685,7 @@ def decide_min(s: Subspace, mode: str = "signed") -> MinCertificate:
     reasons = {}  # every subset of distinct groups refuted so far
     exhaustion = []
     sizes = range(1, len(groups) + 1)
-    outcomes = _subset_outcomes(lambda i: groups[i].values, nodes, rhs, labels, sizes, mode)
+    outcomes = _subset_outcomes([grp.values for grp in groups], nodes, rhs, labels, sizes, mode)
     for m, level in itertools.groupby(outcomes, lambda outcome: len(outcome[0])):
         for subset, outcome in level:
             if isinstance(outcome, str):
@@ -743,11 +728,9 @@ def search_grid(
     Exploration only -- an empty result is not a nonexistence certificate.
     `pairs` restricts the enforced pair conditions (the returned rules then
     satisfy only those); `max_subsets` caps how many subsets are examined.
-    Subsets are examined in lexicographic order (`_subset_outcomes`).  Each
-    candidate's basis values are evaluated once, when the first examined
-    subset reaches it, and its column (the products of its values over the
-    enforced pairs) is formed from them once; a subset is eliminated from
-    the state of the candidates it shares with the previous subset.
+    Subsets are examined in lexicographic order (`_subset_outcomes`), each
+    eliminated from the state of the candidates it shares with the previous
+    one; every candidate they reach is evaluated and lifted once, up front.
     """
     if mode not in ("signed", "positive"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -755,11 +738,10 @@ def search_grid(
     if not 1 <= m <= len(cand):
         raise ValueError(f"subset size {m} out of range for {len(cand)} candidates")
     labels, rhs = _pair_system(s, pairs)
-
-    def column(i):
-        return [pw_eval(f, cand[i]) for f in s.funcs]
-
-    outcomes = _subset_outcomes(column, cand, rhs, labels, (m,), mode)
+    # in lexicographic order the first c subsets of size m cover the first m - 1 + c candidates
+    reach = cand if max_subsets is None else cand[: m - 1 + max_subsets]
+    values = [[pw_eval(f, x) for f in s.funcs] for x in reach]
+    outcomes = _subset_outcomes(values, reach, rhs, labels, (m,), mode)
     outcomes = itertools.islice(outcomes, max_subsets)
     return [rule for _, rule in outcomes if isinstance(rule, Rule)]
 

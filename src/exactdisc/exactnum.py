@@ -777,19 +777,14 @@ class _Value:
 _rows_over = lru_cache(maxsize=256)(_Rows)  # one record per set of radicands
 
 
-def _radicands(values) -> set:
-    """The radicands of the ints, Fractions and Radicals ``values``."""
+def _rows_for(values) -> _Rows:
+    """The row record over the field of the ints, Fractions and Radicals
+    ``values``, cached per set of radicands."""
     radicands = set()
     for v in values:
         if isinstance(v, Radical) and v._terms and v._terms[-1][0] != 1:  # sorted: 1 first
             radicands.update(r for r, _ in v._terms if r != 1)
-    return radicands
-
-
-def _rows_for(values) -> _Rows:
-    """The row record over the field of the ints, Fractions and Radicals
-    ``values``, cached per set of radicands."""
-    return _rows_over(frozenset(_radicands(values)))
+    return _rows_over(frozenset(radicands))
 
 
 # -- operation-style entry points -----------------------------------------

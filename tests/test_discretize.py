@@ -679,15 +679,15 @@ def assert_outcomes_match_reference(values, rhs, labels):
         sizes = range(1, len(values) + 1)
         want = [list(reference_outcomes(values, nodes, rhs, labels, m, mode)) for m in sizes]
         for m in sizes:
-            got = _subset_outcomes(values.__getitem__, nodes, rhs, labels, (m,), mode)
+            got = _subset_outcomes(values, nodes, rhs, labels, (m,), mode)
             assert list(got) == want[m - 1]
-        got = list(_subset_outcomes(values.__getitem__, nodes, rhs, labels, sizes, mode))
+        got = list(_subset_outcomes(values, nodes, rhs, labels, sizes, mode))
         assert got == [outcome for level in want for outcome in level]
         kinds.update(o if isinstance(o, str) else "rule" for _, o in got)
     return kinds
 
 
-def test_subset_outcomes_widen_the_record_for_new_radicands(monkeypatch):
+def test_subset_outcomes_lift_into_one_record(monkeypatch):
     from exactdisc import discretize
 
     r2, r3, r5 = rad_sqrt(2), rad_sqrt(3), rad_sqrt(5)
@@ -715,9 +715,9 @@ def test_subset_outcomes_widen_the_record_for_new_radicands(monkeypatch):
 
     monkeypatch.setattr(discretize, "_lift_columns", recorded)
     kinds = assert_outcomes_match_reference(values, rhs, labels)
-    # one record per call of the engine: rational, then widened three times
-    assert records[:4] == [[], [2], [2, 3], [2, 3, 5]]
-    assert len(records) == 4 * 2 * (len(values) + 1)
+    # one record per call of the engine, over every node's radicands, though
+    # the first subsets reach only rational nodes
+    assert records == [[2, 3, 5]] * (2 * (len(values) + 1))
     assert set(kinds) == {"rule", "rank-deficient", "inconsistent", "positivity-infeasible"}, kinds
 
 
@@ -1293,6 +1293,7 @@ def test_search_grid_evaluates_each_candidate_once(monkeypatch):
         (X2, grid, 4, 5, None),  # the cap stops before the last candidates
         (X2, grid, 5, 1, [(0, 0), (1, 1)]),
         (SIGN_GAP, grid, 6, 20, None),
+        (X2, grid, 7, 20, None),  # a cap past all 8 subsets: m - 1 + cap > len(grid)
         (X8, NINE_RULE.nodes, 9, None, pairs),
     ]
     for s, cands, m, cap, rows in cases:
