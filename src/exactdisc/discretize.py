@@ -33,10 +33,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exactnum import Radical, Rat, _parse_rational, _rows_for, float_str
+from .exactnum import Radical, Rat, _rows_for, float_str
 from .piecewise import (
     DomainError,
     PiecewiseFn,
+    _doc_list,
+    _parse_frac,
     constant_value_on,
     fn_from_doc,
     fn_to_doc,
@@ -958,12 +960,15 @@ def subspace_to_doc(s: Subspace) -> dict:
 def subspace_from_doc(doc: dict) -> Subspace:
     names = []
     funcs = []
-    for fd in doc["functions"]:
+    for fd in _doc_list(doc, "functions"):
         n, f = fn_from_doc(fd)
         names.append(n)
         funcs.append(f)
-    s = Subspace(tuple(names), tuple(funcs), tuple(doc.get("flags", ())))
-    lo, hi = (_parse_rational(str(v)) for v in doc["domain"])
+    flags = _doc_list(doc, "flags", [])
+    if not all(isinstance(flag, str) for flag in flags):
+        raise ValueError("'flags' must be a list of strings")
+    s = Subspace(tuple(names), tuple(funcs), tuple(flags))
+    lo, hi = (_parse_frac(v) for v in _doc_list(doc, "domain"))
     if s.domain != (lo, hi):
         raise ValueError(
             f"declared domain [{lo}, {hi}] does not match the pieces {s.domain}"
@@ -979,8 +984,11 @@ def rule_to_doc(rule: Rule) -> dict:
 
 
 def rule_from_doc(doc: dict) -> Rule:
-    nodes = [_parse_rational(str(x)) for x in doc["nodes"]]
-    weights = [Radical.parse(str(w)) for w in doc["weights"]]
+    nodes = [_parse_frac(x) for x in _doc_list(doc, "nodes")]
+    weights = [
+        Radical.parse(w) if isinstance(w, str) else Radical(_parse_frac(w))
+        for w in _doc_list(doc, "weights")
+    ]
     return Rule(nodes, weights)
 
 

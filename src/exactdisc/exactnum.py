@@ -806,10 +806,11 @@ def rad_sqrt(q: int | Fraction) -> Radical:
     return Radical.single(d, Fraction(s, q.denominator))
 
 
-def float_str(x: Radical | Fraction | int, sig: int = 17) -> str:
-    """Advisory float rendering at ``sig`` significant digits."""
+def float_str(x: Radical | Fraction | int) -> str:
+    """Advisory float rendering at 17 significant digits, enough to read
+    the double back."""
     if isinstance(x, Radical):
         v = x.to_float()
     else:
         v = float(Fraction(x))
-    return format(v, f".{sig}g")
+    return format(v, ".17g")

@@ -799,11 +799,21 @@ def _frac_str(x: Fraction) -> str:
 
 
 def _parse_frac(s) -> Fraction:
+    """A document rational: a string, or a JSON integer (not a boolean)."""
     if isinstance(s, str):
         return _parse_rational(s)  # Fraction reads surrounding ASCII blanks
-    if isinstance(s, int):
+    if type(s) is int:  # bool is an int subclass
         return Fraction(s)
     raise ValueError(f"expected a rational string, got {s!r}")
+
+
+def _doc_list(doc: dict, key: str, default=None) -> list:
+    """``doc[key]`` (``default`` when it is absent and a default is given),
+    which must be a JSON array: a string is not read item by item."""
+    v = doc[key] if default is None or key in doc else default
+    if not isinstance(v, list):
+        raise ValueError(f"{key!r} must be a JSON array, got {type(v).__name__}")
+    return v
 
 
 def piece_to_doc(p: Piece) -> dict:
@@ -831,7 +841,7 @@ def piece_to_doc(p: Piece) -> dict:
 def piece_from_doc(doc: dict) -> Piece:
     lo = _parse_frac(doc["lo"])
     hi = _parse_frac(doc["hi"])
-    coeffs = [_parse_frac(c) for c in doc.get("poly", ["0"])]
+    coeffs = [_parse_frac(c) for c in _doc_list(doc, "poly", ["0"])]
     if "sqrt" in doc:
         alpha = _parse_frac(doc["sqrt"]["alpha"])
         beta = _parse_frac(doc["sqrt"]["beta"])
@@ -840,9 +850,9 @@ def piece_from_doc(doc: dict) -> Piece:
         (
             _parse_frac(t["alpha"]),
             _parse_frac(t["beta"]),
-            Poly([_parse_frac(c) for c in t["coeff"]]),
+            Poly([_parse_frac(c) for c in _doc_list(t, "coeff")]),
         )
-        for t in doc.get("sqrt_terms", [])
+        for t in _doc_list(doc, "sqrt_terms", [])
     ]
     return Piece(lo, hi, *_norm_expr(Poly(coeffs), raw))
 
@@ -852,5 +862,7 @@ def fn_to_doc(name: str, f: PiecewiseFn) -> dict:
 
 
 def fn_from_doc(doc: dict) -> tuple[str, PiecewiseFn]:
-    pieces = [piece_from_doc(d) for d in doc["pieces"]]
-    return doc.get("name", ""), PiecewiseFn(pieces)
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise ValueError(f"a function name must be a string, got {type(name).__name__}")
+    return name, PiecewiseFn([piece_from_doc(d) for d in _doc_list(doc, "pieces")])

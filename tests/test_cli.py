@@ -497,6 +497,13 @@ def test_number_too_long_to_print_exits_2(corpus_dir, tmp_path, capsys, where):
         ("rule-weight", "٣/4"),
         ("coefficient", "1_0"),
         ("coefficient", "\u00a00"),  # a no-break space before the 0 already there
+        # JSON floats and booleans, read once as the rationals they equal
+        ("rule-node", 0.625),  # the node 5/8 already there
+        ("rule-weight", 3.5),  # the weight 7/2 already there
+        ("rule-weight", True),
+        ("domain-end", 1.0),
+        ("coefficient", False),
+        ("flags", "abc"),  # once read as the flags a, b and c
     ],
 )
 def test_number_in_an_unwritten_form_exits_2(corpus_dir, tmp_path, capsys, where, text):
@@ -509,6 +516,10 @@ def test_number_in_an_unwritten_form_exits_2(corpus_dir, tmp_path, capsys, where
         rule["nodes"][1] = text
     elif where == "rule-weight":
         rule["weights"][0] = text
+    elif where == "domain-end":
+        sub["domain"][1] = text
+    elif where == "flags":
+        sub["flags"] = text
     else:
         sub["functions"][0]["pieces"][0]["poly"][0] = text
     (tmp_path / "u.subspace.json").write_text(json.dumps(sub))
@@ -518,6 +529,39 @@ def test_number_in_an_unwritten_form_exits_2(corpus_dir, tmp_path, capsys, where
     bad = "rule" if where.startswith("rule") else "subspace"
     assert code == 2
     assert err.startswith(f"error: bad {bad} file") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        # flags that are not strings broke gram's cache and min's human lines
+        pytest.param(lambda sub, rule: sub.update(flags=[{"a": 1}]), id="flags-dict"),
+        pytest.param(lambda sub, rule: sub.update(flags=[[1]]), id="flags-list"),
+        pytest.param(lambda sub, rule: sub.update(flags=[1, 2]), id="flags-int"),
+        # a string where an array belongs was read character by character
+        pytest.param(lambda sub, rule: rule.update(nodes="01", weights="11"), id="rule-lists"),
+        pytest.param(lambda sub, rule: sub["functions"][0]["pieces"][1].update(poly="12"), id="poly"),
+        pytest.param(lambda sub, rule: sub.update(domain="01"), id="domain"),
+        pytest.param(lambda sub, rule: sub["functions"][0].update(name=7), id="name"),
+    ],
+)
+def test_document_of_the_wrong_shape_exits_2(corpus_dir, tmp_path, capsys, edit):
+    original = json.loads((corpus_dir / "ex1.subspace.json").read_text())
+    sub = json.loads((corpus_dir / "ex1.subspace.json").read_text())
+    rule = json.loads((corpus_dir / "ex1-positive.rule.json").read_text())
+    edit(sub, rule)
+    subspace, rule_path = str(tmp_path / "w.subspace.json"), str(tmp_path / "w.rule.json")
+    (tmp_path / "w.subspace.json").write_text(json.dumps(sub))
+    (tmp_path / "w.rule.json").write_text(json.dumps(rule))
+    bad = "rule" if sub == original else "subspace"
+    commands = [["verify", subspace, rule_path]]
+    if bad == "subspace":
+        commands += [["gram", subspace], ["min", subspace]]
+    for argv in commands:
+        code = cli.main(argv + ["--format", "json"])
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert err.startswith(f"error: bad {bad} file") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("fmt", ["human", "json"])
