@@ -27,7 +27,6 @@ are read off as ratios and handed back as Radicals.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -97,53 +96,27 @@ class Subspace:
             raise KeyError(f"no basis function named {name!r}") from None
 
 
+@dataclass(frozen=True)
 class Rule:
-    """Sample nodes with exact weights; duplicate nodes merge with a warning."""
+    """Pairwise distinct sample nodes with exact weights."""
 
-    __slots__ = ("nodes", "weights")
+    nodes: tuple
+    weights: tuple
 
-    def __init__(self, nodes, weights):
-        nodes = [Fraction(x) for x in nodes]
-        weights = [Radical(w) for w in weights]
+    def __post_init__(self):
+        nodes = tuple(Fraction(x) for x in self.nodes)
+        weights = tuple(Radical(w) for w in self.weights)
         if len(nodes) != len(weights):
             raise ValueError("need one weight per node")
         if not nodes:
             raise ValueError("a rule needs at least one node")
         if len(set(nodes)) != len(nodes):
-            warnings.warn("duplicate rule nodes merged (weights summed)", stacklevel=2)
-            seen: dict[Fraction, int] = {}
-            mnodes: list[Fraction] = []
-            mweights: list[Radical] = []
-            for x, w in zip(nodes, weights):
-                if x in seen:
-                    mweights[seen[x]] = mweights[seen[x]] + w
-                else:
-                    seen[x] = len(mnodes)
-                    mnodes.append(x)
-                    mweights.append(w)
-            nodes, weights = mnodes, mweights
-        object.__setattr__(self, "nodes", tuple(nodes))
-        object.__setattr__(self, "weights", tuple(weights))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Rule is immutable")
+            raise ValueError("rule nodes must be pairwise distinct")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
 
     def __len__(self):
         return len(self.nodes)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Rule)
-            and self.nodes == other.nodes
-            and self.weights == other.weights
-        )
-
-    def __hash__(self):
-        return hash((self.nodes, self.weights))
-
-    def __repr__(self):
-        pairs = ", ".join(f"{x}:{w}" for x, w in zip(self.nodes, self.weights))
-        return f"Rule({pairs})"
 
 
 def index_pairs(n: int):
@@ -577,23 +550,26 @@ def constancy_groups(s: Subspace):
 
     Raises PreconditionError unless every basis function is piecewise
     constant.  Returns (groups, regions) with groups in first-appearance
-    order and region representatives at first-region midpoints.
+    order and region representatives at first-region midpoints.  Each
+    piece's value is read once; the regions walk every function's pieces in
+    step, a function moving to its next piece where the current one ends.
     """
-    for name, f in zip(s.names, s.funcs):
-        for p in f.pieces:
-            if p.value_if_constant() is None:
-                raise PreconditionError(
-                    f"basis function {name!r} is not piecewise constant; "
-                    "the exhaustive minimality search only applies to "
-                    "piecewise-constant subspaces (use the grid search instead)"
-                )
+    values = [[p.value_if_constant() for p in f.pieces] for f in s.funcs]
+    for name, vs in zip(s.names, values):
+        if any(v is None for v in vs):
+            raise PreconditionError(
+                f"basis function {name!r} is not piecewise constant; "
+                "the exhaustive minimality search only applies to "
+                "piecewise-constant subspaces (use the grid search instead)"
+            )
     edges = sorted(set().union(*(f.breakpoints() for f in s.funcs)))
     regions = list(zip(edges, edges[1:]))
+    at = [0] * s.dimension  # per function, the index of its piece on the region
     by_vec: dict[tuple, tuple] = {}  # values -> (representative, regions)
     for lo, hi in regions:
-        mid = (lo + hi) / 2
-        vals = tuple(pw_eval(f, mid) for f in s.funcs)
-        by_vec.setdefault(vals, (mid, []))[1].append((lo, hi))
+        at = [i + (f.pieces[i].hi == lo) for i, f in zip(at, s.funcs)]
+        vals = tuple(vs[i] for i, vs in zip(at, values))
+        by_vec.setdefault(vals, ((lo + hi) / 2, []))[1].append((lo, hi))
     groups = tuple(VectorGroup(tuple(regs), rep, vals) for vals, (rep, regs) in by_vec.items())
     return groups, regions
 

@@ -184,7 +184,6 @@ class Poly:
 
 _F0 = Fraction(0)
 _ZERO = Poly()
-_ONE = Poly.const(1)
 
 
 def _poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -727,12 +726,10 @@ def supports_disjoint(sa: Support, sb: Support) -> bool:
                 continue
             if lo < hi:
                 return False  # positive-length overlap survives isolated zeros
-            x = lo
-            # possibly-in: a point is certainly out only when the flags say
-            # so, or when an exact zero list excludes it
-            maybe_a = _point_in(ia, x) and not (sa.exact and x in sa.isolated_zeros)
-            maybe_b = _point_in(ib, x) and not (sb.exact and x in sb.isolated_zeros)
-            if maybe_a and maybe_b:
+            # the touching point is an endpoint of both intervals, never an
+            # isolated zero (those lie strictly inside a run), so only the
+            # endpoint flags can put it outside either support
+            if _point_in(ia, lo) and _point_in(ib, lo):
                 return False
     return True
 

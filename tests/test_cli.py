@@ -431,6 +431,18 @@ def test_node_outside_the_domain_exits_2(corpus_dir, tmp_path, capsys, command):
     assert err.startswith("error:") and "outside domain" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["verify", "reduce"])
+def test_repeated_rule_node_exits_2(corpus_dir, tmp_path, command):
+    # in a child process, so a warning printed on the way would show on stderr
+    rule = tmp_path / "repeated.rule.json"
+    rule.write_text(json.dumps({"nodes": ["1/2", "1/2"], "weights": ["1", "1"]}))
+    proc = _run_command([command, str(corpus_dir / "ex1.subspace.json"), str(rule)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: bad rule file {rule}")
+    assert "pairwise distinct" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("where", ["rule-node", "domain-end", "piece-end"])
 def test_zero_denominator_exits_2(corpus_dir, tmp_path, capsys, where):
     sub = json.loads((corpus_dir / "ex1.subspace.json").read_text())

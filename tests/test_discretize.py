@@ -7,7 +7,6 @@ import itertools
 import json
 import math
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -157,12 +156,19 @@ def test_rule_validation_and_merging():
         Rule([0, 1], [1])
     with pytest.raises(ValueError, match="at least one node"):
         Rule([], [])
-    with pytest.warns(UserWarning, match="duplicate rule nodes merged"):
-        r = Rule([Fraction(1, 8), Fraction(1, 8), Fraction(3, 8)], [1, 2, 5])
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        Rule([Fraction(1, 8), Fraction(1, 8), Fraction(3, 8)], [1, 2, 5])
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        Rule(["1/8", Fraction(2, 16)], [1, 1])  # equal once read as rationals
+    r = Rule([Fraction(1, 8), Fraction(3, 8)], [3, 5])
     assert r.nodes == (Fraction(1, 8), Fraction(3, 8))
     assert r.weights == (Radical(3), Radical(5))
     assert len(r) == 2
-    assert r == Rule([Fraction(1, 8), Fraction(3, 8)], [3, 5])
+    twin = Rule(["1/8", 0.375], [Radical(3), 5])
+    assert r == twin and hash(r) == hash(twin)
+    assert r != Rule([Fraction(1, 8), Fraction(3, 8)], [3, 4])
+    with pytest.raises(AttributeError):
+        r.nodes = (Fraction(0),)
 
 
 # ---------------------------------------------------------------------------
@@ -1088,14 +1094,11 @@ def test_decide_min_solves_nothing_after_the_witness(monkeypatch):
 def test_decide_min_evaluates_each_region_once(monkeypatch, mode):
     from exactdisc import discretize
 
-    callers = []
+    calls = []
     evaluate = discretize.pw_eval
 
     def counted_eval(f, x):
-        frame = sys._getframe(1)
-        while frame.f_code.co_name.startswith("<"):  # a generator expression
-            frame = frame.f_back
-        callers.append(frame.f_code.co_name)
+        calls.append(x)
         return evaluate(f, x)
 
     monkeypatch.setattr(discretize, "pw_eval", counted_eval)
@@ -1103,11 +1106,65 @@ def test_decide_min_evaluates_each_region_once(monkeypatch, mode):
     subspaces = [X2, SIGN_GAP] + [props.random_pwc_subspace(rng, 3, 8) for _ in range(2)]
     for s in subspaces:
         gram(s)  # warm the Gram cache
-        _, regions = constancy_groups(s)
-        callers.clear()
         decide_min(s, mode)
-        # the witness is checked on the columns constancy_groups made
-        assert callers == ["constancy_groups"] * (s.dimension * len(regions))
+        measure_rule(s)
+    # region values are read from the pieces, and the witness is checked
+    # on them
+    assert calls == []
+
+
+def midpoint_groups(s):
+    """constancy_groups' (groups, regions) as plain tuples, each region's
+    values read by evaluating every basis function at its midpoint."""
+    edges = sorted(set().union(*(f.breakpoints() for f in s.funcs)))
+    regions = list(zip(edges, edges[1:]))
+    by_vec = {}
+    for lo, hi in regions:
+        mid = (lo + hi) / 2
+        vals = tuple(pw_eval(f, mid) for f in s.funcs)
+        by_vec.setdefault(vals, (mid, []))[1].append((lo, hi))
+    groups = [(tuple(regs), rep, vals) for vals, (rep, regs) in by_vec.items()]
+    return groups, regions
+
+
+def random_sqrt_pwc_subspace(rng, dim, max_regions):
+    """Piecewise-constant functions a + b*sqrt(d) on [-1, 1], d drawn per
+    function, each from two rational step functions with their own edges, so
+    the functions' breakpoints differ."""
+    pool = [Fraction(k, 8) for k in range(-7, 8)]
+
+    def steps():
+        inner = sorted(rng.sample(pool, rng.randint(0, max_regions - 1)))
+        edges = [Fraction(-1)] + inner + [Fraction(1)]
+        return PiecewiseFn([Piece.from_poly(lo, hi, [props.random_fraction(rng, 2, 2)])
+                            for lo, hi in zip(edges, edges[1:])])
+
+    funcs = tuple(pw_scale_add(1, steps(), rad_sqrt(rng.choice((2, 3, 6, 8))), steps())
+                  for _ in range(dim))
+    return Subspace(tuple(f"f{i + 1}" for i in range(dim)), funcs)
+
+
+def test_constancy_groups_match_midpoint_evaluation():
+    rng = random.Random(29)
+    subspaces = [X2, SIGN_GAP]
+    subspaces += [props.random_pwc_subspace(rng, 4, 8) for _ in range(20)]
+    subspaces += [random_sqrt_pwc_subspace(rng, rng.randint(1, 4), 5) for _ in range(20)]
+    irrational = 0
+    for s in subspaces:
+        groups, regions = constancy_groups(s)
+        want_groups, want_regions = midpoint_groups(s)
+        assert regions == want_regions
+        assert [(g.regions, g.representative, g.values) for g in groups] == want_groups
+        assert [[str(v) for v in g.values] for g in groups] == [
+            [str(v) for v in vals] for _, _, vals in want_groups
+        ]
+        irrational += any(not v.is_rational for g in groups for v in g.values)
+    assert irrational >= 10  # the draws do reach Q(sqrt d)
+    # the precondition names the first non-constant function in basis order
+    s = Subspace(("c", "h1", "h2"), (constant_fn(*X8.domain, 2), X8.funcs[1], X8.funcs[2]))
+    assert all(any(p.value_if_constant() is None for p in f.pieces) for f in s.funcs[1:])
+    with pytest.raises(PreconditionError, match="basis function 'h1' is not piecewise constant"):
+        constancy_groups(s)
 
 
 def test_sign_gap_subspace_needs_a_negative_weight_at_the_minimum():
