@@ -776,9 +776,8 @@ def support_lower_bound(s: Subspace, witness_index: int, target_indices) -> Lowe
     """
     target_indices = tuple(target_indices)
     u = s.funcs[witness_index]
-    supports = {t: pw_support(s.funcs[t]) for t in target_indices}
     for a, b in itertools.combinations(target_indices, 2):
-        if not supports_disjoint(supports[a], supports[b]):
+        if not supports_disjoint(s.funcs[a], s.funcs[b]):
             raise PreconditionError(
                 f"supports of targets {s.names[a]!r} and {s.names[b]!r} "
                 "are not provably disjoint"
@@ -787,8 +786,7 @@ def support_lower_bound(s: Subspace, witness_index: int, target_indices) -> Lowe
     clauses = []
     regions = []
     for t in target_indices:
-        sup = supports[t]
-        hull = sup.hull()
+        hull = pw_support(s.funcs[t])
         norm_sq = g[t][t]
         inner = g[witness_index][t]
         count = 0

@@ -808,9 +808,11 @@ def rad_sqrt(q: int | Fraction) -> Radical:
 
 def float_str(x: Radical | Fraction | int) -> str:
     """Advisory float rendering at 17 significant digits, enough to read
-    the double back."""
-    if isinstance(x, Radical):
-        v = x.to_float()
-    else:
-        v = float(Fraction(x))
+    the double back; a value beyond the double range reads inf or -inf."""
+    rad = isinstance(x, Radical)
+    try:
+        v = x.to_float() if rad else float(Fraction(x))
+    except OverflowError:
+        negative = x.sign() < 0 if rad else x < 0
+        v = -math.inf if negative else math.inf
     return format(v, ".17g")

@@ -30,11 +30,10 @@ a polynomial stays on its line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from bisect import bisect_right
 
-from .exactnum import ExactNumError, Radical, Rat, rad_sqrt, _parse_rational, _split_square
+from .exactnum import ExactNumError, Radical, rad_sqrt, _parse_rational, _split_square
 
 
 class DomainError(ValueError):
@@ -397,15 +396,18 @@ def _expr_const_value(e):
     return val
 
 
-def _expr_zeros(e, lo: Fraction, hi: Fraction):
-    """Zeros of the expression on the closed [lo, hi].
+def _is_zero(e) -> bool:
+    """Whether the expression is identically zero."""
+    return e[0].is_zero and not e[1]
 
-    Returns "all" when identically zero, a sorted list of Fractions when
-    the zero set is finite and locatable, or None when undecided.
-    """
+
+def _expr_zeros(e, lo: Fraction, hi: Fraction):
+    """Zeros of the expression on the closed [lo, hi]: a sorted list of
+    Fractions when the zero set is finite and locatable, else None (an
+    identically zero expression included)."""
     poly, terms = e
-    if poly.is_zero and not terms:
-        return "all"
+    if _is_zero(e):
+        return None
     if not terms:
         zs = _poly_zeros_in(poly, lo, hi)
         return None if zs is None else sorted(set(zs))
@@ -640,151 +642,80 @@ def breakpoint_limits(f: PiecewiseFn):
 
 
 # ---------------------------------------------------------------------------
-# support
+# support and closed-interval queries
 
 
-@dataclass(frozen=True)
-class SupportInterval:
-    lo: Rat
-    hi: Rat
-    lo_in: bool
-    hi_in: bool
-
-
-@dataclass(frozen=True)
-class Support:
-    """Support as interval hulls minus recorded isolated zeros.
-
-    The support set is union(intervals, respecting endpoint flags) minus
-    the isolated_zeros points.  ``exact`` is False when some piece's zero
-    set could not be located; then the intervals are a sound superset but
-    the isolated-zero list may be incomplete.
-    """
-
-    intervals: tuple
-    isolated_zeros: tuple
-    exact: bool
-
-    def hull(self):
-        return tuple((iv.lo, iv.hi) for iv in self.intervals)
-
-
-def pw_support(f: PiecewiseFn) -> Support:
-    exact = True
-    candidates: list[Fraction] = []
-    run = None  # [lo, hi] of the current non-vanishing run
+def pw_support(f: PiecewiseFn) -> tuple:
+    """Closed hulls (lo, hi) of f's maximal runs of pieces that are not
+    identically zero; f vanishes everywhere outside them."""
     runs = []
     for p in f.pieces:
-        if p.poly.is_zero and not p.terms:
-            if run is not None:
-                runs.append(tuple(run))
-                run = None
+        if _is_zero(p.expr):
             continue
-        zs = _expr_zeros(p.expr, p.lo, p.hi)
-        if zs is None:
-            exact = False
-            zs = []
-        if run is None:
-            run = [p.lo, p.hi]
+        if runs and runs[-1][1] == p.lo:
+            runs[-1] = (runs[-1][0], p.hi)
         else:
-            run[1] = p.hi
-        candidates.extend(zs)
-    if run is not None:
-        runs.append(tuple(run))
-    intervals = []
-    for lo, hi in runs:
-        lo_in = bool(pw_eval(f, lo))
-        hi_in = bool(pw_eval(f, hi)) if hi == f.domain_hi else False
-        intervals.append(SupportInterval(lo, hi, lo_in, hi_in))
-    # candidate zeros come from closed piece intervals; keep only points the
-    # owning piece really sends to zero, strictly inside a run
-    inner = tuple(
-        sorted(
-            z
-            for z in set(candidates)
-            if any(iv.lo < z < iv.hi for iv in intervals) and not pw_eval(f, z)
-        )
-    )
-    return Support(tuple(intervals), inner, exact)
+            runs.append((p.lo, p.hi))
+    return tuple(runs)
 
 
-def _point_in(iv: SupportInterval, x: Fraction) -> bool:
-    if x == iv.lo:
-        return iv.lo_in
-    if x == iv.hi:
-        return iv.hi_in
-    return iv.lo < x < iv.hi
+def supports_disjoint(f: PiecewiseFn, g: PiecewiseFn) -> bool:
+    """True only when no point lies in the supports of both f and g.
+
+    Every point of the domain is owned by exactly one cell of the common
+    grid, so it is proved when f's or g's expression is identically zero
+    in every cell.
+    """
+    return all(_is_zero(ef) or _is_zero(eg) for _, _, ef, eg in _common_grid(f, g))
 
 
-def supports_disjoint(sa: Support, sb: Support) -> bool:
-    """True only when the two supports are provably disjoint."""
-    for ia in sa.intervals:
-        for ib in sb.intervals:
-            lo = max(ia.lo, ib.lo)
-            hi = min(ia.hi, ib.hi)
-            if lo > hi:
-                continue
-            if lo < hi:
-                return False  # positive-length overlap survives isolated zeros
-            # the touching point is an endpoint of both intervals, never an
-            # isolated zero (those lie strictly inside a run), so only the
-            # endpoint flags can put it outside either support
-            if _point_in(ia, lo) and _point_in(ib, lo):
-                return False
-    return True
+def _check_interval(f: PiecewiseFn, lo, hi):
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo < f.domain_lo or hi > f.domain_hi or lo > hi:
+        raise DomainError(f"[{lo}, {hi}] not inside {f.domain}")
+    return lo, hi
 
 
 def nonvanishing_on(f: PiecewiseFn, lo, hi) -> bool:
     """Certify f(x) != 0 for every x in the closed interval [lo, hi].
 
     Conservative: returns False whenever a piece's zero set cannot be
-    located, so a True answer is always a proof.
+    located, so a True answer is always a proof.  A seam p.hi < domain_hi,
+    zero or not, is left to the next piece, which owns that point and
+    whose closed interval starts there.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo < f.domain_lo or hi > f.domain_hi or lo > hi:
-        raise DomainError(f"[{lo}, {hi}] not inside {f.domain}")
+    lo, hi = _check_interval(f, lo, hi)
     for p in f.pieces:
         olo, ohi = max(lo, p.lo), min(hi, p.hi)
-        if olo > ohi:
+        if olo > ohi or olo == p.hi < f.domain_hi:
             continue
         if olo == ohi:
             if not pw_eval(f, olo):
                 return False
             continue
         zs = _expr_zeros(p.expr, olo, ohi)
-        if zs == "all" or zs is None:
+        if zs is None or any(z < p.hi or p.hi == f.domain_hi for z in zs):
             return False
-        for z in zs:
-            if z < p.hi or p.hi == f.domain_hi:
-                return False  # zero at an owned point
-            if not pw_eval(f, z):  # seam point: the next piece owns it
-                return False
     return True
 
 
 def constant_value_on(f: PiecewiseFn, lo, hi):
     """Exact constant value of f on closed [lo, hi], or None if not constant."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo < f.domain_lo or hi > f.domain_hi or lo > hi:
-        raise DomainError(f"[{lo}, {hi}] not inside {f.domain}")
+    lo, hi = _check_interval(f, lo, hi)
     value = None
     for p in f.pieces:
-        olo, ohi = max(lo, p.lo), min(hi, p.hi)
-        if olo >= ohi:
+        if max(lo, p.lo) >= min(hi, p.hi):
             continue
         v = p.value_if_constant()
-        if v is None:
+        if v is None or (value is not None and value != v):
             return None
-        if value is None:
-            value = v
-        elif value != v:
-            return None
+        value = v
+    # the pieces read own every point of [lo, hi); hi is owned by one of
+    # them or by the piece starting there
+    at_hi = pw_eval(f, hi)
     if value is None:  # [lo, hi] is a single point
-        return pw_eval(f, lo)
-    for x in set([lo, hi] + [p.lo for p in f.pieces if lo <= p.lo <= hi]):
-        if pw_eval(f, x) != value:
-            return None
-    return value
+        return at_hi
+    return value if at_hi == value else None
 
 
 # ---------------------------------------------------------------------------
@@ -859,6 +790,8 @@ def fn_to_doc(name: str, f: PiecewiseFn) -> dict:
 
 
 def fn_from_doc(doc: dict) -> tuple[str, PiecewiseFn]:
+    if not isinstance(doc, dict):
+        raise ValueError(f"a function must be a JSON object, got {type(doc).__name__}")
     name = doc.get("name", "")
     if not isinstance(name, str):
         raise ValueError(f"a function name must be a string, got {type(name).__name__}")

@@ -1,9 +1,11 @@
 """End-to-end command-line checks: exit codes, document output, and
 byte-stable JSON across repeat runs."""
 
+import copy
 import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -543,6 +545,10 @@ def test_number_in_an_unwritten_form_exits_2(corpus_dir, tmp_path, capsys, where
     assert err.startswith(f"error: bad {bad} file") and "Traceback" not in err
 
 
+def _function_entry(value):
+    return lambda sub, rule: sub["functions"].__setitem__(0, value)
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -555,6 +561,13 @@ def test_number_in_an_unwritten_form_exits_2(corpus_dir, tmp_path, capsys, where
         pytest.param(lambda sub, rule: sub["functions"][0]["pieces"][1].update(poly="12"), id="poly"),
         pytest.param(lambda sub, rule: sub.update(domain="01"), id="domain"),
         pytest.param(lambda sub, rule: sub["functions"][0].update(name=7), id="name"),
+        # a function entry that is not an object raised AttributeError
+        *(
+            pytest.param(_function_entry(value), id=f"function-{kind}")
+            for kind, value in (
+                ("string", "x"), ("number", 5), ("array", ["x"]), ("null", None), ("bool", True)
+            )
+        ),
     ],
 )
 def test_document_of_the_wrong_shape_exits_2(corpus_dir, tmp_path, capsys, edit):
@@ -566,9 +579,10 @@ def test_document_of_the_wrong_shape_exits_2(corpus_dir, tmp_path, capsys, edit)
     (tmp_path / "w.subspace.json").write_text(json.dumps(sub))
     (tmp_path / "w.rule.json").write_text(json.dumps(rule))
     bad = "rule" if sub == original else "subspace"
-    commands = [["verify", subspace, rule_path]]
+    commands = [["verify", subspace, rule_path], ["reduce", subspace, rule_path]]
     if bad == "subspace":
-        commands += [["gram", subspace], ["min", subspace]]
+        commands += [["gram", subspace], ["min", subspace],
+                     ["bound", subspace, "--witness", "f1", "--targets", "f2"]]
     for argv in commands:
         code = cli.main(argv + ["--format", "json"])
         err = capsys.readouterr().err
@@ -592,6 +606,75 @@ def test_value_too_long_to_print_exits_2(corpus_dir, tmp_path, capsys, fmt):
     assert code == 2
     assert captured.err.startswith("error: value with more than") and "Traceback" not in captured.err
     assert "cannot be printed" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_value_beyond_the_double_range_reads_inf(corpus_dir, tmp_path, capsys, fmt):
+    # the exact residual of a weight 1e400 is printed; its advisory float
+    # overflowed the double and raised OverflowError
+    rule = json.loads((corpus_dir / "ex1-positive.rule.json").read_text())
+    rule["weights"][0] = "1e400"
+    (tmp_path / "big.rule.json").write_text(json.dumps(rule))
+    argv = ["verify", str(corpus_dir / "ex1.subspace.json"), str(tmp_path / "big.rule.json")]
+    code = cli.main(argv + ["--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert ('"float": "inf"' if fmt == "json" else " (inf) [FAIL]") in captured.out
+
+
+#: what the mutation sweep puts in place of a document subtree
+HOSTILE_VALUES = (
+    "x", "", 5, -1, 0, 1.5, True, None, [], [1], {}, {"a": 1},
+    "1/0", "1/2", "sqrt(2)", "1e400", ["0"], [{}],
+)
+
+
+def _subtree_paths(doc, path=()):
+    """The path of every subtree of a JSON document, the root's () first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, child in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _subtree_paths(child, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def test_mutated_documents_exit_0_to_3(corpus_dir, tmp_path, capsys):
+    """One random subtree of a bundled subspace or golden rule replaced by a
+    hostile value: every command ends with an exit code, never a traceback."""
+    docs = {p.name.split(".")[0]: json.loads(p.read_text()) for p in corpus_dir.iterdir()}
+    rules = {"ex1": ("ex1-negative", "ex1-positive"), "ex2": ("ex2-nine",)}
+    sub_path, rule_path = str(tmp_path / "m.subspace.json"), str(tmp_path / "m.rule.json")
+    rng = random.Random(1)
+    for trial in range(400):
+        example = rng.choice(sorted(rules))
+        pair = [docs[example], docs[rng.choice(rules[example])]]
+        k = rng.randrange(2)
+        path = rng.choice(list(_subtree_paths(pair[k])))
+        pair[k] = _replaced(pair[k], path, rng.choice(HOSTILE_VALUES))
+        for name, doc in zip((sub_path, rule_path), pair):
+            Path(name).write_text(json.dumps(doc))
+        commands = [["verify", sub_path, rule_path], ["gram", sub_path]]
+        if example == "ex1":
+            commands += [["min", sub_path], ["reduce", sub_path, rule_path]]
+        else:
+            commands.append(["bound", sub_path, "--witness", "h0", "--targets", "h4,h5,h6,h7",
+                             "--refine", "h0,h1"])
+        fmt = rng.choice(("human", "json"))
+        for argv in commands:
+            code = cli.main(argv + ["--format", fmt])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3), (trial, path, argv)
+            assert "Traceback" not in err, (trial, path, argv)
 
 
 @pytest.mark.parametrize("target", ["missing-dir", "directory", "corpus-into-file"])

@@ -189,15 +189,15 @@ def test_hierarchy_gram_entries():
 
 def test_same_level_supports_disjoint():
     for level in H_LEVELS:
-        sups = [pw_support(build_h(i)) for i in level]
+        hs = [build_h(i) for i in level]
         for a in range(len(level)):
             for b in range(a + 1, len(level)):
-                assert supports_disjoint(sups[a], sups[b]), (level[a], level[b])
+                assert supports_disjoint(hs[a], hs[b]), (level[a], level[b])
 
 
 def test_lower_levels_constant_on_higher_supports():
     hs = {i: build_h(i) for i in range(8)}
-    hulls = {i: pw_support(hs[i]).hull()[0] for i in range(8)}
+    hulls = {i: pw_support(hs[i])[0] for i in range(8)}
     for li, low_level in enumerate(H_LEVELS):
         for high_level in H_LEVELS[li + 1 :]:
             for i in low_level:
@@ -213,7 +213,7 @@ def test_lower_levels_constant_on_higher_supports():
 
 def test_plateau_values_under_h4_to_h7():
     hs = {i: build_h(i) for i in range(8)}
-    hulls = {i: pw_support(hs[i]).hull()[0] for i in range(4, 8)}
+    hulls = {i: pw_support(hs[i])[0] for i in range(4, 8)}
     expect = {
         # (which lower h, hull of which higher h): constant value
         (1, 4): Radical(1), (1, 5): Radical(1), (1, 6): Radical(-1), (1, 7): Radical(-1),

@@ -279,6 +279,11 @@ def test_float_rendering():
     assert float_str(rad_sqrt(2)) == "1.4142135623730951"
     assert float_str(Radical(0)) == "0"
     assert float_str(Fraction(-3, 2)) == "-1.5"
+    # beyond the double range the advisory float rounds to an infinity
+    big = Fraction(10**400)
+    assert float_str(big) == "inf" and float_str(-big) == "-inf"
+    assert float_str(Radical(big) - rad_sqrt(2)) == "inf"
+    assert float_str(Radical.single(3, -big) + 1) == "-inf"
 
 
 # --- canonical strings -------------------------------------------------------

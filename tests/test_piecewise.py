@@ -39,6 +39,7 @@ from exactdisc.piecewise import (
     _expr_mul,
     _expr_scale,
     _norm_expr,
+    _poly_zeros_in,
     breakpoint_limits,
     constant_fn,
     constant_value_on,
@@ -424,35 +425,31 @@ def test_integrals_match_high_precision_quadrature():
 
 
 def test_support_of_trapezoid_bump():
-    g01 = build_g(GSpec(Fraction(0), Fraction(1)))
-    s = pw_support(g01)
-    assert s.exact
-    assert s.hull() == ((Fraction(0), Fraction(1)),)
-    (iv,) = s.intervals
-    assert not iv.lo_in and not iv.hi_in  # vanishes at both carrier ends
-    assert s.isolated_zeros == (Fraction(1, 2),)  # the down-ramp crossing
+    # the bump's zero at the down-ramp crossing 1/2 stays inside the hull
+    assert pw_support(build_g(GSpec(Fraction(0), Fraction(1)))) == ((Fraction(0), Fraction(1)),)
 
 
 def test_support_of_sqrt_ramp():
-    s = pw_support(build_h(0))
-    assert s.exact
-    (iv,) = s.intervals
-    assert (iv.lo, iv.hi, iv.lo_in, iv.hi_in) == (Fraction(0), Fraction(1), False, True)
-    assert s.isolated_zeros == ()
+    assert pw_support(build_h(0)) == ((Fraction(0), Fraction(1)),)
 
 
 def test_supports_disjoint():
-    sups = {i: pw_support(build_h(i)) for i in range(8)}
+    hs = {i: build_h(i) for i in range(8)}
     for i, j in [(2, 3), (4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)]:
-        assert supports_disjoint(sups[i], sups[j])
-    assert not supports_disjoint(sups[1], sups[2])  # nested carriers overlap
-    assert not supports_disjoint(sups[0], sups[0])
+        assert supports_disjoint(hs[i], hs[j])
+    assert not supports_disjoint(hs[1], hs[2])  # nested carriers overlap
+    assert not supports_disjoint(hs[0], hs[0])
 
     # hulls touching at one point stay provably disjoint under half-open
     # ownership: [0,1]-indicator vs a left indicator ending at 0
     left = PiecewiseFn([Piece.from_poly(-1, 0, [1]), Piece.from_poly(0, 1, [0])])
-    assert supports_disjoint(pw_support(build_f1()), pw_support(left))
-    assert not supports_disjoint(pw_support(build_f1()), pw_support(build_f2(Example1Params())))
+    assert supports_disjoint(build_f1(), left)
+    assert not supports_disjoint(build_f1(), build_f2(Example1Params()))
+
+
+def test_supports_disjoint_needs_one_domain():
+    with pytest.raises(DomainError, match="domains differ"):
+        supports_disjoint(constant_fn(0, 1, 1), constant_fn(0, 2, 0))
 
 
 def test_nonvanishing_on():
@@ -477,6 +474,198 @@ def test_constant_value_on():
     assert constant_value_on(f2, 0, Fraction(1, 4)) is None  # seam value -A spoils it
     assert constant_value_on(f2, 0, Fraction(15, 64)) == Radical(3)
     assert constant_value_on(f2, Fraction(-3, 4), Fraction(-1, 4)) == Radical(1)
+
+
+# The support queries as they were before each was cut down to what decides
+# its answer: pw_support also located isolated zeros and endpoint flags,
+# supports_disjoint compared flagged intervals, nonvanishing_on evaluated
+# seam zeros and constant_value_on evaluated every breakpoint.
+
+
+def _ref_expr_zeros(e, lo, hi):
+    poly, terms = e
+    if poly.is_zero and not terms:
+        return "all"
+    if not terms:
+        zs = _poly_zeros_in(poly, lo, hi)
+        return None if zs is None else sorted(set(zs))
+    if poly.is_zero and len(terms) == 1:
+        (a, b), q = terms[0]
+        zs = _poly_zeros_in(q, lo, hi)
+        if zs is None:
+            return None
+        zs = set(zs)
+        if a != 0:
+            r = Fraction(-b, a)
+            if lo <= r <= hi:
+                zs.add(r)
+        return sorted(zs)
+    return None
+
+
+def _ref_pw_support(f):
+    """(intervals as (lo, hi, lo_in, hi_in), isolated zeros, exact)."""
+    exact = True
+    candidates = []
+    run = None
+    runs = []
+    for p in f.pieces:
+        if p.poly.is_zero and not p.terms:
+            if run is not None:
+                runs.append(tuple(run))
+                run = None
+            continue
+        zs = _ref_expr_zeros(p.expr, p.lo, p.hi)
+        if zs is None:
+            exact = False
+            zs = []
+        if run is None:
+            run = [p.lo, p.hi]
+        else:
+            run[1] = p.hi
+        candidates.extend(zs)
+    if run is not None:
+        runs.append(tuple(run))
+    intervals = []
+    for lo, hi in runs:
+        lo_in = bool(pw_eval(f, lo))
+        hi_in = bool(pw_eval(f, hi)) if hi == f.domain_hi else False
+        intervals.append((lo, hi, lo_in, hi_in))
+    inner = tuple(
+        sorted(
+            z
+            for z in set(candidates)
+            if any(lo < z < hi for lo, hi, _, _ in intervals) and not pw_eval(f, z)
+        )
+    )
+    return tuple(intervals), inner, exact
+
+
+def _ref_point_in(iv, x):
+    lo, hi, lo_in, hi_in = iv
+    if x == lo:
+        return lo_in
+    if x == hi:
+        return hi_in
+    return lo < x < hi
+
+
+def _ref_supports_disjoint(sa, sb):
+    for ia in sa[0]:
+        for ib in sb[0]:
+            lo = max(ia[0], ib[0])
+            hi = min(ia[1], ib[1])
+            if lo > hi:
+                continue
+            if lo < hi:
+                return False
+            if _ref_point_in(ia, lo) and _ref_point_in(ib, lo):
+                return False
+    return True
+
+
+def _ref_nonvanishing_on(f, lo, hi):
+    for p in f.pieces:
+        olo, ohi = max(lo, p.lo), min(hi, p.hi)
+        if olo > ohi:
+            continue
+        if olo == ohi:
+            if not pw_eval(f, olo):
+                return False
+            continue
+        zs = _ref_expr_zeros(p.expr, olo, ohi)
+        if zs == "all" or zs is None:
+            return False
+        for z in zs:
+            if z < p.hi or p.hi == f.domain_hi:
+                return False
+            if not pw_eval(f, z):
+                return False
+    return True
+
+
+def _ref_constant_value_on(f, lo, hi):
+    value = None
+    for p in f.pieces:
+        olo, ohi = max(lo, p.lo), min(hi, p.hi)
+        if olo >= ohi:
+            continue
+        v = p.value_if_constant()
+        if v is None:
+            return None
+        if value is None:
+            value = v
+        elif value != v:
+            return None
+    if value is None:
+        return pw_eval(f, lo)
+    for x in set([lo, hi] + [p.lo for p in f.pieces if lo <= p.lo <= hi]):
+        if pw_eval(f, x) != value:
+            return None
+    return value
+
+
+CONSTANT_EXPRS = tuple(
+    _sqrt_expr(poly, *terms)
+    for poly, terms in (((1,), ()), ((-1,), ()), ((2,), ()), ((), (((0, 2), (1,)),)))
+)
+
+
+def _cell_expr(rng, family, lo, hi):
+    """A nonzero expression for the cell [lo, hi): a random_fn piece or a
+    constant, sometimes times (x - lo) or (x - hi) so that it vanishes at a
+    seam or at the domain's right end."""
+    if rng.random() < 0.4:
+        e = rng.choice(CONSTANT_EXPRS)
+    else:
+        e = random_fn(rng, family).piece_at((lo + hi) / 2).expr
+    if rng.random() < 0.4:
+        e = _expr_mul(e, (Poly((-rng.choice((lo, hi)), 1)), ()))
+    return e
+
+
+def _fn_pair_with_zero_runs(rng, family):
+    """Two functions on [0, 1] over common cells, each cell nonzero in f
+    only, g only, both or neither; without "both" the supports are disjoint
+    and runs of f and g touch wherever their cells meet."""
+    edges = sorted({Fraction(0), Fraction(1), *rng.sample(EDGE_POOL, rng.randrange(2, 6))})
+    states = ("f", "g", "none") if rng.random() < 0.5 else ("f", "g", "both", "none")
+    pieces = {"f": [], "g": []}
+    for lo, hi in zip(edges, edges[1:]):
+        state = rng.choice(states)
+        for name, out in pieces.items():
+            e = _cell_expr(rng, family, lo, hi) if state in (name, "both") else (Poly(), ())
+            out.append(Piece(lo, hi, *e))
+    return PiecewiseFn(pieces["f"]), PiecewiseFn(pieces["g"])
+
+
+def test_support_queries_match_the_references():
+    rng = random.Random(53)
+    points = [Fraction(k, 16) for k in range(17)]
+    seen = {"disjoint": 0, "touching": 0, "nonvanishing": 0, "constant": 0}
+    for trial in range(60):
+        f, g = _fn_pair_with_zero_runs(rng, SLOPE_FAMILIES[trial % len(SLOPE_FAMILIES)])
+        ref = {fn: _ref_pw_support(fn) for fn in (f, g)}
+        for fn in (f, g):
+            assert pw_support(fn) == tuple((lo, hi) for lo, hi, _, _ in ref[fn][0])
+        for a, b in ((f, g), (g, f), (f, f)):
+            got = supports_disjoint(a, b)
+            assert got == _ref_supports_disjoint(ref[a], ref[b]), (a.pieces, b.pieces)
+        if supports_disjoint(f, g):
+            seen["disjoint"] += 1
+            ends = {x for run in pw_support(f) for x in run}
+            seen["touching"] += any(x in ends for run in pw_support(g) for x in run)
+        intervals = [(x, x) for x in points] + [(x, Fraction(1)) for x in points]
+        intervals += [tuple(sorted(rng.sample(points, 2))) for _ in range(20)]
+        for fn in (f, g):
+            for lo, hi in intervals:
+                nonvan = nonvanishing_on(fn, lo, hi)
+                assert nonvan == _ref_nonvanishing_on(fn, lo, hi), (fn.pieces, lo, hi)
+                const = constant_value_on(fn, lo, hi)
+                assert const == _ref_constant_value_on(fn, lo, hi), (fn.pieces, lo, hi)
+                seen["nonvanishing"] += nonvan and lo < hi
+                seen["constant"] += const is not None and lo < hi
+    assert all(n >= 10 for n in seen.values()), seen
 
 
 def test_breakpoint_limits_flag_jumps():
