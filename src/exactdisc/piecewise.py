@@ -84,8 +84,11 @@ class Poly:
         return not self.coeffs
 
     def __call__(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        cs = self.coeffs
+        if not cs:
+            return _F0
+        acc = cs[-1]
+        for c in cs[-2::-1]:
             acc = acc * x + c
         return acc
 
@@ -126,14 +129,19 @@ class Poly:
             return self * b[0]
         if len(a) == 1:
             return other * a[0]
-        out = [_F0] * (len(a) + len(b) - 1)
+        # integer convolution over common denominators, one reduction per
+        # output coefficient
+        da = math.lcm(*(x.denominator for x in a))
+        db = math.lcm(*(y.denominator for y in b))
+        nb = [y.numerator * (db // y.denominator) for y in b]
+        out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if y:
+            if x:
+                x = x.numerator * (da // x.denominator)
+                for j, y in enumerate(nb):
                     out[i + j] += x * y
-        return Poly._of(out)
+        den = da * db
+        return Poly._of([Fraction(c, den) for c in out])
 
     __rmul__ = __mul__
 
@@ -172,10 +180,22 @@ class Poly:
         return acc
 
     def integrate(self, lo: Fraction, hi: Fraction) -> Fraction:
-        total = Fraction(0)
-        for i, c in enumerate(self.coeffs):
-            total += c * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1)
-        return total
+        cs = self.coeffs
+        if len(cs) <= 1:
+            return cs[0] * (hi - lo) if cs else _F0
+
+        steps = [(c.numerator, c.denominator * (i + 1)) for i, c in enumerate(cs)][::-1]
+
+        def antiderivative(x):  # sum c_i x^(i+1)/(i+1) as an int pair, by Horner
+            p, q = x.numerator, x.denominator
+            num, den = 0, 1
+            for cn, cd in steps:
+                num, den = num * p * cd + cn * den * q, den * q * cd
+            return num * p, den * q
+
+        n1, d1 = antiderivative(hi)
+        n0, d0 = antiderivative(lo)
+        return Fraction(n1 * d0 - n0 * d1, d1 * d0)
 
     def __repr__(self):
         return f"Poly({[str(c) for c in self.coeffs]})"
@@ -357,16 +377,21 @@ def _expr_eval(e, x: Fraction) -> Radical:
     poly, terms = e
     val = Radical(poly(x))
     for (a, b), q in terms:
-        val = val + Radical(q(x)) * rad_sqrt(Fraction(a) * x + b)
+        if a == 0:  # b is squarefree
+            val = val + Radical._from_map({b: q(x)})
+        else:
+            val = val + Radical(q(x)) * rad_sqrt(Fraction(a) * x + b)
     return val
 
 
-def _expr_integrate(e, lo: Fraction, hi: Fraction) -> Radical:
+def _expr_integrate(e, lo: Fraction, hi: Fraction, total: dict) -> None:
+    """Add the integral over [lo, hi] into ``total``, a radicand -> Fraction map."""
     poly, terms = e
-    total = Radical(poly.integrate(lo, hi))
+    if poly.coeffs:
+        total[1] = total.get(1, _F0) + poly.integrate(lo, hi)
     for (a, b), q in terms:
-        if a == 0:
-            total = total + Radical.single(b, q.integrate(lo, hi))
+        if a == 0:  # b is squarefree
+            total[b] = total.get(b, _F0) + q.integrate(lo, hi)
             continue
         # u = a*x + b: integral of q(x)sqrt(u) dx
         #   = (1/a) * sum_k c_k * u^(k+3/2) / (k+3/2) between u(lo), u(hi)
@@ -379,8 +404,8 @@ def _expr_integrate(e, lo: Fraction, hi: Fraction) -> Radical:
                 continue
             term = s1 * Radical(u1**(k + 1)) - s0 * Radical(u0**(k + 1))
             acc = acc + term * Radical(c / (Fraction(k) + Fraction(3, 2)))
-        total = total + acc * Radical(Fraction(1, a))
-    return total
+        for d, c in (acc * Radical(Fraction(1, a))).terms:
+            total[d] = total.get(d, _F0) + c
 
 
 def _expr_const_value(e):
@@ -619,10 +644,10 @@ def pw_scale_add(c1, f: PiecewiseFn, c2, g: PiecewiseFn) -> PiecewiseFn:
 
 def pw_integrate(f: PiecewiseFn) -> Radical:
     """Exact Lebesgue integral of f over its domain."""
-    total = Radical(0)
+    total = {}
     for p in f.pieces:
-        total = total + _expr_integrate(p.expr, p.lo, p.hi)
-    return total
+        _expr_integrate(p.expr, p.lo, p.hi, total)
+    return Radical._from_map(total)
 
 
 def breakpoint_limits(f: PiecewiseFn):
@@ -722,10 +747,6 @@ def constant_value_on(f: PiecewiseFn, lo, hi):
 # serialization: all numbers as "p/q" strings
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
 def _parse_frac(s) -> Fraction:
     """A document rational: a string, or a JSON integer (not a boolean)."""
     if isinstance(s, str):
@@ -745,19 +766,19 @@ def _doc_list(doc: dict, key: str, default=None) -> list:
 
 
 def piece_to_doc(p: Piece) -> dict:
-    doc = {"lo": _frac_str(p.lo), "hi": _frac_str(p.hi)}
+    doc = {"lo": str(p.lo), "hi": str(p.hi)}
     if not p.terms:
-        doc["poly"] = [_frac_str(c) for c in p.poly.coeffs] or ["0"]
+        doc["poly"] = [str(c) for c in p.poly.coeffs] or ["0"]
         return doc
     if len(p.terms) == 1 and p.poly.is_zero:
         (a, b), q = p.terms[0]
-        doc["poly"] = [_frac_str(c) for c in q.coeffs] or ["0"]
+        doc["poly"] = [str(c) for c in q.coeffs] or ["0"]
         doc["sqrt"] = {"alpha": str(a), "beta": str(b)}
         return doc
-    doc["poly"] = [_frac_str(c) for c in p.poly.coeffs] or ["0"]
+    doc["poly"] = [str(c) for c in p.poly.coeffs] or ["0"]
     doc["sqrt_terms"] = [
         {
-            "coeff": [_frac_str(c) for c in q.coeffs] or ["0"],
+            "coeff": [str(c) for c in q.coeffs] or ["0"],
             "alpha": str(a),
             "beta": str(b),
         }

@@ -173,6 +173,25 @@ def _random_coeff_list(rng):
     return cs + [0] * rng.randrange(3)
 
 
+def _ref_integrate(a, lo, hi):
+    return sum((c * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1) for i, c in enumerate(a)),
+               Fraction(0))
+
+
+def _big_coeff_list(rng):
+    """Coefficients with large, mostly coprime denominators, zeros included."""
+    return [
+        Fraction(rng.randrange(-10**9, 10**9), rng.randrange(1, 10**6))
+        if rng.random() < 0.8 else 0
+        for _ in range(rng.randrange(1, 6))
+    ]
+
+
+def _random_end(rng):
+    """A negative, zero or positive end: an int or a denominator up to 10^6."""
+    return Fraction(rng.randrange(-7, 8), rng.choice((1, 1, 3, rng.randrange(1, 10**6))))
+
+
 def _is_canonical_poly(p):
     return all(type(c) is Fraction for c in p.coeffs) and (not p.coeffs or p.coeffs[-1] != 0)
 
@@ -180,11 +199,15 @@ def _is_canonical_poly(p):
 def test_poly_kernel_matches_list_reference():
     rng = random.Random(41)
     for _ in range(400):
-        a, b = Poly(_random_coeff_list(rng)), Poly(_random_coeff_list(rng))
+        draw = _big_coeff_list if rng.random() < 0.3 else _random_coeff_list
+        a, b = Poly(draw(rng)), Poly(draw(rng))
         if rng.random() < 0.2 and b.coeffs:
             # equal leading terms: the difference must be re-trimmed
             a = Poly([x + 1 for x in b.coeffs[:-1]] + [b.coeffs[-1]])
         ca, cb = list(a.coeffs), list(b.coeffs)
+        lo, hi = _random_end(rng), _random_end(rng)
+        got = a.integrate(lo, hi)
+        assert type(got) is Fraction and got == _ref_integrate(ca, lo, hi), (ca, lo, hi)
         c = rng.choice((0, 1, -1, Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))))
         c0, c1 = (Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(2))
         results = {
@@ -323,6 +346,103 @@ def test_integrate_is_linear():
         c2 = Radical.single(rng.choice(CONST_RADICANDS), Fraction(rng.randrange(-2, 3)))
         combined = pw_integrate(pw_scale_add(c1, f, c2, g))
         assert combined == Radical(c1) * pw_integrate(f) + c2 * pw_integrate(g)
+
+
+# the per-piece integral summed as Radicals, and the evaluation through
+# rad_sqrt on every line, with the list reference for the polynomials
+
+
+def _ref_poly_at(cs, x):
+    acc = Fraction(0)
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_expr_integrate(e, lo, hi):
+    poly, terms = e
+    total = Radical(_ref_integrate(poly.coeffs, lo, hi))
+    for (a, b), q in terms:
+        if a == 0:
+            total = total + Radical.single(b, _ref_integrate(q.coeffs, lo, hi))
+            continue
+        r = q.compose_affine(Fraction(-b, a), Fraction(1, a))
+        u0, u1 = Fraction(a) * lo + b, Fraction(a) * hi + b
+        s0, s1 = rad_sqrt(u0), rad_sqrt(u1)
+        acc = Radical(0)
+        for k, c in enumerate(r.coeffs):
+            if not c:
+                continue
+            term = s1 * Radical(u1**(k + 1)) - s0 * Radical(u0**(k + 1))
+            acc = acc + term * Radical(c / (Fraction(k) + Fraction(3, 2)))
+        total = total + acc * Radical(Fraction(1, a))
+    return total
+
+
+def _ref_pw_integrate(f):
+    total = Radical(0)
+    for p in f.pieces:
+        total = total + _ref_expr_integrate(p.expr, p.lo, p.hi)
+    return total
+
+
+def _ref_pw_eval(f, x):
+    poly, terms = f.piece_at(x).expr
+    val = Radical(_ref_poly_at(poly.coeffs, x))
+    for (a, b), q in terms:
+        val = val + Radical(_ref_poly_at(q.coeffs, x)) * rad_sqrt(Fraction(a) * x + b)
+    return val
+
+
+def _integrands(rng):
+    """Seeded functions on [0, 1] with their squares, by turns with rational
+    pieces, (0, d) lines, lines with a != 0 and both lines; some pieces are
+    identically zero, and so are the first function and its square."""
+    fns = [constant_fn(0, 1), pw_mul(constant_fn(0, 1), constant_fn(0, 1)),
+           constant_fn(0, 1, Fraction(-5, 7))]
+    for trial in range(60):
+        edges = sorted({Fraction(0), Fraction(1), *rng.sample(EDGE_POOL, rng.randrange(4))})
+        kind = trial % 4
+        pieces = []
+        for lo, hi in zip(edges, edges[1:]):
+            raw = []
+            if kind == 1 or (kind == 3 and rng.random() < 0.5):
+                k = rng.choice((1, 4, 9, 2, 12))  # square factors move into q
+                raw.append((Fraction(0), Fraction(k * rng.choice(CONST_RADICANDS)),
+                            Poly(random_poly_coeffs(rng, 2))))
+            if kind == 2 or (kind == 3 and rng.random() < 0.5):
+                a, b = SLOPE_FAMILIES[trial % len(SLOPE_FAMILIES)]
+                k = rng.choice((1, 2, 3))
+                raw.append((Fraction(k * a), Fraction(k * b), Poly(random_poly_coeffs(rng, 2))))
+            poly = Poly(random_poly_coeffs(rng)) if kind != 1 or rng.random() < 0.3 else Poly()
+            if rng.random() < 0.15:
+                poly, raw = Poly(), []  # an identically zero piece
+            pieces.append(Piece(lo, hi, *_norm_expr(poly, raw)))
+        f = PiecewiseFn(pieces)
+        fns += [f, pw_mul(f, f)]
+    return fns
+
+
+def _is_canonical_radical(v):
+    ds = [d for d, _ in v.terms]
+    return (
+        ds == sorted(set(ds))
+        and all(type(c) is Fraction and c for _, c in v.terms)
+        and all(d == 1 or max(sympy.factorint(d).values()) == 1 for d in ds)
+    )
+
+
+def test_pw_integrate_matches_per_piece_reference():
+    for f in _integrands(random.Random(53)):
+        got = pw_integrate(f)
+        assert got == _ref_pw_integrate(f), f
+        assert _is_canonical_radical(got), got
+        for p in f.pieces:
+            for x in (p.lo, (p.lo + p.hi) / 2, p.hi):
+                if not any(a == 0 for (a, _), _ in f.piece_at(x).terms):
+                    continue
+                got = pw_eval(f, x)
+                assert got == _ref_pw_eval(f, x) and _is_canonical_radical(got), (f, x)
 
 
 def test_products_of_proportional_sqrt_lines_collapse():
