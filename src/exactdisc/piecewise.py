@@ -84,11 +84,8 @@ class Poly:
         return not self.coeffs
 
     def __call__(self, x: Fraction) -> Fraction:
-        cs = self.coeffs
-        if not cs:
-            return _F0
-        acc = cs[-1]
-        for c in cs[-2::-1]:
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
@@ -377,10 +374,7 @@ def _expr_eval(e, x: Fraction) -> Radical:
     poly, terms = e
     val = Radical(poly(x))
     for (a, b), q in terms:
-        if a == 0:  # b is squarefree
-            val = val + Radical._from_map({b: q(x)})
-        else:
-            val = val + Radical(q(x)) * rad_sqrt(Fraction(a) * x + b)
+        val = val + Radical(q(x)) * rad_sqrt(Fraction(a) * x + b)
     return val
 
 
