@@ -43,7 +43,7 @@ from .piecewise import (
     fn_to_doc,
     nonvanishing_on,
     pw_eval,
-    pw_integrate,
+    pw_inner,
     pw_mul,
     pw_support,
     supports_disjoint,
@@ -135,7 +135,7 @@ def _gram_cached(s: Subspace):
     g = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            v = pw_integrate(pw_mul(s.funcs[i], s.funcs[j]))
+            v = pw_inner(s.funcs[i], s.funcs[j])
             g[i][j] = g[j][i] = v
     _, rank = _solve_system(g, [Radical(0)] * n, range(n))  # g is symmetric
     return tuple(tuple(row) for row in g), rank

@@ -319,24 +319,26 @@ def _expr_add(e1, e2):
     return p1 + p2, tuple(sorted((ln, q) for ln, q in acc.items() if not q.is_zero))
 
 
-def _expr_scale(e, c: Radical):
-    """Multiply an expression by an exact scalar; always representable.
+def _expr_scale(c: Radical):
+    """The map e -> c*e for an exact scalar, which is always representable;
+    c is classified once, so a caller scaling many expressions pays for it
+    once.
 
     A rational scalar leaves every (canonical, sorted) line where it is and
-    only scales the polynomials.  An irrational one is the constant
-    expression sum c_d*sqrt(d), whose (0, d) lines multiply with any line.
+    only scales the polynomials; 1 returns e itself.  An irrational one is
+    the constant expression sum c_d*sqrt(d), whose (0, d) lines multiply
+    with any line.
     """
     if c.is_rational:
         q = c.as_fraction()
         if q == 1:
-            return e
+            return lambda e: e
         if not q:
-            return _ZERO, ()
-        poly, terms = e
-        return poly * q, tuple((ln, t * q) for ln, t in terms)
+            return lambda e: (_ZERO, ())
+        return lambda e: (e[0] * q, tuple((ln, t * q) for ln, t in e[1]))
     rational = Poly._of([coeff for d, coeff in c.terms if d == 1])
     roots = tuple(((0, d), Poly._of([coeff])) for d, coeff in c.terms if d != 1)
-    return _expr_mul(e, (rational, roots))
+    return lambda e: _expr_mul(e, (rational, roots))
 
 
 def _expr_mul(e1, e2):
@@ -458,10 +460,13 @@ class Piece:
             lo = Fraction(lo)
         if type(hi) is not Fraction:
             hi = Fraction(hi)
-        if lo >= hi:
+        # on numerators and (positive) denominators: sign(a*x + b) is the
+        # sign of a*num + b*den
+        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        if ln * hd >= hn * ld:
             raise ValueError(f"empty or degenerate piece [{lo}, {hi})")
         for (a, b), _ in terms:
-            if a != 0 and (Fraction(a) * lo + b < 0 or Fraction(a) * hi + b < 0):
+            if a and (a * ln + b * ld < 0 or a * hn + b * hd < 0):
                 raise ValueError(
                     f"radicand {a}*x+{b} negative on piece [{lo}, {hi})"
                 )
@@ -522,14 +527,14 @@ class PiecewiseFn:
         if not pieces:
             raise ValueError("a piecewise function needs at least one piece")
         for prev, cur in zip(pieces, pieces[1:]):
-            if prev.hi != cur.lo:
+            if prev.hi is not cur.lo and prev.hi != cur.lo:
                 raise ValueError(
                     f"pieces not contiguous: [{prev.lo},{prev.hi}) then [{cur.lo},{cur.hi})"
                 )
         merged = [pieces[0]]
         for cur in pieces[1:]:
             last = merged[-1]
-            if last.expr == cur.expr:
+            if last.terms == cur.terms and last.poly.coeffs == cur.poly.coeffs:
                 merged[-1] = Piece(last.lo, cur.hi, last.poly, last.terms)
             else:
                 merged.append(cur)
@@ -597,12 +602,15 @@ def _common_grid(f: PiecewiseFn, g: PiecewiseFn):
     lo = f.domain_lo
     while fi < len(fp):
         a, b = fp[fi], gp[gi]
-        if a.hi == b.hi:
+        x, y = a.hi, b.hi
+        # sign of x - y; seams of functions built on one grid are one object
+        c = 0 if x is y else x.numerator * y.denominator - y.numerator * x.denominator
+        if not c:
             yield lo, a.hi, a.expr, b.expr
             lo = a.hi
             fi += 1
             gi += 1
-        elif a.hi < b.hi:
+        elif c < 0:
             yield lo, a.hi, a.expr, b.expr
             lo = a.hi
             fi += 1
@@ -627,11 +635,11 @@ def pw_scale_add(c1, f: PiecewiseFn, c2, g: PiecewiseFn) -> PiecewiseFn:
     Scalars may be any Radical values: constant radical factors ride on
     (0, d) lines, so the combination always stays representable.
     """
-    c1 = c1 if isinstance(c1, Radical) else Radical(c1)
-    c2 = c2 if isinstance(c2, Radical) else Radical(c2)
+    s1 = _expr_scale(c1 if isinstance(c1, Radical) else Radical(c1))
+    s2 = _expr_scale(c2 if isinstance(c2, Radical) else Radical(c2))
     out = []
     for lo, hi, ef, eg in _common_grid(f, g):
-        poly, terms = _expr_add(_expr_scale(ef, c1), _expr_scale(eg, c2))
+        poly, terms = _expr_add(s1(ef), s2(eg))
         out.append(Piece(lo, hi, poly, terms))
     return PiecewiseFn(out)
 
@@ -641,6 +649,15 @@ def pw_integrate(f: PiecewiseFn) -> Radical:
     total = {}
     for p in f.pieces:
         _expr_integrate(p.expr, p.lo, p.hi, total)
+    return Radical._from_map(total)
+
+
+def pw_inner(f: PiecewiseFn, g: PiecewiseFn) -> Radical:
+    """Exact inner product, the integral of f*g: pw_integrate(pw_mul(f, g))
+    summed cell by cell, without building the product function."""
+    total = {}
+    for lo, hi, ef, eg in _common_grid(f, g):
+        _expr_integrate(_expr_mul(ef, eg), lo, hi, total)
     return Radical._from_map(total)
 
 
@@ -788,16 +805,16 @@ def piece_from_doc(doc: dict) -> Piece:
     if "sqrt" in doc:
         alpha = _parse_frac(doc["sqrt"]["alpha"])
         beta = _parse_frac(doc["sqrt"]["beta"])
-        return Piece.from_poly_sqrt(lo, hi, coeffs, alpha, beta)
+        return Piece(lo, hi, *_norm_expr(_ZERO, [(alpha, beta, Poly._of(coeffs))]))
     raw = [
         (
             _parse_frac(t["alpha"]),
             _parse_frac(t["beta"]),
-            Poly([_parse_frac(c) for c in _doc_list(t, "coeff")]),
+            Poly._of([_parse_frac(c) for c in _doc_list(t, "coeff")]),
         )
         for t in _doc_list(doc, "sqrt_terms", [])
     ]
-    return Piece(lo, hi, *_norm_expr(Poly(coeffs), raw))
+    return Piece(lo, hi, *_norm_expr(Poly._of(coeffs), raw))
 
 
 def fn_to_doc(name: str, f: PiecewiseFn) -> dict:

@@ -49,6 +49,7 @@ from exactdisc.piecewise import (
     piece_from_doc,
     piece_to_doc,
     pw_eval,
+    pw_inner,
     pw_integrate,
     pw_mul,
     pw_scale_add,
@@ -278,18 +279,71 @@ def test_piece_validation():
         Piece.from_poly_sqrt(0, 1, [1], 0, -2)
 
 
+@pytest.mark.parametrize("lo, hi", [
+    (Fraction(-3, 4), Fraction(-3, 4)),
+    (Fraction(2, 6), Fraction(1, 3)),  # equal values, distinct objects
+    (Fraction(-1, 3), Fraction(-1, 2)),
+    (2, 1),
+    (-1, Fraction(-7, 5)),
+])
+def test_empty_or_reversed_pieces_are_refused(lo, hi):
+    with pytest.raises(ValueError) as exc:
+        Piece(lo, hi)
+    assert str(exc.value) == f"empty or degenerate piece [{Fraction(lo)}, {Fraction(hi)})"
+
+
+EPS = Fraction(1, 10**12)
+
+
+@pytest.mark.parametrize("line, lo, hi, ok", [
+    # 2x + 1 >= 0 on [-1/2, oo) and -2x + 1 >= 0 on (-oo, 1/2]
+    ((2, 1), Fraction(-1, 2), Fraction(3, 7), True),  # zero at lo
+    ((-2, 1), Fraction(-5, 3), Fraction(1, 2), True),  # zero at hi
+    ((-6, 3), Fraction(-2, 3), Fraction(1, 2), True),
+    ((2, 1), Fraction(-1, 2) - EPS, Fraction(3, 7), False),  # negative at lo
+    ((2, 1), Fraction(-7, 3), Fraction(-3, 5), False),  # at both ends
+    ((-2, 1), Fraction(-5, 3), Fraction(1, 2) + EPS, False),  # negative at hi
+    ((-2, 1), Fraction(3, 5), Fraction(7, 3), False),  # at both ends
+    ((3, 5), -2, -1, False),
+    ((-3, -5), Fraction(-11, 4), -2, True),
+])
+def test_radicand_signs_at_the_piece_ends(line, lo, hi, ok):
+    terms = ((line, Poly((1,))),)
+    if ok:
+        assert Piece(lo, hi, Poly(), terms).terms == terms
+        return
+    with pytest.raises(ValueError) as exc:
+        Piece(lo, hi, Poly(), terms)
+    a, b = line
+    assert str(exc.value) == f"radicand {a}*x+{b} negative on piece [{Fraction(lo)}, {Fraction(hi)})"
+
+
 def test_fn_contiguity_and_merging():
     a = Piece.from_poly(0, Fraction(1, 2), [3])
     b = Piece.from_poly(Fraction(1, 2), 1, [3])
     gap = Piece.from_poly(Fraction(3, 4), 1, [3])
+    overlap = Piece.from_poly(Fraction(1, 3), 1, [3])
     with pytest.raises(ValueError, match="contiguous"):
         PiecewiseFn([a, gap])
+    with pytest.raises(ValueError) as exc:
+        PiecewiseFn([a, overlap])
+    assert str(exc.value) == "pieces not contiguous: [0,1/2) then [1/3,1)"
     with pytest.raises(ValueError):
         PiecewiseFn([])
+    assert a.hi is not b.lo  # equal seams need not be one object
     f = PiecewiseFn([a, b])
     assert len(f.pieces) == 1  # identical neighbours merge
     assert f == constant_fn(0, 1, 3)
     assert hash(f) == hash(constant_fn(0, 1, 3))
+    # equal expressions held in distinct objects merge too
+    def sqrt_piece(lo, hi):
+        return Piece(lo, hi, Poly((1, Fraction(-2, 3))), (((0, 5), Poly((Fraction(3, 2),))),
+                                                          ((1, 2), Poly((0, 1)))))
+    left, right = sqrt_piece(0, Fraction(1, 2)), sqrt_piece(Fraction(2, 4), 1)
+    assert left.poly is not right.poly and left.terms is not right.terms
+    assert PiecewiseFn([left, right]).pieces == (sqrt_piece(0, 1),)
+    other = Piece(Fraction(1, 2), 1, left.poly, (((0, 5), Poly((Fraction(3, 2),))),))
+    assert len(PiecewiseFn([left, other]).pieces) == 2
 
 
 def test_half_open_ownership():
@@ -471,6 +525,45 @@ def test_products_of_unrelated_sqrt_lines_are_rejected():
     assert str(exc.value) == "cannot multiply sqrt(1*x+0) by sqrt(1*x+1)"
 
 
+def _outcome(compute):
+    """The value compute() returns, or the type and message it raises."""
+    try:
+        return compute()
+    except (UnsupportedProduct, DomainError) as e:
+        return type(e), str(e)
+
+
+def _inner_operands(rng):
+    """Functions on [-1, 1]: the hierarchy (lines with a != 0 in h0, (0, d)
+    lines in h2..h7), combinations of it whose cells mix a polynomial with
+    several lines, the props generator's piecewise-constant functions and a
+    zero function; and on [0, 1] random functions of three slope families,
+    whose products over different families are refused, and zero."""
+    hs = [build_h(i) for i in range(8)]
+    c = Radical(1) + Radical.single(5, Fraction(2))
+    mixed = [pw_scale_add(Fraction(1, 3), hs[0], c, hs[i]) for i in (1, 2, 5)]
+    assert any(len(p.terms) > 1 and not p.poly.is_zero for f in mixed for p in f.pieces)
+    pwc = [f for _ in range(3) for f in props.random_pwc_subspace(rng).funcs]
+    unit = [random_fn(rng, SLOPE_FAMILIES[k % len(SLOPE_FAMILIES)]) for k in range(9)]
+    return hs + mixed + pwc + [constant_fn(-1, 1)] + unit + [constant_fn(0, 1)]
+
+
+def test_pw_inner_matches_the_product_integral():
+    fns = _inner_operands(random.Random(61))
+    seen = {"value": 0, UnsupportedProduct: 0, DomainError: 0}
+    for f in fns:
+        for g in fns:
+            want = _outcome(lambda: pw_integrate(pw_mul(f, g)))
+            got = _outcome(lambda: pw_inner(f, g))
+            assert got == want, (f, g)
+            if isinstance(got, Radical):
+                assert _is_canonical_radical(got), got
+                seen["value"] += 1
+            else:
+                seen[got[0]] += 1
+    assert seen["value"] > 300 and seen[UnsupportedProduct] > 5 and seen[DomainError] > 300
+
+
 def _sqrt_expr(poly, *terms):
     """(Poly(poly), canonical terms) from ((a, b), q-coefficients) pairs."""
     return Poly(poly), tuple((line, Poly(q)) for line, q in terms)
@@ -504,7 +597,7 @@ SQRT_PRODUCT_TABLE = {
 def test_sqrt_product_table(case):
     left, right, want = SQRT_PRODUCT_TABLE[case]
     if isinstance(right, Radical):
-        assert _expr_scale(left, right) == want
+        assert _expr_scale(right)(left) == want
         # the same scalar as a constant expression goes through _expr_mul
         right = (Poly([c for d, c in right.terms if d == 1]),
                  tuple(((0, d), Poly([c])) for d, c in right.terms if d != 1))
@@ -837,13 +930,13 @@ def test_rational_scaling_matches_the_canonicalizing_path():
             want = _norm_expr(
                 poly * c, [(Fraction(a), Fraction(b), q * c) for (a, b), q in terms]
             )
-            got = _expr_scale(e, Radical(c))
+            got = _expr_scale(Radical(c))(e)
             assert got == want
             assert type(got[1]) is tuple and _is_canonical_poly(got[0])
             if c == 1:
                 assert got is e
         # a sqrt(d) scalar still goes through the canonicalizing path
-        got = _expr_scale(e, Radical.single(rng.choice(CONST_RADICANDS), Fraction(1, 3)))
+        got = _expr_scale(Radical.single(rng.choice(CONST_RADICANDS), Fraction(1, 3)))(e)
         assert got[1] == _canonical_terms(got[1])
 
 
