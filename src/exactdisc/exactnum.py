@@ -31,7 +31,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 Rat = Fraction
 
@@ -43,41 +43,24 @@ class ExactNumError(ArithmeticError):
     """An exact operation could not be certified (bad input or bound hit)."""
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_probable_prime(n: int) -> bool:
-    # Miller-Rabin; the fixed base set is deterministic for n < 3.3e24.
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+#: the base-2 Wieferich primes (2**(p-1) == 1 mod p**2) below this bound
+#: are 1093 and 3511 only (Dorais and Klyve, "A Wieferich prime search up to
+#: 6.7e15", J. Integer Sequences 14, 2011)
+_WIEFERICH_SEARCH_BOUND = 67 * 10**14
 
 
 @lru_cache(maxsize=None)
 def _split_square(n: int) -> tuple[int, int]:
     """Write ``n = s**2 * d`` with ``d`` squarefree; return ``(s, d)``.
 
-    Trial division runs up to ``DEFAULT_FACTOR_BOUND``.  A cofactor that
+    Trial division runs up to ``DEFAULT_FACTOR_BOUND``.  A cofactor m that
     survives it is certified squarefree when it is prime, a perfect square,
-    or at most the bound cubed (then it cannot hide a square factor);
-    otherwise we refuse rather than guess.
+    at most the bound cubed (then it cannot hide a square factor), or below
+    ``_WIEFERICH_SEARCH_BOUND**2`` with ``2**(m-1) == 1 (mod m)``: if
+    p**2 | m, the order of 2 mod p**2 divides m - 1, which p does not
+    divide, and p*(p - 1), so it divides p - 1 and p is a Wieferich prime
+    below the search bound, 1093 or 3511, both removed by trial division.
+    Otherwise we refuse rather than guess.
     """
     if n <= 0:
         raise ExactNumError(f"radicand must be positive, got {n}")
@@ -101,8 +84,9 @@ def _split_square(n: int) -> tuple[int, int]:
     r = math.isqrt(m)
     if r * r == m:
         return s * r, d
-    if m <= DEFAULT_FACTOR_BOUND**3 or _is_probable_prime(m):
-        # no factor <= bound and not a square: at most two distinct primes
+    if m <= DEFAULT_FACTOR_BOUND**3 or (m < _WIEFERICH_SEARCH_BOUND**2 and pow(2, m - 1, m) == 1):
+        # no factor <= bound and not a square: at most two distinct primes,
+        # or no square factor at all
         return s, d * m
     raise ExactNumError(
         f"cannot certify a squarefree radicand for {n}: a composite factor may hide a square"
@@ -149,6 +133,7 @@ def _sqrt_interval(d: int, bits: int) -> tuple[Fraction, Fraction]:
     return Fraction(s, 1 << bits), Fraction(s + 1, 1 << bits)
 
 
+@total_ordering
 class Radical:
     """An exact value ``sum(c_d * sqrt(d))`` over squarefree integers ``d``.
 
@@ -391,24 +376,6 @@ class Radical:
         if o is None:
             return NotImplemented
         return (self - o).sign() < 0
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -803,7 +770,7 @@ def rad_sqrt(q: int | Fraction) -> Radical:
     if q == 0:
         return Radical(0)
     s, d = _split_square(q.numerator * q.denominator)
-    return Radical.single(d, Fraction(s, q.denominator))
+    return Radical._raw(((d, Fraction(s, q.denominator)),))
 
 
 def float_str(x: Radical | Fraction | int) -> str:

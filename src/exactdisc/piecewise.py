@@ -389,32 +389,24 @@ def _expr_integrate(e, lo: Fraction, hi: Fraction, total: dict) -> None:
         if a == 0:  # b is squarefree
             total[b] = total.get(b, _F0) + q.integrate(lo, hi)
             continue
-        # u = a*x + b: integral of q(x)sqrt(u) dx
-        #   = (1/a) * sum_k c_k * u^(k+3/2) / (k+3/2) between u(lo), u(hi)
+        # u = a*x + b: integral of q(x)sqrt(u) dx = F(u)*sqrt(u)/a between
+        # u(lo) and u(hi), with F(u) = sum_k r_k * u^(k+1) / (k+3/2)
         r = q.compose_affine(Fraction(-b, a), Fraction(1, a))
-        u0, u1 = Fraction(a) * lo + b, Fraction(a) * hi + b
-        s0, s1 = rad_sqrt(u0), rad_sqrt(u1)
-        acc = Radical(0)
-        for k, c in enumerate(r.coeffs):
-            if not c:
-                continue
-            term = s1 * Radical(u1**(k + 1)) - s0 * Radical(u0**(k + 1))
-            acc = acc + term * Radical(c / (Fraction(k) + Fraction(3, 2)))
-        for d, c in (acc * Radical(Fraction(1, a))).terms:
-            total[d] = total.get(d, _F0) + c
+        F = Poly._of([_F0] + [c * Fraction(2, 2 * k + 3) for k, c in enumerate(r.coeffs)])
+        for x, scale in ((hi, a), (lo, -a)):
+            u = a * x + b
+            if u:  # F(0) = 0; sqrt(num/den) = s*sqrt(d)/den
+                s, d = _split_square(u.numerator * u.denominator)
+                total[d] = total.get(d, _F0) + F(u) * Fraction(s, u.denominator * scale)
 
 
 def _expr_const_value(e):
     """The expression's value if it is constant, else None."""
     poly, terms = e
-    if poly.degree > 0 or any(q.degree > 0 for _, q in terms):
+    if poly.degree > 0 or any(a or q.degree > 0 for (a, _), q in terms):
         return None
-    val = Radical(poly(Fraction(0)))
-    for (a, b), q in terms:
-        if a != 0:
-            return None
-        val = val + Radical.single(b, q.coeffs[0])
-    return val
+    # constant lines are (0, d) with d squarefree and distinct, none of them 1
+    return Radical._from_map({1: poly(_F0), **{d: q.coeffs[0] for (_, d), q in terms}})
 
 
 def _is_zero(e) -> bool:

@@ -366,6 +366,19 @@ def test_reduce_rejects_non_verifying_rule(corpus_dir, capsys):
     assert "does not verify" in capsys.readouterr().err
 
 
+def test_reduce_positive_mode_refuses_a_zero_weight(corpus_dir, tmp_path, capsys):
+    rule = json.loads((corpus_dir / "ex1-positive.rule.json").read_text())
+    rule["nodes"].append("-1/4")
+    rule["weights"].append("0")
+    rule_path = tmp_path / "zero-weight.rule.json"
+    rule_path.write_text(json.dumps(rule))
+    code = cli.main(
+        ["reduce", str(corpus_dir / "ex1.subspace.json"), str(rule_path), "--mode", "positive"]
+    )
+    assert code == 3
+    assert "positive-mode reduction needs strictly positive weights" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # hostile documents: errors raised mid-computation are bad input
 
@@ -374,8 +387,8 @@ def test_reduce_rejects_non_verifying_rule(corpus_dir, capsys):
 HUGE = 1000003 * 1000033 * 1000037 * 1000039 * 1000081
 
 
-def _sqrt_fn(name, beta):
-    piece = {"lo": "0", "hi": "1", "poly": ["1"], "sqrt": {"alpha": "1", "beta": beta}}
+def _sqrt_fn(name, beta, alpha="1"):
+    piece = {"lo": "0", "hi": "1", "poly": ["1"], "sqrt": {"alpha": alpha, "beta": beta}}
     return {"name": name, "pieces": [piece]}
 
 
@@ -415,6 +428,26 @@ def test_errors_mid_computation_exit_2(hostile_dir, capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "beta, code",
+    [
+        (10**18 + 3, 0),  # prime
+        (1002511 * 2005021 * 3007531, 0),  # squarefree base-2 pseudoprime
+        (1000003**2 * 1000000000039, 2),  # hides a square
+        (44890000000000000000000000000163, 2),  # prime beyond the proved range
+    ],
+)
+def test_gram_radicand_beyond_trial_division(tmp_path, capsys, beta, code):
+    sub = tmp_path / "radicand.subspace.json"
+    sub.write_text(json.dumps({"domain": ["0", "1"], "functions": [_sqrt_fn("f", str(beta), "0")]}))
+    assert cli.main(["gram", str(sub), "--format", "json"]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert "cannot certify a squarefree radicand" in err and "Traceback" not in err
+    else:
+        assert json.loads(out)["matrix"][0][0]["exact"] == str(beta)
 
 
 @pytest.mark.parametrize("command", ["verify", "reduce", "grid"])

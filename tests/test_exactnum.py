@@ -81,9 +81,21 @@ def test_split_square_large_prime_cofactor():
     assert _split_square(p * p) == (p, 1)
 
 
+def test_split_square_certifies_base2_pseudoprimes():
+    # psi_12, the least strong pseudoprime to the bases 2..37, is
+    # 399165290221 * 798330580441: squarefree and a base-2 pseudoprime
+    psi12 = 318665857834031151167461
+    assert _split_square(psi12) == (1, psi12)
+    assert _split_square(9 * psi12) == (3, psi12)
+    # a base-2 (not base-3) pseudoprime, and the largest prime below the
+    # proved range (6.7e15)**2
+    for n in (1000000009 * 6000000049, 44889999999999999999999999999881):
+        assert _split_square(n) == (1, n)
+
+
 def test_split_square_gives_up_beyond_certification_range():
-    # a cube-range composite with no small factors and no prime/square
-    # certificate cannot be proven squarefree
+    # a composite above the bound cubed with no small factor that fails the
+    # base-2 Fermat test is neither prime nor proven free of square factors
     n = 1000003 * 1000033 * 1000037
     assert n > DEFAULT_FACTOR_BOUND**3
     with pytest.raises(ExactNumError):

@@ -687,6 +687,9 @@ def test_constant_value_on():
     assert constant_value_on(f2, 0, Fraction(1, 4)) is None  # seam value -A spoils it
     assert constant_value_on(f2, 0, Fraction(15, 64)) == Radical(3)
     assert constant_value_on(f2, Fraction(-3, 4), Fraction(-1, 4)) == Radical(1)
+    # a constant coefficient of sqrt(x + 1) is not a constant piece
+    assert Piece.from_poly_sqrt(0, 1, [2], 1, 1).value_if_constant() is None
+    assert Piece.from_poly_sqrt(0, 1, [2], 0, 3).value_if_constant() == Radical.single(3, 2)
 
 
 # The support queries as they were before each was cut down to what decides
