@@ -29,7 +29,6 @@ from .discretize import (
     caratheodory_reduce,
     decide_min,
     forced_region_contradiction,
-    gram,
     gram_to_doc,
     index_pairs,
     lower_bound_to_doc,
@@ -187,10 +186,9 @@ def cmd_verify(args) -> int:
 def cmd_gram(args) -> int:
     s = _load_subspace(args.subspace)
     doc = gram_to_doc(s)
-    g, rank = gram(s)
-    lines = [f"gram matrix ({s.dimension} x {s.dimension}), rank {rank}"]
-    for name, row in zip(s.names, g):
-        lines.append(f"  {name}: [" + ", ".join(str(v) for v in row) + "]")
+    lines = [f"gram matrix ({s.dimension} x {s.dimension}), rank {doc['rank']}"]
+    for name, row in zip(s.names, doc["matrix"]):
+        lines.append(f"  {name}: [" + ", ".join(v["exact"] for v in row) + "]")
     _emit(doc, args, lines)
     return EXIT_OK
 

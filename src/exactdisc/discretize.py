@@ -243,14 +243,6 @@ class _Prefix(NamedTuple):
     nulls: tuple  # _Coords per free column, whose vector has reduced to 0
 
 
-def _vector(rows, scaled, at, m) -> list:
-    """The vector of the column at position `at` < m from its `(row, s)`
-    over `rows`: its values times s, then its m + 1 coordinates, s at `at`
-    and 0 elsewhere."""
-    row, s = scaled
-    return rows.append(row, [0] * at + [s] + [0] * (m - at))
-
-
 def _start(rows, rhs, n_rows, m) -> _Prefix:
     """The state of no columns, from the right-hand side b's `(row, s)`: its
     values times s and the coordinate -s at m, as the vector of -b."""
@@ -262,23 +254,25 @@ def _push(rows, state, column, at, n_rows, m):
     """The state after one more column, the one elimination step.
 
     A vector is a column's `n_rows` values followed by its coordinates over
-    the m columns and the negated right-hand side -b (`_vector`, `_start`):
-    every step is linear, so the values stay the coordinates' combination
-    of the system's columns and -b.  `column` is the new column's
-    `(row, s)`, at position `at`.  The new vector is reduced against the
-    pivot columns in order, which zeroes it on their pivot rows.  If a value
-    is still nonzero, the first such row becomes its pivot row: the vector
-    is multiplied by its lead's conjugates (a rational lead) and clears that
-    row of the right-hand side.  A vector is then zero on every row before
-    its pivot row, so a non-pivot row is only ever combined with earlier
-    rows, and the right-hand side's first nonzero row is the first whose
-    row prefix has no solution.  Otherwise the column is free, and its
+    the m columns and the negated right-hand side -b (`_start`): every step
+    is linear, so the values stay the coordinates' combination of the
+    system's columns and -b.  `column` is the new column's `(row, s)`, at
+    position `at` < m; its vector is its values times s, then its m + 1
+    coordinates, s at `at` and 0 elsewhere.  The new vector is reduced
+    against the pivot columns in order, which zeroes it on their pivot rows.
+    If a value is still nonzero, the first such row becomes its pivot row:
+    the vector is multiplied by its lead's conjugates (a rational lead) and
+    clears that row of the right-hand side.  A vector is then zero on every
+    row before its pivot row, so a non-pivot row is only ever combined with
+    earlier rows, and the right-hand side's first nonzero row is the first
+    whose row prefix has no solution.  Otherwise the column is free, and its
     coordinates over its own are a null vector, the free column's in the
     reduced row echelon form: the rank, pivot columns and null basis are
     those of absorbing the rows one at a time.
     """
     pivots, rhs, nulls = state
-    vec = _vector(rows, column, at, m)
+    row, s = column
+    vec = rows.append(row, [0] * at + [s] + [0] * (m - at))
     for p, pvec, roots in pivots:
         if rows.nonzero(vec, p):
             vec = rows.combine(vec, pvec, p, roots)

@@ -60,7 +60,8 @@ def _split_square(n: int) -> tuple[int, int]:
     p**2 | m, the order of 2 mod p**2 divides m - 1, which p does not
     divide, and p*(p - 1), so it divides p - 1 and p is a Wieferich prime
     below the search bound, 1093 or 3511, both removed by trial division.
-    Otherwise we refuse rather than guess.
+    Otherwise we refuse rather than guess, and say why: the cofactor is
+    beyond the proved range, or it fails the base-2 test and is composite.
     """
     if n <= 0:
         raise ExactNumError(f"radicand must be positive, got {n}")
@@ -84,12 +85,21 @@ def _split_square(n: int) -> tuple[int, int]:
     r = math.isqrt(m)
     if r * r == m:
         return s * r, d
-    if m <= DEFAULT_FACTOR_BOUND**3 or (m < _WIEFERICH_SEARCH_BOUND**2 and pow(2, m - 1, m) == 1):
-        # no factor <= bound and not a square: at most two distinct primes,
-        # or no square factor at all
-        return s, d * m
+    if m <= DEFAULT_FACTOR_BOUND**3:
+        return s, d * m  # no factor <= bound and not a square: two primes at most
+    if m >= _WIEFERICH_SEARCH_BOUND**2:
+        why = "is beyond the proved range of the base-2 test and may well be prime"
+    elif pow(2, m - 1, m) == 1:
+        return s, d * m  # no square factor at all
+    else:
+        why = "fails the base-2 Fermat test, so it is composite and may hide a square"
+    try:
+        text = str(n)  # ValueError past the int-to-text digit limit
+    except ValueError:
+        text = f"a {n.bit_length()}-bit number"
     raise ExactNumError(
-        f"cannot certify a squarefree radicand for {n}: a composite factor may hide a square"
+        f"cannot certify a squarefree radicand for {text}: its {m.bit_length()}-bit "
+        f"cofactor with no factor up to {DEFAULT_FACTOR_BOUND} {why}"
     )
 
 

@@ -30,8 +30,9 @@ a polynomial stays on its line.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from bisect import bisect_right
+from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .exactnum import ExactNumError, Radical, rad_sqrt, _parse_rational, _split_square
 
@@ -48,10 +49,11 @@ class UnsupportedProduct(ValueError):
 # polynomials
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Poly:
     """Dense polynomial with Fraction coefficients, index = power."""
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple
 
     def __init__(self, coeffs=()):
         cs = [Fraction(c) for c in coeffs]
@@ -68,13 +70,6 @@ class Poly:
         object.__setattr__(self, "coeffs", tuple(cs))
         return self
 
-    def __setattr__(self, *a):
-        raise AttributeError("Poly is immutable")
-
-    @classmethod
-    def const(cls, c) -> "Poly":
-        return cls((Fraction(c),))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
@@ -90,8 +85,6 @@ class Poly:
         return acc
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
         a, b = self.coeffs, other.coeffs
         if not b:
             return self
@@ -141,12 +134,6 @@ class Poly:
         return Poly._of([Fraction(c, den) for c in out])
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __divmod__(self, other: "Poly"):
         if other.is_zero:
@@ -219,7 +206,7 @@ def _sturm_chain(p: Poly) -> list[Poly]:
 
 
 def _sign_variations(chain, x: Fraction) -> int:
-    signs = [v for v in ((1 if p(x) > 0 else -1 if p(x) < 0 else 0) for p in chain) if v]
+    signs = [v > 0 for v in (p(x) for p in chain) if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -442,10 +429,14 @@ def _expr_zeros(e, lo: Fraction, hi: Fraction):
 # pieces and functions
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Piece:
     """One piece: value poly(x) + sum q_i(x)*sqrt(line_i) on [lo, hi)."""
 
-    __slots__ = ("lo", "hi", "poly", "terms")
+    lo: Fraction
+    hi: Fraction
+    poly: Poly
+    terms: tuple
 
     def __init__(self, lo, hi, poly=_ZERO, terms=()):
         if type(lo) is not Fraction:
@@ -467,9 +458,6 @@ class Piece:
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "terms", terms)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Piece is immutable")
-
     @classmethod
     def from_poly(cls, lo, hi, coeffs) -> "Piece":
         return cls(lo, hi, Poly(coeffs))
@@ -490,20 +478,11 @@ class Piece:
     def value_if_constant(self):
         return _expr_const_value(self.expr)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Piece)
-            and (self.lo, self.hi, self.poly, self.terms)
-            == (other.lo, other.hi, other.poly, other.terms)
-        )
-
-    def __hash__(self):
-        return hash((self.lo, self.hi, self.poly, self.terms))
-
     def __repr__(self):
         return f"Piece([{self.lo}, {self.hi}), poly={self.poly!r}, terms={self.terms!r})"
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class PiecewiseFn:
     """Contiguous pieces over [domain_lo, domain_hi], half-open convention.
 
@@ -512,7 +491,11 @@ class PiecewiseFn:
     equality of two functions is equality of the merged representations.
     """
 
-    __slots__ = ("domain_lo", "domain_hi", "pieces", "_los", "_hash")
+    domain_lo: Fraction = field(compare=False)
+    domain_hi: Fraction = field(compare=False)
+    pieces: tuple
+    _los: tuple = field(compare=False)
+    _hash: int | None = field(compare=False)
 
     def __init__(self, pieces):
         pieces = list(pieces)
@@ -536,9 +519,6 @@ class PiecewiseFn:
         object.__setattr__(self, "_los", tuple(p.lo for p in merged))
         object.__setattr__(self, "_hash", None)
 
-    def __setattr__(self, *a):
-        raise AttributeError("PiecewiseFn is immutable")
-
     @property
     def domain(self):
         return (self.domain_lo, self.domain_hi)
@@ -553,9 +533,6 @@ class PiecewiseFn:
         if x == self.domain_hi:
             return self.pieces[-1]
         return self.pieces[bisect_right(self._los, x) - 1]
-
-    def __eq__(self, other):
-        return isinstance(other, PiecewiseFn) and self.pieces == other.pieces
 
     def __hash__(self):
         # computed once: the Gram cache hashes whole subspaces per lookup

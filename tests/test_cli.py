@@ -450,6 +450,43 @@ def test_gram_radicand_beyond_trial_division(tmp_path, capsys, beta, code):
         assert json.loads(out)["matrix"][0][0]["exact"] == str(beta)
 
 
+def _no_factor_to_31(n):
+    while any(n % p == 0 for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)):
+        n += 1
+    return n
+
+
+#: P/Q with P, Q of 2,200 digits each: inside the document digit limit,
+#: while the radicand P*Q of sqrt(P/Q) has more digits than Python prints
+LONG_NODE = f"{_no_factor_to_31(10**2199)}/{_no_factor_to_31(2 * 10**2199)}"
+
+
+@pytest.mark.parametrize("command", ["verify", "gram", "grid"])
+def test_radicand_past_the_digit_limit_exits_2(tmp_path, capsys, command):
+    # each case runs trial division to 10**6 on the 4,400-digit radicand
+    sqrt_piece = {"poly": ["1"], "sqrt": {"alpha": "1", "beta": "0"}}
+    sub = {"domain": ["0", "1"], "functions": [_sqrt_fn("f", "0")]}
+    if command == "gram":  # integrate sqrt(x) up to the node
+        sub["functions"] = [
+            {"name": "f", "pieces": [
+                {"lo": "0", "hi": LONG_NODE, **sqrt_piece},
+                {"lo": LONG_NODE, "hi": "1", "poly": ["0"]},
+            ]},
+            {"name": "one", "pieces": [{"lo": "0", "hi": "1", "poly": ["1"]}]},
+        ]
+    sub_path, rule_path = tmp_path / "s.subspace.json", tmp_path / "r.rule.json"
+    sub_path.write_text(json.dumps(sub))
+    rule_path.write_text(json.dumps({"nodes": [LONG_NODE], "weights": ["1"]}))
+    argv = {
+        "verify": ["verify", str(sub_path), str(rule_path)],
+        "gram": ["gram", str(sub_path)],
+        "grid": ["grid", str(sub_path), f"--candidates={LONG_NODE}", "-m", "1"],
+    }[command]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot certify a squarefree radicand") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["verify", "reduce", "grid"])
 def test_node_outside_the_domain_exits_2(corpus_dir, tmp_path, capsys, command):
     sub = str(corpus_dir / "ex1.subspace.json")

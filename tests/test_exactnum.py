@@ -100,6 +100,23 @@ def test_split_square_gives_up_beyond_certification_range():
     assert n > DEFAULT_FACTOR_BOUND**3
     with pytest.raises(ExactNumError):
         rad_sqrt(n)
+    # the refusal says why: a failed base-2 test proves the cofactor
+    # composite, while past the proved range it may well be prime
+    for n, why in [
+        (
+            1000003**2 * 1000000000039,
+            "fails the base-2 Fermat test, so it is composite and may hide a square",
+        ),
+        (
+            44890000000000000000000000000163,
+            "is beyond the proved range of the base-2 test and may well be prime",
+        ),
+    ]:
+        with pytest.raises(ExactNumError) as exc:
+            _split_square(n)
+        msg = str(exc.value)
+        assert msg.startswith(f"cannot certify a squarefree radicand for {n}: ")
+        assert msg.endswith(why)
 
 
 def test_single_normalizes_square_factors():

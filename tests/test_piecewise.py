@@ -959,6 +959,18 @@ def test_equal_functions_hash_equal_and_hit_the_gram_cache():
         assert g == f and g is not f
         assert hash(g) == hash(f) == hash(f.pieces)
         assert hash(g) == hash(g)  # the cached value is stable
+    # the pieces and polynomials under those functions are values too
+    for a, b in zip(f.pieces, rebuilt[0].pieces):
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert a.poly == b.poly and hash(a.poly) == hash(b.poly)
+    piece = f.pieces[7]  # sqrt(5) on a constant line
+    ((_, q),) = piece.terms
+    assert piece != Piece(piece.lo, piece.hi, piece.poly, (((0, 7), q),))
+    assert q != Poly(q.coeffs[:-1] + (q.coeffs[-1] + 1,))
+    assert q != q.coeffs and Poly((1, 2)) != (Fraction(1), Fraction(2))
+    for value, name in ((q, "coeffs"), (piece, "lo"), (f, "pieces")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
     built = build_X8()
     loaded = subspace_from_doc(json.loads(json.dumps(subspace_to_doc(built))))
     assert loaded == built and all(a is not b for a, b in zip(loaded.funcs, built.funcs))
