@@ -615,6 +615,48 @@ def test_number_in_an_unwritten_form_exits_2(corpus_dir, tmp_path, capsys, where
     assert err.startswith(f"error: bad {bad} file") and "Traceback" not in err
 
 
+def _digit_limit_message():
+    """The text Python gives for an integer one digit past its digit limit."""
+    try:
+        int("1" * (sys.get_int_max_str_digits() + 1))
+    except ValueError as e:
+        return str(e)
+
+
+#: hostile document numbers and the exact reason the loader gives for each
+LOADER_REFUSALS = {
+    "zero-denominator": ("1/0", lambda: "Fraction(1, 0)"),
+    "arabic-indic": ("٣", lambda: "invalid literal for a rational number: '٣'"),
+    "underscore": ("1_0", lambda: "invalid literal for a rational number: '1_0'"),
+    "exponent": (
+        f"1e{2 * sys.get_int_max_str_digits() + 1}",
+        lambda: f"exponent beyond {2 * sys.get_int_max_str_digits()} in a number",
+    ),
+    "long-numerator": ("1" * (sys.get_int_max_str_digits() + 1), _digit_limit_message),
+    "true": (True, lambda: "expected a rational string, got True"),
+    "float": (1.5, lambda: "expected a rational string, got 1.5"),
+}
+
+
+@pytest.mark.parametrize("where", ["coefficient", "lo", "alpha"])
+@pytest.mark.parametrize("kind", sorted(LOADER_REFUSALS))
+def test_loader_refusal_messages_are_pinned(tmp_path, capsys, where, kind):
+    value, reason = LOADER_REFUSALS[kind]
+    piece = {"lo": "0", "hi": "1", "poly": ["1"], "sqrt": {"alpha": "1", "beta": "0"}}
+    if where == "coefficient":
+        piece["poly"][0] = value
+    elif where == "lo":
+        piece["lo"] = value
+    else:
+        piece["sqrt"]["alpha"] = value
+    sub = tmp_path / "s.subspace.json"
+    sub.write_text(json.dumps({"domain": ["0", "1"], "functions": [{"name": "f", "pieces": [piece]}]}))
+    assert cli.main(["gram", str(sub)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: bad subspace file {sub}: {reason()}\n"
+
+
 def _function_entry(value):
     return lambda sub, rule: sub["functions"].__setitem__(0, value)
 
