@@ -32,6 +32,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache, total_ordering
+from itertools import compress
 
 Rat = Fraction
 
@@ -50,10 +51,33 @@ _WIEFERICH_SEARCH_BOUND = 67 * 10**14
 
 
 @lru_cache(maxsize=None)
+def _odd_prime_flags() -> bytes:
+    """``flags[i] == 1`` iff ``2*i + 1`` is a prime up to
+    ``DEFAULT_FACTOR_BOUND``: a sieve of Eratosthenes over the odd numbers,
+    built on first use."""
+    flags = bytearray([1]) * ((DEFAULT_FACTOR_BOUND + 1) // 2)
+    flags[0] = 0
+    for i in range(1, (math.isqrt(DEFAULT_FACTOR_BOUND) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1  # strike p*p, p*p + 2p, ... at indices p*p//2 + k*p
+            flags[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(flags), p)))
+    return bytes(flags)
+
+
+def _trial_divisors():
+    """2 and the odd numbers below 1001, then only the primes up to
+    ``DEFAULT_FACTOR_BOUND``: a small radicand never needs the sieve."""
+    yield 2
+    yield from range(3, 1001, 2)
+    flags = memoryview(_odd_prime_flags())[500:]  # from 2*500 + 1 = 1001 on
+    yield from compress(range(1001, DEFAULT_FACTOR_BOUND + 1, 2), flags)
+
+
+@lru_cache(maxsize=None)
 def _split_square(n: int) -> tuple[int, int]:
     """Write ``n = s**2 * d`` with ``d`` squarefree; return ``(s, d)``.
 
-    Trial division runs up to ``DEFAULT_FACTOR_BOUND``.  A cofactor m that
+    Trial division by primes runs up to ``DEFAULT_FACTOR_BOUND``.  A cofactor m that
     survives it is certified squarefree when it is prime, a perfect square,
     at most the bound cubed (then it cannot hide a square factor), or below
     ``_WIEFERICH_SEARCH_BOUND**2`` with ``2**(m-1) == 1 (mod m)``: if
@@ -67,8 +91,9 @@ def _split_square(n: int) -> tuple[int, int]:
         raise ExactNumError(f"radicand must be positive, got {n}")
     s = d = 1
     m = n
-    p = 2
-    while p <= DEFAULT_FACTOR_BOUND and p * p <= m:
+    for p in _trial_divisors():
+        if p * p > m:
+            break
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -77,7 +102,8 @@ def _split_square(n: int) -> tuple[int, int]:
             s *= p ** (e // 2)
             if e % 2:
                 d *= p
-        p = 3 if p == 2 else p + 2
+    else:
+        p = DEFAULT_FACTOR_BOUND + 1
     if m == 1:
         return s, d
     if p * p > m:
@@ -108,15 +134,17 @@ _EXPONENT_RE = re.compile(r"[eE]([-+]?\d+)\s*$")
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
-def _parse_rational(text: str) -> Fraction:
-    """``Fraction(text)`` for a number read from a document.
+def _parse_pair(text: str) -> tuple[int, int]:
+    """A number read from a document as the reduced pair ``(num, den)``,
+    ``den > 0``, of ``Fraction(text)``.
 
     Refuses, with ValueError, a non-ASCII character or an underscore, which
     ``Fraction`` reads (``"٣"`` as 3, ``"1_000"`` as 1000) but the program
     never writes; a number whose numerator or denominator has more decimal
     digits than Python converts to text, since no message or output could
     show it; and one whose exponent is over twice that limit: its value
-    would be refused too, after a computation that grows with it.
+    would be refused too, after a computation that grows with it.  A zero
+    denominator raises ZeroDivisionError, as ``Fraction`` does.
     """
     if not text.isascii() or "_" in text:
         raise ValueError(f"invalid literal for a rational number: {text[:40]!r}")
@@ -124,9 +152,17 @@ def _parse_rational(text: str) -> Fraction:
     if not limit or (len(text) <= limit and "e" not in text and "E" not in text):
         # [-]digits[/digits] straight to int(); all else as Fraction reads it
         num, slash, den = text.partition("/")
-        if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
-            return Fraction(int(num), int(den or 1))
-        return Fraction(text)  # no part has more digits than the text
+        if num.removeprefix("-").isdigit():
+            if not slash:
+                return int(num), 1
+            if den.isdigit():
+                n, d = int(num), int(den)
+                if not d:
+                    raise ZeroDivisionError(f"Fraction({n}, 0)")
+                g = math.gcd(n, d)
+                return (n, d) if g == 1 else (n // g, d // g)
+        q = Fraction(text)  # no part has more digits than the text
+        return q.numerator, q.denominator
     exp = _EXPONENT_RE.search(text)
     if exp and abs(int(exp.group(1))) > 2 * limit:
         raise ValueError(f"exponent beyond {2 * limit} in a number")
@@ -134,7 +170,13 @@ def _parse_rational(text: str) -> Fraction:
     big = max(abs(q.numerator), q.denominator)
     if big.bit_length() > 3.32 * limit and big >= 10**limit:
         raise ValueError(f"number with more than {limit} digits")
-    return q
+    return q.numerator, q.denominator
+
+
+def _parse_rational(text: str) -> Fraction:
+    """``Fraction(text)`` for a number read from a document; refuses what
+    :func:`_parse_pair` refuses."""
+    return Fraction(*_parse_pair(text))
 
 
 def _sqrt_interval(d: int, bits: int) -> tuple[Fraction, Fraction]:

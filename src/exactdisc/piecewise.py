@@ -16,8 +16,15 @@ scalars throughout; integration is closed-form via u-substitution.
 
 Invariant: every Piece's terms are canonical and sorted -- distinct
 canonical lines in increasing order, none of them (0, 1), each with a
-nonzero q -- and every Poly has Fraction coefficients without trailing
-zeros.  ``_norm_expr`` is the only canonicalizer: document terms,
+nonzero q -- and every Poly is a tuple of int numerators over one positive
+int denominator in lowest terms (``gcd(*nums, den) == 1``) without a
+trailing zero, so equal polynomials have equal fields.  The polynomial
+kernel runs on those ints and reduces once per result: a sum takes one
+lcm, a product one convolution and one gcd, and an evaluation or integral
+one Horner pass; integrals add int pairs per radicand and build one
+Fraction per radicand.  Breakpoints are Fractions.
+
+``_norm_expr`` is the only canonicalizer: document terms,
 ``Piece.from_poly_sqrt`` and the cross terms of ``_expr_mul`` (the one
 place that decides products of sqrt terms, irrational scalars included)
 pass through it, and ``Piece(lo, hi, poly, terms)`` takes canonical
@@ -34,7 +41,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactnum import ExactNumError, Radical, rad_sqrt, _parse_rational, _split_square
+from .exactnum import ExactNumError, Radical, rad_sqrt, _parse_pair, _split_square
 
 
 class DomainError(ValueError):
@@ -49,143 +56,205 @@ class UnsupportedProduct(ValueError):
 # polynomials
 
 
+def _horner(nums, p: int, q: int) -> int:
+    """q**k * sum(nums[i] * (p/q)**i) for k = len(nums) - 1, in ints."""
+    acc = 0
+    qk = 1
+    for c in reversed(nums):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
+
+
+def _affine_nums(nums, beta: int, alpha: int, gamma: int) -> list:
+    """gamma**k * sum(nums[i] * ((beta + alpha*t)/gamma)**i) as int
+    coefficients in t, for k = len(nums) - 1."""
+    acc = []
+    gk = 1
+    for c in reversed(nums):
+        out = [x * beta for x in acc] + [0]
+        for j, x in enumerate(acc):
+            out[j + 1] += x * alpha
+        out[0] += c * gk
+        acc = out
+        gk *= gamma
+    return acc
+
+
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class Poly:
-    """Dense polynomial with Fraction coefficients, index = power."""
+    """Dense polynomial sum(nums[i] * x**i) / den in lowest terms.
 
-    coeffs: tuple
+    ``den > 0``, ``gcd(*nums, den) == 1`` and ``nums`` has no trailing
+    zero, so the pair is unique: the zero polynomial is ``((), 1)``.
+    """
+
+    nums: tuple
+    den: int
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @classmethod
-    def _of(cls, cs: list) -> "Poly":
-        """A Poly from a list of Fractions, trimmed in place but not coerced."""
+        cs = [c if type(c) is int or type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
+        # over the lcm of reduced denominators the numerators have gcd 1
+        # with it: a coefficient whose denominator holds the highest power
+        # of a prime p leaves a numerator prime to p
+        den = math.lcm(*[c.denominator for c in cs])
+        object.__setattr__(self, "nums", tuple([c.numerator * (den // c.denominator) for c in cs]))
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _of(cls, nums: list, den: int = 1) -> "Poly":
+        """The Poly sum(nums[i] * x**i) / den from ints, den > 0: trailing
+        zeros are trimmed, then one gcd puts the pair in lowest terms."""
+        while nums and not nums[-1]:
+            nums.pop()
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
         self = object.__new__(cls)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
         return self
 
     @property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self.nums) - 1  # -1 for the zero polynomial
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __call__(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        p, q = x.numerator, x.denominator
+        return Fraction(_horner(self.nums, p, q), self.den * q ** max(0, len(self.nums) - 1))
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
+        a, b = self.nums, other.nums
         if not b:
             return self
         if not a:
             return other
+        da, db = self.den, other.den
+        if da != db:
+            g = math.gcd(da, db)
+            a = [x * (db // g) for x in a]
+            b = [y * (da // g) for y in b]
+            da = da // g * db
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly._of(out)
+        for i, y in enumerate(b):
+            out[i] += y
+        return Poly._of(out, da)
 
     def __neg__(self):
-        return Poly._of([-c for c in self.coeffs])
+        return Poly._of([-c for c in self.nums], self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
+    def _scaled(self, n: int, d: int) -> "Poly":
+        """self * n/d for ints n and d > 0."""
+        if n == d:
+            return self
+        if not n or not self.nums:
+            return _ZERO
+        return Poly._of([c * n for c in self.nums], self.den * d)
+
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 1:
-                return self
-            if not other or not self.coeffs:
-                return _ZERO
-            return Poly._of([c * other for c in self.coeffs])
-        if not isinstance(other, Poly):
+        if type(other) is not Poly:
+            if type(other) is int:
+                return self._scaled(other, 1)
+            if type(other) is Fraction:
+                return self._scaled(other.numerator, other.denominator)
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.nums, other.nums
+        if len(b) == 1:
+            return self._scaled(b[0], other.den)
+        if len(a) == 1:
+            return other._scaled(a[0], self.den)
         if not a or not b:
             return _ZERO
-        if len(b) == 1:
-            return self * b[0]
-        if len(a) == 1:
-            return other * a[0]
-        # integer convolution over common denominators, one reduction per
-        # output coefficient
-        da = math.lcm(*(x.denominator for x in a))
-        db = math.lcm(*(y.denominator for y in b))
-        nb = [y.numerator * (db // y.denominator) for y in b]
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
-                x = x.numerator * (da // x.denominator)
-                for j, y in enumerate(nb):
+                for j, y in enumerate(b):
                     out[i + j] += x * y
-        den = da * db
-        return Poly._of([Fraction(c, den) for c in out])
+        return Poly._of(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __divmod__(self, other: "Poly"):
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [_F0] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.coeffs[-1]
-        for i in range(len(quo) - 1, -1, -1):
-            c = rem[i + len(other.coeffs) - 1] / d
+        # pseudo-division on the numerators: lead**k * a == quo * b + rem
+        a, b = self.nums, other.nums
+        k = max(0, len(a) - len(b) + 1)
+        lead = b[-1]
+        rem, quo = list(a), [0] * k
+        for i in range(k - 1, -1, -1):
+            c = rem[i + len(b) - 1]
+            rem = [x * lead for x in rem]
+            quo = [x * lead for x in quo]
             quo[i] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] -= c * b
-        return Poly._of(quo), Poly._of(rem[: len(other.coeffs) - 1])
+            for j, y in enumerate(b):
+                rem[i + j] -= c * y
+        # self = (lead**k * a)/(lead**k * self.den), other = b/other.den
+        scale = lead**k * self.den
+        sign = -1 if scale < 0 else 1
+        return (Poly._of([sign * other.den * x for x in quo], abs(scale)),
+                Poly._of([sign * x for x in rem[: len(b) - 1]], abs(scale)))
 
     def __mod__(self, other):
         return divmod(self, other)[1]
 
     def derivative(self) -> "Poly":
-        return Poly._of([i * c for i, c in enumerate(self.coeffs) if i])
+        return Poly._of([i * c for i, c in enumerate(self.nums) if i], self.den)
 
     def compose_affine(self, c0: Fraction, c1: Fraction) -> "Poly":
         """p(c0 + c1*t) as a polynomial in t."""
-        arg = Poly((c0, c1))
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * arg + Poly._of([c])
-        return acc
+        c0, c1 = Fraction(c0), Fraction(c1)
+        gamma = c0.denominator * c1.denominator
+        nums = _affine_nums(self.nums, c0.numerator * c1.denominator,
+                            c1.numerator * c0.denominator, gamma)
+        return Poly._of(nums, self.den * gamma ** max(0, len(self.nums) - 1))
+
+    def _integral(self, lo: Fraction, hi: Fraction) -> tuple[int, int]:
+        """The integral over [lo, hi] as an int pair (num, den), den > 0."""
+        cs = self.nums
+        if not cs:
+            return 0, 1
+        # the antiderivative sum cs[i] * x**(i+1) / (i+1) is x * A(x) / m with
+        # m = lcm(1..k) and int coefficients cs[i] * m/(i+1) in A; Horner
+        # gives q**k * A(p/q) at both ends
+        k = len(cs)
+        m = math.lcm(*range(2, k + 1))
+        p1, q1, p0, q0 = hi.numerator, hi.denominator, lo.numerator, lo.denominator
+        a1 = a0 = 0
+        qk1 = qk0 = 1
+        for i in range(k - 1, -1, -1):
+            c = cs[i] * (m // (i + 1))
+            a1 = a1 * p1 + c * qk1
+            a0 = a0 * p0 + c * qk0
+            qk1 *= q1
+            qk0 *= q0
+        if q1 == q0:
+            return p1 * a1 - p0 * a0, qk1 * m * self.den
+        return p1 * a1 * qk0 - p0 * a0 * qk1, qk1 * qk0 * m * self.den
 
     def integrate(self, lo: Fraction, hi: Fraction) -> Fraction:
-        cs = self.coeffs
-        if len(cs) <= 1:
-            return cs[0] * (hi - lo) if cs else _F0
-
-        steps = [(c.numerator, c.denominator * (i + 1)) for i, c in enumerate(cs)][::-1]
-
-        def antiderivative(x):  # sum c_i x^(i+1)/(i+1) as an int pair, by Horner
-            p, q = x.numerator, x.denominator
-            num, den = 0, 1
-            for cn, cd in steps:
-                num, den = num * p * cd + cn * den * q, den * q * cd
-            return num * p, den * q
-
-        n1, d1 = antiderivative(hi)
-        n0, d0 = antiderivative(lo)
-        return Fraction(n1 * d0 - n0 * d1, d1 * d0)
+        return Fraction(*self._integral(lo, hi))
 
     def __repr__(self):
         return f"Poly({[str(c) for c in self.coeffs]})"
 
 
-_F0 = Fraction(0)
 _ZERO = Poly()
 
 
@@ -231,7 +300,7 @@ def _poly_zeros_in(p: Poly, lo: Fraction, hi: Fraction):
     if p.degree <= 0:
         return []
     if p.degree == 1:
-        r = -p.coeffs[0] / p.coeffs[1]
+        r = Fraction(-p.nums[0], p.nums[1])
         return [r] if lo <= r <= hi else []
     if real_root_count(p, lo, hi) == 0:
         return []
@@ -245,7 +314,8 @@ Line = tuple[int, int]  # (a, b) for sqrt(a*x + b), integer with squarefree cont
 
 
 def canonical_line(alpha: Fraction, beta: Fraction) -> tuple[Fraction, Line]:
-    """Rewrite sqrt(alpha*x + beta) as scale * sqrt(a*x + b).
+    """Rewrite sqrt(alpha*x + beta), alpha and beta ints or Fractions, as
+    scale * sqrt(a*x + b).
 
     (a, b) is an integer pair whose content (gcd) is squarefree, so it is
     the unique representative of the line modulo square rational factors;
@@ -253,15 +323,14 @@ def canonical_line(alpha: Fraction, beta: Fraction) -> tuple[Fraction, Line]:
     a constant line reduces to (0, d) with d squarefree (d = 1 meaning
     the whole term is rational and should be folded into the poly part).
     """
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    if alpha == 0 and beta == 0:
+    an, da, bn, db = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
+    if not an and not bn:
         return Fraction(0), (0, 1)
-    if alpha == 0 and beta < 0:
+    if not an and bn < 0:
         raise ExactNumError(f"constant radicand {beta} is negative")
-    da, db = alpha.denominator, beta.denominator
     lcm = da * db // math.gcd(da, db)
-    a0 = alpha.numerator * (lcm // da) * lcm  # alpha * lcm**2, exactly
-    b0 = beta.numerator * (lcm // db) * lcm
+    a0 = an * (lcm // da) * lcm  # alpha * lcm**2, exactly
+    b0 = bn * (lcm // db) * lcm
     s, _ = _split_square(math.gcd(a0, b0))
     return Fraction(s, lcm), (a0 // (s * s), b0 // (s * s))
 
@@ -282,7 +351,7 @@ def _norm_expr(poly: Poly, raw_terms) -> tuple[Poly, tuple]:
         if q.is_zero:
             continue
         scale, line = canonical_line(alpha, beta)
-        if scale == 0:
+        if not scale:
             continue
         q = q * scale
         if line == (0, 1):
@@ -318,13 +387,14 @@ def _expr_scale(c: Radical):
     """
     if c.is_rational:
         q = c.as_fraction()
-        if q == 1:
+        n, d = q.numerator, q.denominator
+        if n == d:
             return lambda e: e
-        if not q:
+        if not n:
             return lambda e: (_ZERO, ())
-        return lambda e: (e[0] * q, tuple((ln, t * q) for ln, t in e[1]))
-    rational = Poly._of([coeff for d, coeff in c.terms if d == 1])
-    roots = tuple(((0, d), Poly._of([coeff])) for d, coeff in c.terms if d != 1)
+        return lambda e: (e[0]._scaled(n, d), tuple((ln, t._scaled(n, d)) for ln, t in e[1]))
+    rational = Poly([coeff for d, coeff in c.terms if d == 1])
+    roots = tuple(((0, d), Poly((coeff,))) for d, coeff in c.terms if d != 1)
     return lambda e: _expr_mul(e, (rational, roots))
 
 
@@ -333,8 +403,8 @@ def _expr_mul(e1, e2):
     p2, t2 = e2
     # a term times the other side's poly stays on its canonical line
     linear = _expr_add(
-        (p1 * p2, tuple((ln, q * p2) for ln, q in t1) if p2.coeffs else ()),
-        (_ZERO, tuple((ln, q * p1) for ln, q in t2) if p1.coeffs else ()),
+        (p1 * p2, tuple((ln, q * p2) for ln, q in t1) if p2.nums else ()),
+        (_ZERO, tuple((ln, q * p1) for ln, q in t2) if p1.nums else ()),
     )
     if not (t1 and t2):
         return linear
@@ -347,7 +417,7 @@ def _expr_mul(e1, e2):
                 # sqrt(g1*P)*sqrt(g2*P) = g*sqrt(g1*g2/g^2)*P wherever both
                 # radicands are admissible; every constant line has P = 1
                 g = math.gcd(g1, g2)
-                line_poly = Poly._of([Fraction(g * prim1[1]), Fraction(g * prim1[0])])
+                line_poly = Poly._of([g * prim1[1], g * prim1[0]])
                 raw.append((0, (g1 // g) * (g2 // g), q1 * q2 * line_poly))
             elif a1 == 0 or a2 == 0:
                 # one radicand is constant, so the product is still linear
@@ -367,24 +437,47 @@ def _expr_eval(e, x: Fraction) -> Radical:
     return val
 
 
+def _add_pair(total: dict, d: int, num: int, den: int) -> None:
+    """total[d] += num/den on int pairs over the lcm of the denominators."""
+    n0, d0 = total.get(d, (0, 1))
+    g = math.gcd(d0, den)
+    total[d] = (n0 * (den // g) + num * (d0 // g), d0 // g * den)
+
+
 def _expr_integrate(e, lo: Fraction, hi: Fraction, total: dict) -> None:
-    """Add the integral over [lo, hi] into ``total``, a radicand -> Fraction map."""
+    """Add the integral over [lo, hi] into ``total``, a map from radicand
+    to an int pair (num, den) with den > 0."""
     poly, terms = e
-    if poly.coeffs:
-        total[1] = total.get(1, _F0) + poly.integrate(lo, hi)
+    if poly.nums:
+        _add_pair(total, 1, *poly._integral(lo, hi))
     for (a, b), q in terms:
         if a == 0:  # b is squarefree
-            total[b] = total.get(b, _F0) + q.integrate(lo, hi)
+            _add_pair(total, b, *q._integral(lo, hi))
             continue
         # u = a*x + b: integral of q(x)sqrt(u) dx = F(u)*sqrt(u)/a between
-        # u(lo) and u(hi), with F(u) = sum_k r_k * u^(k+1) / (k+3/2)
-        r = q.compose_affine(Fraction(-b, a), Fraction(1, a))
-        F = Poly._of([_F0] + [c * Fraction(2, 2 * k + 3) for k, c in enumerate(r.coeffs)])
-        for x, scale in ((hi, a), (lo, -a)):
-            u = a * x + b
-            if u:  # F(0) = 0; sqrt(num/den) = s*sqrt(d)/den
-                s, d = _split_square(u.numerator * u.denominator)
-                total[d] = total.get(d, _F0) + F(u) * Fraction(s, u.denominator * scale)
+        # u(lo) and u(hi), with F(u) = sum_j r_j * u^(j+1) / (j+3/2) and
+        # r(u) = q((u - b)/a) = sum_j rn[j] * u^j / (a^(n-1) * q.den); over
+        # the lcm of 3, 5, ..., 2n+1, F(u/v)*sqrt(u/v)/a is
+        # u * H * s*sqrt(d) / (v^(n+1) * den) with H = Horner of steps at u/v
+        n = len(q.nums)
+        rn = _affine_nums(q.nums, -b, 1, a)
+        lcm = math.lcm(*range(3, 2 * n + 2, 2))
+        steps = [c * (2 * lcm // (2 * j + 3)) for j, c in enumerate(rn)]
+        den = lcm * a**n * q.den
+        ends = ((hi, 1), (lo, -1)) if den > 0 else ((hi, -1), (lo, 1))
+        for x, sign in ends:
+            xn, xd = x.numerator, x.denominator
+            u = a * xn + b * xd
+            if u:  # F(0) = 0
+                g = math.gcd(u, xd)
+                u, v = u // g, xd // g
+                s, d = _split_square(u * v)  # sqrt(u/v) = s*sqrt(d)/v
+                _add_pair(total, d, sign * u * _horner(steps, u, v) * s, v ** (n + 1) * abs(den))
+
+
+def _radical_of(total: dict) -> Radical:
+    """The Radical of a radicand -> (num, den) map, one Fraction per radicand."""
+    return Radical._from_map({d: Fraction(num, den) for d, (num, den) in total.items()})
 
 
 def _expr_const_value(e):
@@ -393,7 +486,7 @@ def _expr_const_value(e):
     if poly.degree > 0 or any(a or q.degree > 0 for (a, _), q in terms):
         return None
     # constant lines are (0, d) with d squarefree and distinct, none of them 1
-    return Radical._from_map({1: poly(_F0), **{d: q.coeffs[0] for (_, d), q in terms}})
+    return Radical._from_map({1: poly(0), **{d: q(0) for (_, d), q in terms}})
 
 
 def _is_zero(e) -> bool:
@@ -502,14 +595,15 @@ class PiecewiseFn:
         if not pieces:
             raise ValueError("a piecewise function needs at least one piece")
         for prev, cur in zip(pieces, pieces[1:]):
-            if prev.hi is not cur.lo and prev.hi != cur.lo:
+            a, b = prev.hi, cur.lo  # on ints: loaded seams are distinct objects
+            if a is not b and (a.numerator != b.numerator or a.denominator != b.denominator):
                 raise ValueError(
                     f"pieces not contiguous: [{prev.lo},{prev.hi}) then [{cur.lo},{cur.hi})"
                 )
         merged = [pieces[0]]
         for cur in pieces[1:]:
             last = merged[-1]
-            if last.terms == cur.terms and last.poly.coeffs == cur.poly.coeffs:
+            if last.terms == cur.terms and last.poly == cur.poly:
                 merged[-1] = Piece(last.lo, cur.hi, last.poly, last.terms)
             else:
                 merged.append(cur)
@@ -618,7 +712,7 @@ def pw_integrate(f: PiecewiseFn) -> Radical:
     total = {}
     for p in f.pieces:
         _expr_integrate(p.expr, p.lo, p.hi, total)
-    return Radical._from_map(total)
+    return _radical_of(total)
 
 
 def pw_inner(f: PiecewiseFn, g: PiecewiseFn) -> Radical:
@@ -627,7 +721,7 @@ def pw_inner(f: PiecewiseFn, g: PiecewiseFn) -> Radical:
     total = {}
     for lo, hi, ef, eg in _common_grid(f, g):
         _expr_integrate(_expr_mul(ef, eg), lo, hi, total)
-    return Radical._from_map(total)
+    return _radical_of(total)
 
 
 def breakpoint_limits(f: PiecewiseFn):
@@ -727,13 +821,27 @@ def constant_value_on(f: PiecewiseFn, lo, hi):
 # serialization: all numbers as "p/q" strings
 
 
-def _parse_frac(s) -> Fraction:
-    """A document rational: a string, or a JSON integer (not a boolean)."""
+def _doc_pair(s) -> tuple[int, int]:
+    """A document rational as a reduced pair (num, den): a string, or a JSON
+    integer (not a boolean)."""
     if isinstance(s, str):
-        return _parse_rational(s)  # Fraction reads surrounding ASCII blanks
+        return _parse_pair(s)  # Fraction reads surrounding ASCII blanks
     if type(s) is int:  # bool is an int subclass
-        return Fraction(s)
+        return s, 1
     raise ValueError(f"expected a rational string, got {s!r}")
+
+
+def _parse_frac(s) -> Fraction:
+    """A document rational as a Fraction."""
+    return Fraction(*_doc_pair(s))
+
+
+def _doc_poly(values: list) -> Poly:
+    """The Poly of a document's coefficient list, over the lcm of the
+    reduced denominators, which leaves it in lowest terms."""
+    pairs = [_doc_pair(c) for c in values]
+    den = math.lcm(*(d for _, d in pairs))
+    return Poly._of([n * (den // d) for n, d in pairs], den)
 
 
 def _doc_list(doc: dict, key: str, default=None) -> list:
@@ -745,24 +853,29 @@ def _doc_list(doc: dict, key: str, default=None) -> list:
     return v
 
 
+def _coeff_strs(p: Poly) -> list:
+    """p's coefficients as document strings, str(Fraction) of each; ["0"]
+    for the zero polynomial."""
+    out = []
+    for n in p.nums:
+        g = math.gcd(n, p.den)
+        out.append(str(n // g) if g == p.den else f"{n // g}/{p.den // g}")
+    return out or ["0"]
+
+
 def piece_to_doc(p: Piece) -> dict:
     doc = {"lo": str(p.lo), "hi": str(p.hi)}
     if not p.terms:
-        doc["poly"] = [str(c) for c in p.poly.coeffs] or ["0"]
+        doc["poly"] = _coeff_strs(p.poly)
         return doc
     if len(p.terms) == 1 and p.poly.is_zero:
         (a, b), q = p.terms[0]
-        doc["poly"] = [str(c) for c in q.coeffs] or ["0"]
+        doc["poly"] = _coeff_strs(q)
         doc["sqrt"] = {"alpha": str(a), "beta": str(b)}
         return doc
-    doc["poly"] = [str(c) for c in p.poly.coeffs] or ["0"]
+    doc["poly"] = _coeff_strs(p.poly)
     doc["sqrt_terms"] = [
-        {
-            "coeff": [str(c) for c in q.coeffs] or ["0"],
-            "alpha": str(a),
-            "beta": str(b),
-        }
-        for (a, b), q in p.terms
+        {"coeff": _coeff_strs(q), "alpha": str(a), "beta": str(b)} for (a, b), q in p.terms
     ]
     return doc
 
@@ -770,20 +883,20 @@ def piece_to_doc(p: Piece) -> dict:
 def piece_from_doc(doc: dict) -> Piece:
     lo = _parse_frac(doc["lo"])
     hi = _parse_frac(doc["hi"])
-    coeffs = [_parse_frac(c) for c in _doc_list(doc, "poly", ["0"])]
+    # "poly" is q of q(x)*sqrt(...) beside "sqrt" and the rational part
+    # beside "sqrt_terms", so a piece with both keys has no single reading
+    if "sqrt" in doc and "sqrt_terms" in doc:
+        raise ValueError("a piece takes 'sqrt' or 'sqrt_terms', not both")
+    poly = _doc_poly(_doc_list(doc, "poly", ["0"]))
     if "sqrt" in doc:
         alpha = _parse_frac(doc["sqrt"]["alpha"])
         beta = _parse_frac(doc["sqrt"]["beta"])
-        return Piece(lo, hi, *_norm_expr(_ZERO, [(alpha, beta, Poly._of(coeffs))]))
+        return Piece(lo, hi, *_norm_expr(_ZERO, [(alpha, beta, poly)]))
     raw = [
-        (
-            _parse_frac(t["alpha"]),
-            _parse_frac(t["beta"]),
-            Poly._of([_parse_frac(c) for c in _doc_list(t, "coeff")]),
-        )
+        (_parse_frac(t["alpha"]), _parse_frac(t["beta"]), _doc_poly(_doc_list(t, "coeff")))
         for t in _doc_list(doc, "sqrt_terms", [])
     ]
-    return Piece(lo, hi, *_norm_expr(Poly._of(coeffs), raw))
+    return Piece(lo, hi, *_norm_expr(poly, raw))
 
 
 def fn_to_doc(name: str, f: PiecewiseFn) -> dict:

@@ -450,6 +450,24 @@ def test_gram_radicand_beyond_trial_division(tmp_path, capsys, beta, code):
         assert json.loads(out)["matrix"][0][0]["exact"] == str(beta)
 
 
+def test_piece_with_sqrt_and_sqrt_terms_exits_2(tmp_path, capsys):
+    # "poly" is q of q(x)*sqrt(...) beside "sqrt" and the rational part
+    # beside "sqrt_terms"; the second key used to be dropped without a word
+    piece = {"lo": "0", "hi": "1", "poly": ["1"], "sqrt": {"alpha": "0", "beta": "2"},
+             "sqrt_terms": [{"coeff": ["5"], "alpha": "1", "beta": "0"}]}
+    sub = tmp_path / "both.subspace.json"
+    sub.write_text(json.dumps({"domain": ["0", "1"], "functions": [{"name": "f", "pieces": [piece]}]}))
+    assert cli.main(["gram", str(sub)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: bad subspace file {sub}: a piece takes 'sqrt' or 'sqrt_terms', not both\n"
+    for key in ("sqrt", "sqrt_terms"):  # either key alone is read
+        one = {k: v for k, v in piece.items() if k != key}
+        sub.write_text(json.dumps({"domain": ["0", "1"], "functions": [{"name": "f", "pieces": [one]}]}))
+        assert cli.main(["gram", str(sub), "--format", "json"]) == 0
+        capsys.readouterr()
+
+
 def _no_factor_to_31(n):
     while any(n % p == 0 for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)):
         n += 1

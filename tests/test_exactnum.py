@@ -93,6 +93,59 @@ def test_split_square_certifies_base2_pseudoprimes():
         assert _split_square(n) == (1, n)
 
 
+def _split_square_by_odd_numbers(n):
+    """Reference: _split_square with trial division by every odd number up
+    to DEFAULT_FACTOR_BOUND, as it was before it divided by primes only."""
+    s = d = 1
+    m = n
+    p = 2
+    while p <= DEFAULT_FACTOR_BOUND and p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            s *= p ** (e // 2)
+            if e % 2:
+                d *= p
+        p = 3 if p == 2 else p + 2
+    if m == 1 or p * p > m:
+        return s, d * m
+    r = math.isqrt(m)
+    if r * r == m:
+        return s * r, d
+    if m <= DEFAULT_FACTOR_BOUND**3:
+        return s, d * m
+    if m < 67 * 10**14 * 67 * 10**14 and pow(2, m - 1, m) == 1:
+        return s, d * m
+    return "refused"
+
+
+def test_split_square_matches_the_odd_number_loop():
+    psi12 = 318665857834031151167461
+    edge = [
+        999983**2 * 7,
+        1000003**2 * 5,  # a prime square just past the trial bound
+        999983 * 1000003,
+        1093**2 * 1000000000039,
+        3511**2 * 1000000000039,
+        1093**2 * 3511 * 1000003 * 1000033 * 1000037,
+        psi12, 9 * psi12, 1000000009 * 6000000049, 44889999999999999999999999999881,
+        999983, 1000001, 1000003, 1000001**2, 997 * 1009, 1009**2 * 2,
+    ]
+    rng = random.Random(2024)
+    # the reference divides a cofactor past 10**12 by 500,000 odd numbers
+    seeded = [rng.randrange(1, 10**k) for k in (2, 4, 6, 9) for _ in range(50)]
+    seeded += [rng.randrange(1, 10**k) for k in (12, 15) for _ in range(3)]
+    seeded += [rng.randrange(1, 10**6) ** 2 * rng.randrange(1, 10**6) for _ in range(6)]
+    for n in edge + seeded:
+        try:
+            got = _split_square(n)
+        except ExactNumError:
+            got = "refused"
+        assert got == _split_square_by_odd_numbers(n), n
+
+
 def test_split_square_gives_up_beyond_certification_range():
     # a composite above the bound cubed with no small factor that fails the
     # base-2 Fermat test is neither prime nor proven free of square factors

@@ -3,6 +3,7 @@ support reasoning, and the JSON round-trip."""
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -194,7 +195,15 @@ def _random_end(rng):
 
 
 def _is_canonical_poly(p):
-    return all(type(c) is Fraction for c in p.coeffs) and (not p.coeffs or p.coeffs[-1] != 0)
+    """Int numerators over one positive denominator, in lowest terms and
+    without a trailing zero; the coefficients read back as Fractions."""
+    nums, den = p.nums, p.den
+    return (
+        type(nums) is tuple and all(type(n) is int for n in nums)
+        and type(den) is int and den > 0 and math.gcd(den, *nums) == 1
+        and (not nums or nums[-1] != 0)
+        and all(type(c) is Fraction for c in p.coeffs)
+    )
 
 
 def test_poly_kernel_matches_list_reference():
@@ -209,14 +218,21 @@ def test_poly_kernel_matches_list_reference():
         lo, hi = _random_end(rng), _random_end(rng)
         got = a.integrate(lo, hi)
         assert type(got) is Fraction and got == _ref_integrate(ca, lo, hi), (ca, lo, hi)
-        c = rng.choice((0, 1, -1, Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))))
+        c = rng.choice((0, 1, -1, Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)),
+                        Fraction(rng.randrange(-10**9, 10**9), rng.randrange(1, 10**6))))
         c0, c1 = (Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(2))
+        x = _random_end(rng)
+        got = a(x)
+        assert type(got) is Fraction and got == _ref_poly_at(ca, x), (ca, x)
         results = {
             "add": (a + b, _ref_add(ca, cb)),
             "sub": (a - b, _ref_add(ca, [-x for x in cb])),
             "mul": (a * b, _ref_mul(ca, cb)),
             "scalar": (a * c, _ref_mul(ca, [Fraction(c)])),
             "rscalar": (c * a, _ref_mul(ca, [Fraction(c)])),
+            "int-scalar": (a * int(c), _ref_mul(ca, [Fraction(int(c))])),
+            "poly-scalar": (a * Poly((c,)), _ref_mul(ca, [Fraction(c)])),
+            "rpoly-scalar": (Poly((c,)) * a, _ref_mul(ca, [Fraction(c)])),
             "compose": (a.compose_affine(c0, c1), _ref_compose(ca, c0, c1)),
             "derivative": (a.derivative(), _trim(i * x for i, x in enumerate(ca) if i)),
         }
@@ -229,6 +245,64 @@ def test_poly_kernel_matches_list_reference():
             assert list(got.coeffs) == want, (op, ca, cb)
             assert _is_canonical_poly(got), (op, got)
             assert got == Poly(want)
+
+
+def _doc_text(c, rng):
+    """c as a document number, sometimes unreduced, signed zero or a JSON int."""
+    c = Fraction(c)
+    k = rng.choice((1, 1, 2, 6))
+    if c.denominator == 1 and rng.random() < 0.3:
+        return int(c)
+    if not c and rng.random() < 0.5:
+        return "-0"
+    return f"{c.numerator * k}/{c.denominator * k}" if k > 1 else str(c)
+
+
+def test_int_poly_canonical_form_on_every_route():
+    rng = random.Random(97)
+    for _ in range(300):
+        draw = _big_coeff_list if rng.random() < 0.3 else _random_coeff_list
+        ca, cb = draw(rng), draw(rng)
+        a, b = Poly(ca), Poly(cb)
+        c = rng.choice((0, 1, -1, 2, Fraction(rng.randrange(-7, 8), rng.randrange(1, 9))))
+        c0, c1 = (Fraction(rng.randrange(-3, 4), rng.randrange(1, 5)) for _ in range(2))
+        piece = piece_from_doc({"lo": "0", "hi": "1", "poly": [_doc_text(x, rng) for x in ca] or ["0"]})
+        sqrt_terms = piece_from_doc({
+            "lo": "0", "hi": "1", "poly": ["0"],
+            "sqrt_terms": [{"coeff": [_doc_text(x, rng) for x in ca] or ["0"],
+                            "alpha": "1", "beta": "0"}],
+        })
+        routes = {
+            "init": (a, _trim(Fraction(x) for x in ca)),
+            "loader": (piece.poly, _trim(Fraction(x) for x in ca)),
+            "add": (a + b, _ref_add(list(a.coeffs), list(b.coeffs))),
+            "sub": (a - b, _ref_add(list(a.coeffs), [-x for x in b.coeffs])),
+            "neg": (-a, [-x for x in a.coeffs]),
+            "mul": (a * b, _ref_mul(list(a.coeffs), list(b.coeffs))),
+            "scalar": (a * c, _ref_mul(list(a.coeffs), [Fraction(c)])),
+            "compose": (a.compose_affine(c0, c1), _ref_compose(list(a.coeffs), c0, c1)),
+            "derivative": (a.derivative(), _trim(i * x for i, x in enumerate(a.coeffs) if i)),
+        }
+        if sqrt_terms.terms:
+            routes["loader-sqrt"] = (sqrt_terms.terms[0][1], _trim(Fraction(x) for x in ca))
+        if not b.is_zero:
+            quo, rem = divmod(a, b)
+            ref_quo, ref_rem = _ref_divmod(list(a.coeffs), list(b.coeffs))
+            routes["quo"], routes["rem"] = (quo, ref_quo), (rem, ref_rem)
+        for route, (got, want) in routes.items():
+            assert _is_canonical_poly(got), (route, got.nums, got.den)
+            assert list(got.coeffs) == want, (route, ca, cb)
+        # one polynomial reached by several routes is one value
+        same = [
+            a, piece.poly, Poly(a.coeffs), Poly(list(a.coeffs) + [0, 0]), (a + b) - b,
+            a * 1, a * Poly((1,)), (a * 6) * Fraction(1, 6), a.compose_affine(0, 1),
+            -(-a), divmod(a, Poly((1,)))[0], divmod(a * Poly((0, 1)), Poly((0, 1)))[0],
+        ]
+        for p in same:
+            assert p == a and hash(p) == hash(a) and (p.nums, p.den) == (a.nums, a.den), (ca, p)
+    assert (Poly().nums, Poly().den) == ((), 1)
+    p = Poly((Fraction(2, 4), Fraction(-6, 8), 0))
+    assert (p.nums, p.den) == ((2, -3), 4)
 
 
 def test_poly_identity_shortcuts():
@@ -968,7 +1042,7 @@ def test_equal_functions_hash_equal_and_hit_the_gram_cache():
     assert piece != Piece(piece.lo, piece.hi, piece.poly, (((0, 7), q),))
     assert q != Poly(q.coeffs[:-1] + (q.coeffs[-1] + 1,))
     assert q != q.coeffs and Poly((1, 2)) != (Fraction(1), Fraction(2))
-    for value, name in ((q, "coeffs"), (piece, "lo"), (f, "pieces")):
+    for value, name in ((q, "nums"), (piece, "lo"), (f, "pieces")):
         with pytest.raises(AttributeError):
             setattr(value, name, getattr(value, name))
     built = build_X8()
