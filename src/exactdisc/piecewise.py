@@ -93,14 +93,22 @@ class Poly:
     den: int
 
     def __init__(self, coeffs=()):
-        cs = [c if type(c) is int or type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
         # over the lcm of reduced denominators the numerators have gcd 1
         # with it: a coefficient whose denominator holds the highest power
         # of a prime p leaves a numerator prime to p
-        den = math.lcm(*[c.denominator for c in cs])
-        object.__setattr__(self, "nums", tuple([c.numerator * (den // c.denominator) for c in cs]))
+        nums, den = [], 1
+        for c in coeffs:
+            if type(c) is not int and type(c) is not Fraction:
+                c = Fraction(c)
+            d = c.denominator
+            if den % d:
+                m = d // math.gcd(den, d)
+                nums = [n * m for n in nums]
+                den *= m
+            nums.append(c.numerator * (den // d))
+        while nums and not nums[-1]:
+            nums.pop()
+        object.__setattr__(self, "nums", tuple(nums))
         object.__setattr__(self, "den", den)
 
     @classmethod
