@@ -12,7 +12,8 @@ value as ``A + B*sqrt(q)`` with sqrt(q) independent of ``A`` and ``B``
 reduces it to signs in a field with one generator fewer.
 
 Rationals are plain :class:`fractions.Fraction` (aliased ``Rat``);
-:class:`Radical` carries the sqrt combinations.  Exact linear algebra runs
+:class:`Radical` carries the sqrt combinations, as int numerators over one
+common denominator, so its arithmetic runs on ints.  Exact linear algebra runs
 on fraction-free rows of one kind, :class:`_Rows`, over the field of its
 inputs (``_rows_for``): the radicands are split into a coprime base
 g_1, ..., g_k, and a row holds the integer coefficients of the 2^k square
@@ -179,53 +180,74 @@ def _parse_rational(text: str) -> Fraction:
     return Fraction(*_parse_pair(text))
 
 
-def _sqrt_interval(d: int, bits: int) -> tuple[Fraction, Fraction]:
-    # enclosure of sqrt(d) of width 2**-bits
-    s = math.isqrt(d << (2 * bits))
-    return Fraction(s, 1 << bits), Fraction(s + 1, 1 << bits)
+def _operand(x) -> tuple | None:
+    """``(terms, den)`` of a Radical, int or Fraction operand; None for any
+    other type.  An int or Fraction is read as its numerator and denominator."""
+    if isinstance(x, Radical):
+        return x._terms, x._den
+    if isinstance(x, (int, Fraction)):
+        n = x.numerator
+        return ((1, n),) if n else (), x.denominator
+    return None
 
 
 @total_ordering
 class Radical:
-    """An exact value ``sum(c_d * sqrt(d))`` over squarefree integers ``d``.
+    """An exact value ``sum(n_d * sqrt(d)) / den`` over squarefree integers ``d``.
 
-    The rational part rides on the key ``d == 1``.  Terms are stored
-    sorted by radicand with all-nonzero coefficients, which makes the
-    representation canonical: ``x == y`` iff the term tuples match.
+    ``_terms`` holds the pairs ``(d, n_d)`` sorted by radicand, each ``n_d``
+    a nonzero int; the rational part rides on the key ``d == 1``.  ``_den``
+    is an int > 0 with ``gcd(den, *n_d) == 1``, and zero is ``((), 1)``.
+    That makes the representation canonical: ``x == y`` iff the pairs and
+    the denominators match.  Every operation runs on ints and reduces once.
     Instances are immutable, hashable and safe to share across threads.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, value: int | Fraction | "Radical" = 0):
-        if isinstance(value, Radical):
-            self._terms = value._terms
-        elif isinstance(value, (int, Fraction)):
-            q = Fraction(value)
-            self._terms = ((1, q),) if q else ()
-        else:
+        pair = _operand(value)
+        if pair is None:
             raise TypeError(f"cannot build a Radical from {type(value).__name__}")
+        self._terms, self._den = pair
 
     @classmethod
-    def _raw(cls, terms: tuple[tuple[int, Fraction], ...]) -> "Radical":
+    def _raw(cls, terms: tuple, den: int) -> "Radical":
         self = object.__new__(cls)
         self._terms = terms
+        self._den = den
         return self
 
     @classmethod
-    def _from_map(cls, terms: dict[int, Fraction]) -> "Radical":
-        return cls._raw(tuple(sorted((d, c) for d, c in terms.items() if c)))
+    def _of(cls, terms: tuple, den: int) -> "Radical":
+        """The value of sorted pairs with nonzero int numerators over an int
+        ``den > 0``, put in lowest terms by one gcd."""
+        if not terms:
+            return cls._raw((), 1)
+        g = math.gcd(den, *[c for _, c in terms])
+        if g != 1:
+            terms = tuple([(d, c // g) for d, c in terms])
+            den //= g
+        return cls._raw(terms, den)
 
     @classmethod
-    def single(cls, d: int, coeff: Fraction) -> "Radical":
+    def _from_pairs(cls, pairs: dict) -> "Radical":
+        """The value of a map from squarefree radicand to an int pair
+        ``(num, den)`` with ``den > 0``, over the lcm of the denominators."""
+        den = math.lcm(*[d for n, d in pairs.values() if n])
+        return cls._of(tuple(sorted((r, n * (den // d)) for r, (n, d) in pairs.items() if n)), den)
+
+    @classmethod
+    def single(cls, d: int, coeff: int | Fraction) -> "Radical":
         """The value ``coeff * sqrt(d)`` for a positive integer ``d``, with
         its square factor moved into the coefficient."""
         s, d = _split_square(d)  # ExactNumError unless d >= 1
-        return cls._from_map({d: Fraction(coeff) * s if s > 1 else Fraction(coeff)})
+        n = coeff.numerator * s
+        return cls._of(((d, n),) if n else (), coeff.denominator)
 
     @property
     def terms(self) -> tuple[tuple[int, Fraction], ...]:
-        return self._terms
+        return tuple([(d, Fraction(c, self._den)) for d, c in self._terms])
 
     @property
     def is_zero(self) -> bool:
@@ -239,56 +261,87 @@ class Radical:
         if not self._terms:
             return Fraction(0)
         if self.is_rational:
-            return self._terms[0][1]
+            return Fraction(self._terms[0][1], self._den)
         raise ExactNumError(f"{self} is irrational")
 
     # -- ring operations ------------------------------------------------
 
     @staticmethod
-    def _coerce(other) -> "Radical | None":
-        if isinstance(other, Radical):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Radical(other)
-        return None
+    def _sum(t1: tuple, d: int, t2: tuple, e: int, sign: int) -> "Radical":
+        """``t1/d + sign * t2/e`` over ``d*e/gcd(d, e)``: a common factor of
+        the result's numerators and denominator divides that gcd (Knuth,
+        TAOCP Vol. 2, 4.5.1), so one gcd with it reduces the sum."""
+        if not t2:
+            return Radical._raw(t1, d)
+        if not t1:
+            return Radical._raw(t2 if sign > 0 else tuple([(r, -c) for r, c in t2]), e)
+        g = math.gcd(d, e)
+        a, b = e // g, sign * (d // g)
+        den = d * a
+        if len(t1) == 1 and len(t2) == 1 and t1[0][0] == t2[0][0]:
+            n = t1[0][1] * a + t2[0][1] * b
+            if not n:
+                return Radical._raw((), 1)
+            h = math.gcd(n, g)
+            return Radical._raw(((t1[0][0], n // h),), den // h)
+        acc = dict(t1) if a == 1 else {r: c * a for r, c in t1}
+        for r, c in t2:
+            acc[r] = acc.get(r, 0) + c * b
+        terms = tuple(sorted(item for item in acc.items() if item[1]))
+        if not terms:
+            return Radical._raw((), 1)
+        if g != 1:
+            h = math.gcd(g, *[c for _, c in terms])
+            if h != 1:
+                terms = tuple([(r, c // h) for r, c in terms])
+                den //= h
+        return Radical._raw(terms, den)
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        acc = dict(self._terms)
-        for d, c in o._terms:
-            acc[d] = acc.get(d, Fraction(0)) + c
-        return Radical._from_map(acc)
+        return Radical._sum(self._terms, self._den, *o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Radical._raw(tuple((d, -c) for d, c in self._terms))
+        return Radical._raw(tuple([(d, -c) for d, c in self._terms]), self._den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return Radical._sum(self._terms, self._den, *o, -1)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return Radical._sum(*o, self._terms, self._den, -1)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        acc: dict[int, Fraction] = {}
-        for d1, c1 in self._terms:
-            for d2, c2 in o._terms:
+        t1, t2 = self._terms, o[0]
+        if not t1 or not t2:
+            return Radical._raw((), 1)
+        den = self._den * o[1]
+        # sqrt(d1) * sqrt(d2) = g * sqrt(d1*d2/g^2) with g = gcd(d1, d2)
+        if len(t1) == 1 and len(t2) == 1:
+            (d1, c1), (d2, c2) = t1[0], t2[0]
+            g = math.gcd(d1, d2)
+            n = c1 * c2 * g
+            h = math.gcd(n, den)
+            return Radical._raw((((d1 // g) * (d2 // g), n // h),), den // h)
+        acc: dict[int, int] = {}
+        for d1, c1 in t1:
+            for d2, c2 in t2:
                 g = math.gcd(d1, d2)
                 d = (d1 // g) * (d2 // g)
-                acc[d] = acc.get(d, Fraction(0)) + c1 * c2 * g
-        return Radical._from_map(acc)
+                acc[d] = acc.get(d, 0) + c1 * c2 * g
+        return Radical._of(tuple(sorted(item for item in acc.items() if item[1])), den)
 
     __rmul__ = __mul__
 
@@ -306,6 +359,11 @@ class Radical:
             n >>= 1
         return out
 
+    def _reciprocal(self) -> "Radical":
+        # 1 / (n/den) for a rational self != 0
+        n, den = self._terms[0][1], self._den
+        return Radical._raw(((1, den if n > 0 else -den),), abs(n))
+
     def inverse(self) -> "Radical":
         """Exact reciprocal, one quadratic step at a time.
 
@@ -318,9 +376,9 @@ class Radical:
         if not self._terms:
             raise ZeroDivisionError("Radical division by zero")
         if self.is_rational:
-            return Radical(1 / self._terms[0][1])
+            return self._reciprocal()
         q, a, b = self._split()
-        conj = Radical._raw(tuple((d, c if d % q else -c) for d, c in self._terms))
+        conj = Radical._raw(tuple([(d, c if d % q else -c) for d, c in self._terms]), self._den)
         return conj * (a * a - q * (b * b)).inverse()
 
     def _split(self) -> tuple[int, "Radical", "Radical"]:
@@ -337,44 +395,37 @@ class Radical:
             g = math.gcd(q, d)
             if 1 < g < q:
                 q = g
-        a: dict[int, Fraction] = {}
-        b: dict[int, Fraction] = {}
-        for d, c in self._terms:
-            if d % q:
-                a[d] = c
-            else:
-                b[d // q] = c
-        return q, Radical._from_map(a), Radical._from_map(b)
+        a = tuple([(d, c) for d, c in self._terms if d % q])
+        b = tuple([(d // q, c) for d, c in self._terms if not d % q])  # still sorted
+        return q, Radical._of(a, self._den), Radical._of(b, self._den)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        if o.is_rational:
-            q = o.as_fraction()
-            if q == 0:
-                raise ZeroDivisionError("Radical division by zero")
-            return self * Radical(1 / q)
-        return self * o.inverse()
+        o = Radical._raw(*o)
+        if not o._terms:
+            raise ZeroDivisionError("Radical division by zero")
+        return self * (o._reciprocal() if o.is_rational else o.inverse())
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return Radical._raw(*o) / self
 
     # -- comparisons -----------------------------------------------------
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        return self._terms == o._terms
+        return self._terms == o[0] and self._den == o[1]
 
     def __hash__(self):
         if self.is_rational:
             return hash(self.as_fraction())
-        return hash(self._terms)
+        return hash((self._terms, self._den))
 
     def __bool__(self):
         return bool(self._terms)
@@ -390,9 +441,9 @@ class Radical:
         """
         if not self._terms:
             return 0
-        signs = {1 if c > 0 else -1 for _, c in self._terms}
+        signs = {c > 0 for _, c in self._terms}
         if len(signs) == 1:
-            return signs.pop()  # all terms pull the same way
+            return 1 if signs.pop() else -1  # all terms pull the same way
         for bits in (64, 128, 256, 512):
             lo, hi = self._enclosure(bits)
             if lo > 0:
@@ -406,28 +457,29 @@ class Radical:
         # |A| > |B|*sqrt(q) iff A^2 > q*B^2; never equal as self != 0
         return sa * (a * a - q * (b * b)).sign()
 
-    def _enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
-        """Rational bounds ``(lo, hi)`` on the value, each sqrt(d) enclosed to 2**-bits."""
-        lo = hi = Fraction(0)
+    def _enclosure(self, bits: int) -> tuple[int, int]:
+        """Int bounds ``(lo, hi)`` on the value times ``den * 2**bits``, each
+        sqrt(d) enclosed by ``isqrt(d * 4**bits)`` and one more over 2**bits."""
+        lo = hi = 0
         for d, c in self._terms:
             if d == 1:
-                lo += c
-                hi += c
+                lo += c << bits
+                hi += c << bits
                 continue
-            slo, shi = _sqrt_interval(d, bits)
+            s = math.isqrt(d << (2 * bits))
             if c > 0:
-                lo += c * slo
-                hi += c * shi
+                lo += c * s
+                hi += c * (s + 1)
             else:
-                lo += c * shi
-                hi += c * slo
+                lo += c * (s + 1)
+                hi += c * s
         return lo, hi
 
     def __lt__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        return (self - o).sign() < 0
+        return Radical._sum(self._terms, self._den, *o, -1).sign() < 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -435,11 +487,15 @@ class Radical:
     # -- rendering -------------------------------------------------------
 
     def to_float(self) -> float:
-        """Advisory double-precision value (exact midpoint of a 128-bit enclosure)."""
+        """Advisory double-precision value: a rational value correctly
+        rounded, otherwise the exact midpoint of a 128-bit enclosure
+        (int true division rounds correctly)."""
         if not self._terms:
             return 0.0
+        if self.is_rational:
+            return self._terms[0][1] / self._den
         lo, hi = self._enclosure(128)
-        return float((lo + hi) / 2)
+        return (lo + hi) / (self._den << 129)
 
     __float__ = to_float
 
@@ -448,13 +504,15 @@ class Radical:
             return "0"
         parts: list[str] = []
         for d, c in self._terms:
+            g = math.gcd(c, self._den)
+            n, e = abs(c) // g, self._den // g
             try:
-                body = str(abs(c))  # ValueError past the int-to-text digit limit
+                body = str(n) if e == 1 else f"{n}/{e}"  # ValueError past the digit limit
             except ValueError as exc:
                 limit = _max_str_digits()
                 raise ExactNumError(f"value with more than {limit} digits cannot be printed") from exc
             if d != 1:
-                body = f"sqrt({d})" if abs(c) == 1 else f"{body}*sqrt({d})"
+                body = f"sqrt({d})" if n == e == 1 else f"{body}*sqrt({d})"
             if not parts:
                 parts.append(body if c > 0 else "-" + body)
             else:
@@ -472,28 +530,25 @@ class Radical:
 
         Accepts any sum of signed terms ``p/q`` or ``[c*]sqrt(d)``; input
         radicands need not be squarefree (they are normalized on entry).
+        Raises ExactNumError on anything else.
         """
         compact = text.replace(" ", "")
         if not compact:
             raise ExactNumError("empty Radical literal")
-        if compact == "0":
-            return cls(0)
         tokens = re.findall(r"[+-]?[^+-]+", compact)
         if "".join(tokens) != compact:
             raise ExactNumError(f"cannot parse Radical literal {text!r}")
         total = cls(0)
         for tok in tokens:
-            sign = -1 if tok.startswith("-") else 1
             body = tok.lstrip("+-")
             m = cls._TERM_RE.match(body)
-            if m:
-                coeff = _parse_rational(m.group(1)) if m.group(1) else Fraction(1)
-                term = rad_sqrt(int(m.group(2))) * Radical(sign * coeff)
-            else:
-                try:
-                    term = cls(sign * _parse_rational(body))
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise ExactNumError(f"cannot parse Radical term {tok!r}: {exc}") from exc
+            try:
+                n, d = _parse_pair((m.group(1) or "1") if m else body)
+                term = cls._raw(((1, -n if tok[0] == "-" else n),) if n else (), d)
+                if m:
+                    term = term * rad_sqrt(int(m.group(2)))  # ValueError past the digit limit
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ExactNumError(f"cannot parse Radical term {tok[:40]!r}: {exc}") from exc
             total = total + term
         return total
 
@@ -598,14 +653,15 @@ class _Rows:
         for i, x in enumerate(values):
             if isinstance(x, Radical):
                 for r, c in x._terms:
-                    ratios[i if r == 1 else index[r] * n + i] = c.as_integer_ratio()
+                    ratios[i if r == 1 else index[r] * n + i] = (c, x._den)
             else:
                 ratios[i] = x.as_integer_ratio()
         return ratios
 
     def _ints(self, values) -> tuple[list, int]:
         """The values' coefficients times the lcm of their denominators,
-        and that lcm."""
+        and that lcm.  A Radical's denominator is the lcm of its reduced
+        coefficients' denominators, so the lcm is that of the reduced ones."""
         ratios = self._ratios(values)
         den = math.lcm(*[d for _, d in ratios])
         return [n * (den // d) for n, d in ratios], den
@@ -739,9 +795,9 @@ class _Rows:
         return sb if (a > 0) - (a < 0) != -sb or self.rad[1] * b * b > a * a else -sb
 
     def _radical(self, x, den=1) -> "Radical":
-        if not self.k:
-            return Radical._raw(((1, Fraction(x[0], den)),) if x[0] else ())
-        return Radical._raw(tuple([(self.rad[S], Fraction(x[S], den)) for S in self.order if x[S]]))
+        if den < 0:
+            x, den = [-v for v in x], -den
+        return Radical._of(tuple([(self.rad[S], x[S]) for S in self.order if x[S]]), den)
 
 
 class _Value:
@@ -816,13 +872,14 @@ def rad_sqrt(q: int | Fraction) -> Radical:
     factor ``s**2`` of ``p*r`` is extracted so the result is a single term
     ``(s/r)*sqrt(d)`` with ``d`` squarefree.
     """
-    q = Fraction(q)
-    if q < 0:
+    n, r = q.numerator, q.denominator
+    if n < 0:
         raise ExactNumError(f"square root of negative rational {q}")
-    if q == 0:
+    if not n:
         return Radical(0)
-    s, d = _split_square(q.numerator * q.denominator)
-    return Radical._raw(((d, Fraction(s, q.denominator)),))
+    s, d = _split_square(n * r)
+    g = math.gcd(s, r)
+    return Radical._raw(((d, s // g),), r // g)
 
 
 def float_str(x: Radical | Fraction | int) -> str:

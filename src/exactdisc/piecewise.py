@@ -22,7 +22,8 @@ trailing zero, so equal polynomials have equal fields.  The polynomial
 kernel runs on those ints and reduces once per result: a sum takes one
 lcm, a product one convolution and one gcd, and an evaluation or integral
 one Horner pass; integrals add int pairs per radicand and build one
-Fraction per radicand.  Breakpoints are Fractions.
+Radical from them, and an evaluation builds its Radical from Horner's
+pair.  Breakpoints are Fractions.
 
 ``_norm_expr`` is the only canonicalizer: document terms,
 ``Piece.from_poly_sqrt`` and the cross terms of ``_expr_mul`` (the one
@@ -139,8 +140,12 @@ class Poly:
         return not self.nums
 
     def __call__(self, x: Fraction) -> Fraction:
+        return Fraction(*self._at(x))
+
+    def _at(self, x: Fraction) -> tuple[int, int]:
+        """The value at x as an int pair (num, den), den > 0, by Horner."""
         p, q = x.numerator, x.denominator
-        return Fraction(_horner(self.nums, p, q), self.den * q ** max(0, len(self.nums) - 1))
+        return _horner(self.nums, p, q), self.den * q ** max(0, len(self.nums) - 1)
 
     def __add__(self, other):
         a, b = self.nums, other.nums
@@ -393,16 +398,16 @@ def _expr_scale(c: Radical):
     the constant expression sum c_d*sqrt(d), whose (0, d) lines multiply
     with any line.
     """
+    terms, den = c._terms, c._den
+    if not terms:
+        return lambda e: (_ZERO, ())
     if c.is_rational:
-        q = c.as_fraction()
-        n, d = q.numerator, q.denominator
-        if n == d:
+        n = terms[0][1]
+        if n == den:
             return lambda e: e
-        if not n:
-            return lambda e: (_ZERO, ())
-        return lambda e: (e[0]._scaled(n, d), tuple((ln, t._scaled(n, d)) for ln, t in e[1]))
-    rational = Poly([coeff for d, coeff in c.terms if d == 1])
-    roots = tuple(((0, d), Poly((coeff,))) for d, coeff in c.terms if d != 1)
+        return lambda e: (e[0]._scaled(n, den), tuple((ln, t._scaled(n, den)) for ln, t in e[1]))
+    rational = Poly._of([n for d, n in terms if d == 1], den)
+    roots = tuple(((0, d), Poly._of([n], den)) for d, n in terms if d != 1)
     return lambda e: _expr_mul(e, (rational, roots))
 
 
@@ -437,11 +442,17 @@ def _expr_mul(e1, e2):
     return _expr_add(linear, _norm_expr(_ZERO, raw))
 
 
+def _rational(num: int, den: int) -> Radical:
+    """The Radical num/den for ints num and den > 0."""
+    return Radical._of(((1, num),) if num else (), den)
+
+
 def _expr_eval(e, x: Fraction) -> Radical:
     poly, terms = e
-    val = Radical(poly(x))
+    val = _rational(*poly._at(x))
+    p, r = x.numerator, x.denominator
     for (a, b), q in terms:
-        val = val + Radical(q(x)) * rad_sqrt(Fraction(a) * x + b)
+        val = val + _rational(*q._at(x)) * rad_sqrt(Fraction(a * p + b * r, r))
     return val
 
 
@@ -483,18 +494,14 @@ def _expr_integrate(e, lo: Fraction, hi: Fraction, total: dict) -> None:
                 _add_pair(total, d, sign * u * _horner(steps, u, v) * s, v ** (n + 1) * abs(den))
 
 
-def _radical_of(total: dict) -> Radical:
-    """The Radical of a radicand -> (num, den) map, one Fraction per radicand."""
-    return Radical._from_map({d: Fraction(num, den) for d, (num, den) in total.items()})
-
-
 def _expr_const_value(e):
     """The expression's value if it is constant, else None."""
     poly, terms = e
     if poly.degree > 0 or any(a or q.degree > 0 for (a, _), q in terms):
         return None
     # constant lines are (0, d) with d squarefree and distinct, none of them 1
-    return Radical._from_map({1: poly(0), **{d: q(0) for (_, d), q in terms}})
+    return Radical._from_pairs({1: (poly.nums[0] if poly.nums else 0, poly.den),
+                                **{d: (q.nums[0], q.den) for (_, d), q in terms}})
 
 
 def _is_zero(e) -> bool:
@@ -720,7 +727,7 @@ def pw_integrate(f: PiecewiseFn) -> Radical:
     total = {}
     for p in f.pieces:
         _expr_integrate(p.expr, p.lo, p.hi, total)
-    return _radical_of(total)
+    return Radical._from_pairs(total)
 
 
 def pw_inner(f: PiecewiseFn, g: PiecewiseFn) -> Radical:
@@ -729,7 +736,7 @@ def pw_inner(f: PiecewiseFn, g: PiecewiseFn) -> Radical:
     total = {}
     for lo, hi, ef, eg in _common_grid(f, g):
         _expr_integrate(_expr_mul(ef, eg), lo, hi, total)
-    return _radical_of(total)
+    return Radical._from_pairs(total)
 
 
 def breakpoint_limits(f: PiecewiseFn):

@@ -1,12 +1,14 @@
 """Independent cross-checking oracles for the test suite.
 
-Everything in here is intentionally written against sympy/mpmath and the
-JSON document formats, not against the package's own arithmetic, so that
-agreement between the two paths actually means something.
+Everything in here is intentionally written against sympy/mpmath, the
+JSON document formats or plain Fractions, not against the package's own
+arithmetic, so that agreement between the two paths actually means
+something.
 """
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -98,6 +100,156 @@ def radical_to_mpf(terms, dps=QUAD_DPS):
         return total
     finally:
         mp.mp.dps = old
+
+
+# ---------------------------------------------------------------------------
+# reference sqrt arithmetic: one Fraction per radicand
+
+
+class FracRadical:
+    """sum(c_d * sqrt(d)) over squarefree d as sorted ``(d, Fraction)``
+    pairs with nonzero coefficients, the rational part on d == 1: the
+    dict-of-Fraction arithmetic that ``exactnum.Radical`` used before its int
+    form, kept as a reference for it.  Operands are FracRadicals, ints or
+    Fractions; ``terms``, ``str``, ``to_float`` and ``sign`` are what
+    Radical's must equal."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=()):
+        if isinstance(terms, (int, Fraction)):
+            terms = {1: Fraction(terms)}
+        self.terms = tuple(sorted((d, Fraction(c)) for d, c in dict(terms).items() if c))
+
+    @staticmethod
+    def _of(x):
+        return x if isinstance(x, FracRadical) else FracRadical(x)
+
+    def __add__(self, other):
+        acc = dict(self.terms)
+        for d, c in self._of(other).terms:
+            acc[d] = acc.get(d, Fraction(0)) + c
+        return FracRadical(acc)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FracRadical({d: -c for d, c in self.terms})
+
+    def __sub__(self, other):
+        return self + (-self._of(other))
+
+    def __rsub__(self, other):
+        return self._of(other) + (-self)
+
+    def __mul__(self, other):
+        acc = {}
+        for d1, c1 in self.terms:
+            for d2, c2 in self._of(other).terms:
+                g = math.gcd(d1, d2)
+                d = (d1 // g) * (d2 // g)
+                acc[d] = acc.get(d, Fraction(0)) + c1 * c2 * g
+        return FracRadical(acc)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        out = FracRadical(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    @property
+    def is_rational(self):
+        return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == 1)
+
+    def inverse(self):
+        if not self.terms:
+            raise ZeroDivisionError("division by zero")
+        if self.is_rational:
+            return FracRadical(1 / self.terms[0][1])
+        q, a, b = self._split()
+        conj = FracRadical({d: c if d % q else -c for d, c in self.terms})
+        return conj * (a * a - q * (b * b)).inverse()
+
+    def _split(self):
+        rads = [d for d, _ in self.terms if d != 1]
+        q = rads[0]
+        for d in rads:
+            g = math.gcd(q, d)
+            if 1 < g < q:
+                q = g
+        a = FracRadical({d: c for d, c in self.terms if d % q})
+        b = FracRadical({d // q: c for d, c in self.terms if not d % q})
+        return q, a, b
+
+    def __truediv__(self, other):
+        return self * self._of(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self._of(other) * self.inverse()
+
+    def __eq__(self, other):
+        return self.terms == self._of(other).terms
+
+    __hash__ = None
+
+    def _enclosure(self, bits):
+        lo = hi = Fraction(0)
+        for d, c in self.terms:
+            s = math.isqrt(d << (2 * bits))
+            slo, shi = (Fraction(s, 1 << bits), Fraction(s + 1, 1 << bits)) if d != 1 else (1, 1)
+            lo += c * (slo if c > 0 else shi)
+            hi += c * (shi if c > 0 else slo)
+        return lo, hi
+
+    def sign(self):
+        if not self.terms:
+            return 0
+        signs = {1 if c > 0 else -1 for _, c in self.terms}
+        if len(signs) == 1:
+            return signs.pop()
+        for bits in (64, 128, 256, 512):
+            lo, hi = self._enclosure(bits)
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+        q, a, b = self._split()
+        sa, sb = a.sign(), b.sign()
+        if sa == sb or not sa:
+            return sb
+        return sa * (a * a - q * (b * b)).sign()
+
+    def to_float(self):
+        """The midpoint of a 128-bit enclosure (the value itself when rational)."""
+        if not self.terms:
+            return 0.0
+        lo, hi = self._enclosure(128)
+        return float((lo + hi) / 2)
+
+    def float_str(self):
+        try:
+            v = self.to_float()
+        except OverflowError:
+            v = -math.inf if self.sign() < 0 else math.inf
+        return format(v, ".17g")
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for d, c in self.terms:
+            body = str(abs(c))
+            if d != 1:
+                body = f"sqrt({d})" if abs(c) == 1 else f"{body}*sqrt({d})"
+            if not parts:
+                parts.append(body if c > 0 else "-" + body)
+            else:
+                parts.append((" + " if c > 0 else " - ") + body)
+        return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

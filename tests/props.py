@@ -18,6 +18,7 @@ from exactdisc import (
     pw_scale_add,
     verify_rule,
 )
+from oracles import FracRadical
 
 RADICANDS = (1, 2, 3, 5, 6, 7, 10, 23)
 
@@ -37,13 +38,18 @@ def random_radical(rng, max_terms=3):
 
 
 def run_field_laws(n, seed=0):
-    """n rounds of ring/field identities on random radicals; returns count."""
+    """n rounds of ring/field identities on random radicals, and their sum,
+    difference, product and sign against the Fraction reference; returns
+    count."""
     rng = random.Random(seed)
     checked = 0
     for _ in range(n):
         x = random_radical(rng)
         y = random_radical(rng)
         z = random_radical(rng)
+        rx, ry = FracRadical(x.terms), FracRadical(y.terms)
+        assert (x + y).terms == (rx + ry).terms and (x - y).terms == (rx - ry).terms
+        assert (x * y).terms == (rx * ry).terms and x.sign() == rx.sign()
         assert x + y == y + x
         assert (x + y) + z == x + (y + z)
         assert x * y == y * x

@@ -633,6 +633,21 @@ def test_number_in_an_unwritten_form_exits_2(corpus_dir, tmp_path, capsys, where
     assert err.startswith(f"error: bad {bad} file") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("weight, shown", [
+    ("1/0*sqrt(2)", "'1/0*sqrt(2)': Fraction(1, 0)"),
+    ("sqrt(" + "9" * 5000 + ")", "'sqrt(" + "9" * 35 + "': Exceeds the limit"),
+])
+def test_unparsable_radical_rule_weight_names_its_term(corpus_dir, tmp_path, capsys, weight, shown):
+    rule = json.loads((corpus_dir / "ex1-positive.rule.json").read_text())
+    rule["weights"][0] = weight
+    path = tmp_path / "w.rule.json"
+    path.write_text(json.dumps(rule))
+    code = cli.main(["verify", str(corpus_dir / "ex1.subspace.json"), str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: bad rule file {path}: cannot parse Radical term {shown}")
+
+
 def _digit_limit_message():
     """The text Python gives for an integer one digit past its digit limit."""
     try:

@@ -20,7 +20,8 @@ from exactdisc.exactnum import (
     rad_sqrt,
 )
 
-from oracles import radical_to_mpf
+from exactdisc import Piece, PiecewiseFn, Subspace, pw_inner, pw_integrate, solve_weights
+from oracles import FracRadical, radical_to_mpf
 import props
 from props import RADICANDS, random_radical
 
@@ -203,6 +204,8 @@ def test_squares_of_roots_roundtrip_seeded():
 @settings(max_examples=120, deadline=None)
 @given(radicals_st(), radicals_st(), radicals_st())
 def test_ring_laws(x, y, z):
+    rx, ry = FracRadical(x.terms), FracRadical(y.terms)
+    assert (x * y).terms == (rx * ry).terms and (x - y).terms == (rx - ry).terms
     assert x + y == y + x
     assert (x + y) + z == x + (y + z)
     assert x * (y + z) == x * y + x * z
@@ -395,9 +398,15 @@ def test_parse_specific_literals():
     # non-squarefree radicands are normalized on entry
     assert Radical.parse("sqrt(8)") == Radical.single(2, 2)
     assert Radical.parse("sqrt(4)") == Radical(2)
-    for bad in ("", "sqrt()", "1 +", "sqrt(-2)", "two", "sqrt(٣)", "sqrt(1_0)"):
+    for bad in ("", "sqrt()", "1 +", "sqrt(-2)", "two", "sqrt(٣)", "sqrt(1_0)",
+                "1/0*sqrt(2)", "sqrt(" + "9" * 5000 + ")"):
         with pytest.raises(ExactNumError):
             Radical.parse(bad)
+    # a refused term is quoted up to its first 40 characters
+    with pytest.raises(ExactNumError, match=r"^cannot parse Radical term '\+1/0\*sqrt\(2\)': Fraction\(1, 0\)$"):
+        Radical.parse("1 + 1/0*sqrt(2)")
+    with pytest.raises(ExactNumError, match=r"^cannot parse Radical term 'sqrt\(9{35}': Exceeds the limit"):
+        Radical.parse("sqrt(" + "9" * 5000 + ")")
 
 
 #: Fraction accepts some (" 3 ", "+3", "1_000", the Arabic-Indic "٣") and
@@ -462,6 +471,128 @@ def test_hash_consistency():
     b = Radical.single(2, 3)
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+# --- int numerators over one denominator, against the Fraction reference ----
+
+
+def assert_canonical(x):
+    """Sorted squarefree radicands, nonzero int numerators and an int
+    denominator > 0 with no factor common to all of them."""
+    rads, nums = [d for d, _ in x._terms], [c for _, c in x._terms]
+    assert type(x._den) is int and x._den > 0
+    assert all(type(c) is int and c for c in nums)
+    assert math.gcd(x._den, *nums) == 1
+    assert rads == sorted(set(rads)) and all(_split_square(d) == (1, d) for d in rads)
+    assert type(x._terms) is tuple and all(type(t) is tuple for t in x._terms)
+
+
+def reference_values(rng):
+    """Zero, ints, rationals, one to four radicands, 10**40-sized
+    numerators, sums that cancel to zero or to a rational, and values
+    beyond the double range."""
+    big = 10**40
+    out = [Radical(0), Radical(7), Radical(-3), Radical(Fraction(-5, 12)),
+           Radical(Fraction(big + 1, 3)), Radical(Fraction(-3, big + 7))]
+    for k in (1, 1, 2, 2, 3, 4, 4):
+        ds = rng.sample((2, 3, 5, 6, 7, 10, 15, 21), k)
+        terms = [Radical.single(d, Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 12)))
+                 for d in ds]
+        out.append(sum(terms, Radical(Fraction(rng.randint(-9, 9), rng.randint(1, 6)))))
+    x, y = out[-1], out[-3]
+    out += [Radical.single(6, Fraction(big + 3, 7)) - Fraction(big, 9) + Radical.single(2, Fraction(1, big))]
+    out += [(x + Fraction(2, 3)) - x, (x + y) - y - x]  # cancel to 2/3 and to 0
+    out += [Radical(Fraction(10**400, 3)), Radical.single(3, -(10**400)) + 1]
+    return out
+
+
+def assert_matches_reference(got, ref):
+    assert_canonical(got)
+    assert got.terms == ref.terms
+    assert str(got) == str(ref) and float_str(got) == ref.float_str()
+    assert got.sign() == ref.sign() and bool(got) == bool(ref.terms)
+    try:
+        want = ref.to_float()
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            got.to_float()
+    else:
+        assert got.to_float() == want
+
+
+def test_arithmetic_matches_fraction_reference():
+    values = reference_values(random.Random(2025))
+    refs = [FracRadical(x.terms) for x in values]
+    assert refs[-4].terms == ((1, Fraction(2, 3)),) and not refs[-3].terms
+    scalars = [0, 5, -2, Fraction(-7, 3), Fraction(10**40 + 1, 6)]
+    for x, rx in zip(values, refs):
+        assert_matches_reference(x, rx)
+        assert_matches_reference(-x, -rx)
+        assert_matches_reference(x**2, rx**2)
+        assert_matches_reference(x**3, rx**3)
+        if x:
+            assert_matches_reference(x.inverse(), rx.inverse())
+            assert_matches_reference(x ** -2, rx ** -2)
+        for q in scalars:
+            assert_matches_reference(x + q, rx + q)
+            assert_matches_reference(q - x, q - rx)
+            assert_matches_reference(q * x, rx * q)
+            assert (x == q) == (rx == q)
+            if q:
+                assert_matches_reference(x / q, rx / q)
+            if x:
+                assert_matches_reference(q / x, q / rx)
+        for y, ry in zip(values, refs):
+            assert (x == y) == (rx == ry)
+            assert_matches_reference(x + y, rx + ry)
+            assert_matches_reference(x - y, rx - ry)
+            assert_matches_reference(x * y, rx * ry)
+            if y:
+                assert_matches_reference(x / y, rx / ry)
+
+
+def canonical_routes():
+    """Radicals built by every constructor, conversion and operation."""
+    values = reference_values(random.Random(7))
+    out = [Radical(3), Radical(Fraction(-6, 4)), Radical(True), Radical(Radical(5)),
+           Radical.single(12, Fraction(5, 6)), Radical.single(8, Fraction(1, 4)), Radical.single(1, 0),
+           rad_sqrt(Fraction(8, 18)), rad_sqrt(Fraction(50, 3)), rad_sqrt(0), rad_sqrt(10**40 * 6)]
+    out += [Radical.parse(str(x)) for x in values]
+    out += [Radical.parse("sqrt(12) - 2*sqrt(3) + 0*sqrt(5)"), Radical.parse("6/4 + 2/4*sqrt(8)")]
+    # _Rows.ratio, also over a negative lead, and through solve_weights
+    rows = _rows_for([Radical(Fraction(1, 2))])
+    ratios = [rows.ratio([1, 6, -4, 0], 1, 2), rows.ratio([1, 6, -4, 0], 3, 2)]
+    assert ratios == [Radical(Fraction(-3, 2)), Radical(0)]
+    out += ratios
+    f = PiecewiseFn([Piece.from_poly(0, 1, [1])])
+    g = PiecewiseFn([Piece.from_poly_sqrt(0, Fraction(1, 3), [1], 0, 2),
+                     Piece.from_poly_sqrt(Fraction(1, 3), 1, [Fraction(1, 2)], 0, 12)])
+    sol = solve_weights(Subspace(("f", "g"), (f, g)), [Fraction(1, 6), Fraction(2, 3)])
+    out += list(sol.particular) + [v for vec in sol.null_basis for v in vec]
+    h = PiecewiseFn([Piece.from_poly_sqrt(Fraction(1, 2), 2, [1, 2], 1, 0)])
+    k = PiecewiseFn([Piece.from_poly_sqrt(Fraction(1, 2), 2, [Fraction(1, 3)], 0, 6)])
+    out += [pw_integrate(f), pw_integrate(g), pw_integrate(h), pw_inner(h, k), pw_inner(g, g)]
+    out += [x * y - y * x for x in values[:8] for y in values[:8]]
+    out += [a + b for a in values for b in values] + [a * b for a in values for b in values]
+    return out
+
+
+def test_every_route_gives_the_canonical_form_and_equal_values_hash_alike():
+    routes = canonical_routes()
+    for x in routes:
+        assert_canonical(x)
+        twin = Radical.parse(str(x))  # equal, built another way
+        assert x == twin and hash(x) == hash(twin)
+        if x.is_rational:
+            q = x.as_fraction()
+            assert x == q and hash(x) == hash(q)
+    # the same value by different routes is one dict key
+    assert len({Radical.single(8, 1), 2 * rad_sqrt(2), Radical.parse("sqrt(8)")}) == 1
+    for q in (0, 1, -7, 10**40, Fraction(1, 2), Fraction(-22, 7), Fraction(10**40, 3)):
+        assert Radical(q) == q and hash(Radical(q)) == hash(q)
+    assert {Fraction(1, 2): "half"}[Radical(Fraction(1, 2))] == "half"
+    assert {Radical(Fraction(1, 2)): "half"}[Fraction(1, 2)] == "half"
+    assert rad_sqrt(Fraction(1, 2)) != Fraction(1, 2) and Radical(Fraction(1, 2)) != 0.5
 
 
 # --- rows and working values over a multiquadratic field -----------------------
