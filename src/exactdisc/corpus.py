@@ -6,8 +6,10 @@ region search, admitting both an all-positive and a mixed-sign rule at
 the minimal count.
 
 ex2: an eight-function hierarchy of trapezoidal waves (levels scaled by
-sqrt(5) and sqrt(23), one square-root ramp function on top) where every
-nine-node rule needs a negative weight.
+sqrt(5) and sqrt(23), one square-root ramp function on top).  What is
+certified: every exact rule has at least 9 nodes, and the nine-node rule
+``ex2-nine`` meets every condition except (h0, h1).  Whether an exact
+nine-node rule exists, and the signs of its weights, is not certified.
 """
 
 from __future__ import annotations

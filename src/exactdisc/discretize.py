@@ -405,9 +405,9 @@ def positive_feasible(sol: WeightSolution):
     L[var]*U - U[var]*L divided by its content, a positive multiple of the
     unscaled combination, so every sign decision, the order of the
     inequalities and the ratios the back-substitution reads are those of the
-    unscaled elimination.  No multipliers are carried: a derived inequality records the pair it came
-    from, and a refuting one is replayed down that tree (at most 2^k
-    leaves) in the record's working values, by the unscaled combinations,
+    unscaled elimination.  No multipliers are carried: a derived inequality
+    records the pair it came from, and a refuting one is replayed down that
+    tree (at most 2^k leaves) in Radicals, by the unscaled combinations,
     which gives its multipliers and constant.  The returned weights,
     assignment, multipliers and constant are Radicals.
     """
@@ -434,12 +434,11 @@ def positive_feasible(sol: WeightSolution):
         ineqs = new
     for row, origin in ineqs:
         if rows.sign(row, k) <= 0:
-            _, const, mults = _replay(rows, sol, origin)
-            return NoPositive(tuple(v.radical() for v in mults), const.radical())
+            _, const, mults = _replay(sol, origin)
+            return NoPositive(tuple(mults), const)
     # feasible: back-substitute a strictly interior parameter point; a
     # bound is a ratio of entries, which the rows' scaling leaves alone
-    zero, one = rows.value(0), rows.value(1)
-    ts = [zero] * k
+    ts = [Radical(0)] * k
     for var in range(k - 1, -1, -1):
         lb = ub = None
         for row, _ in levels[var]:
@@ -455,31 +454,30 @@ def positive_feasible(sol: WeightSolution):
             else:
                 ub = bound if ub is None or (bound - ub).sign() < 0 else ub
         if lb is not None and ub is not None:
-            ts[var] = (lb + ub) / rows.value(2)
+            ts[var] = (lb + ub) / 2
         elif lb is not None:
-            ts[var] = lb + one
+            ts[var] = lb + 1
         elif ub is not None:
-            ts[var] = ub - one
-    weights = [rows.value(v) for v in sol.particular]
+            ts[var] = ub - 1
+    weights = [Radical(v) for v in sol.particular]
     for t, nu in zip(ts, sol.null_basis):
-        weights = [w + t * rows.value(v) if v else w for w, v in zip(weights, nu)]
+        weights = [w + t * v if v else w for w, v in zip(weights, nu)]
     if any(w.sign() <= 0 for w in weights):
         raise AssertionError("elimination produced a non-interior witness")
-    return PositiveWitness(tuple(w.radical() for w in weights), tuple(t.radical() for t in ts))
+    return PositiveWitness(tuple(weights), tuple(ts))
 
 
-def _replay(rows, sol, origin):
+def _replay(sol, origin):
     """(coefs, const, mults) of an inequality of `positive_feasible`, as
-    working values of `rows` and unscaled: the original inequality, or b*L + a*U with
+    unscaled Radicals: the original inequality, or b*L + a*U with
     a = L[var] > 0 and b = -U[var] > 0 for L and U replayed alike."""
     if isinstance(origin, int):
-        zero, one = rows.value(0), rows.value(1)
-        coefs = [rows.value(nu[origin]) for nu in sol.null_basis]
-        mults = [one if r == origin else zero for r in range(len(sol.particular))]
-        return coefs, rows.value(sol.particular[origin]), mults
+        coefs = [Radical(nu[origin]) for nu in sol.null_basis]
+        mults = [Radical(int(r == origin)) for r in range(len(sol.particular))]
+        return coefs, Radical(sol.particular[origin]), mults
     lo, up, var = origin
-    cl, kl, ml = _replay(rows, sol, lo)
-    cu, ku, mu = _replay(rows, sol, up)
+    cl, kl, ml = _replay(sol, lo)
+    cu, ku, mu = _replay(sol, up)
     a, b = cl[var], -cu[var]
     return (
         [b * x + a * y for x, y in zip(cl, cu)],

@@ -21,9 +21,7 @@ roots of products of the g_i -- a list of ints when every input is
 rational.  A row is scaled by the lcm of its denominators and divided by its
 content (the gcd of its integer components) after every combination, so it
 stands for a nonzero multiple of the row of values; the few exact values a
-result needs are formed as :class:`_Value` (integer coefficients over the
-same basis and a positive denominator) and converted back to
-:class:`Radical` at the end.
+result needs are read off a row as :class:`Radical` entries and ratios.
 """
 
 from __future__ import annotations
@@ -631,8 +629,8 @@ class _Rows:
       makes the lead rational;
     * ``ratio(row, i, j)``: entry i over the rational lead j of a row made
       by ``pivot``, as a :class:`Radical`;
-    * ``entry(row, i)``, ``value(x)``: entry i, and an int, Fraction or
-      Radical, as a :class:`_Value`.
+    * ``entry(row, i)``: entry i as a :class:`Radical`, value i times the
+      row's multiple.
     """
 
     __slots__ = ("k", "rad", "order", "index", "perm")
@@ -697,11 +695,8 @@ class _Rows:
             out += zeros
         return out
 
-    def value(self, x) -> "_Value":
-        return _Value(self, *self._ints([x]))
-
-    def entry(self, row, i) -> "_Value":
-        return _Value(self, row[i :: len(row) >> self.k])
+    def entry(self, row, i) -> "Radical":
+        return self._radical(row[i :: len(row) >> self.k])
 
     def nonzero(self, row, i) -> bool:
         return row[i] != 0 or (self.k > 0 and any(row[i :: len(row) >> self.k]))
@@ -764,9 +759,8 @@ class _Rows:
         return [(v // g, self._root_times(S, x, n)) for S, v in enumerate(c) if v]
 
     def _mul(self, x, y) -> list:
-        if not self.k:
-            return [x[0] * y[0]]
-        return _lincomb(self._terms(x, y, 1) or [(0, y)])  # x == 0: no terms
+        """The product of a nonzero value x and a value y, for k >= 1."""
+        return _lincomb(self._terms(x, y, 1))
 
     def _cofactor(self, x) -> list | None:
         """A value c with c * x rational, or None if x is: x's conjugate
@@ -798,55 +792,6 @@ class _Rows:
         if den < 0:
             x, den = [-v for v in x], -den
         return Radical._of(tuple([(self.rad[S], x[S]) for S in self.order if x[S]]), den)
-
-
-class _Value:
-    """The value ``sum(num[S] * sqrt(g_S)) / den`` of a :class:`_Rows`
-    record's field, with ``den > 0`` and no common factor of all of num and
-    den: the working value of Fourier-Motzkin's back-substitution."""
-
-    __slots__ = ("rows", "num", "den")
-
-    def __init__(self, rows: _Rows, num: list, den: int = 1):
-        g = math.gcd(den, *num)
-        if g > 1:
-            num, den = [v // g for v in num], den // g
-        self.rows, self.num, self.den = rows, num, den
-
-    def __add__(self, o):
-        d, e = self.den, o.den
-        if d == e:
-            return _Value(self.rows, [a + b for a, b in zip(self.num, o.num)], d)
-        return _Value(self.rows, [a * e + b * d for a, b in zip(self.num, o.num)], d * e)
-
-    def __neg__(self):
-        return _Value(self.rows, [-a for a in self.num], self.den)
-
-    def __sub__(self, o):
-        return self + -o
-
-    def __mul__(self, o):
-        return _Value(self.rows, self.rows._mul(self.num, o.num), self.den * o.den)
-
-    def __truediv__(self, o):
-        c = self.rows._cofactor(o.num)
-        if c is not None:  # x / y = (x * c) / (y * c), with y * c rational
-            c = _Value(self.rows, c)
-            return (self * c) / (o * c)
-        q = o.num[0]
-        if not q:
-            raise ZeroDivisionError("division by zero")
-        s = o.den if q > 0 else -o.den  # x / (q / e) = x * e / q
-        return _Value(self.rows, [v * s for v in self.num], self.den * abs(q))
-
-    def __bool__(self):
-        return any(self.num)
-
-    def sign(self) -> int:
-        return self.rows._sign(self.num)
-
-    def radical(self) -> "Radical":
-        return self.rows._radical(self.num, self.den)
 
 
 _rows_over = lru_cache(maxsize=256)(_Rows)  # one record per set of radicands

@@ -923,11 +923,23 @@ def test_positive_feasible_matches_radical_reference():
             sol = random_weight_solution(rng, field, k)
             got = positive_feasible(sol)
             assert rendered(got) == rendered(reference_positive_feasible(sol)), sol
-            if isinstance(got, PositiveWitness):
-                assert all(type(v) is Radical for v in got.weights + got.assignment)
-            else:
-                assert all(type(v) is Radical for v in got.multipliers + (got.constant,))
-                recheck_no_positive(sol, got)
+            runs = [got]
+            entries = list(itertools.chain(sol.particular, *sol.null_basis))
+            if all(v.is_rational for v in entries):
+                # the public entry point also takes the entries as Fractions
+                fracs = WeightSolution(
+                    sol.nodes,
+                    tuple(v.as_fraction() for v in sol.particular),
+                    tuple(tuple(v.as_fraction() for v in nu) for nu in sol.null_basis),
+                )
+                runs.append(positive_feasible(fracs))
+                assert rendered(runs[1]) == rendered(got), sol
+            for res in runs:
+                if isinstance(res, PositiveWitness):
+                    assert all(type(v) is Radical for v in res.weights + res.assignment)
+                else:
+                    assert all(type(v) is Radical for v in res.multipliers + (res.constant,))
+                    recheck_no_positive(sol, res)
             outcomes[field, k, type(got).__name__] += 1
     for field in FIELDS:
         for kind in ("PositiveWitness", "NoPositive"):

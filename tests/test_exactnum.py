@@ -595,7 +595,7 @@ def test_every_route_gives_the_canonical_form_and_equal_values_hash_alike():
     assert rad_sqrt(Fraction(1, 2)) != Fraction(1, 2) and Radical(Fraction(1, 2)) != 0.5
 
 
-# --- rows and working values over a multiquadratic field -----------------------
+# --- rows and their entries over a multiquadratic field -----------------------
 
 
 def test_coprime_base():
@@ -609,8 +609,8 @@ def test_coprime_base():
 def test_rows_lift_combine_and_pivot():
     r2, r3 = rad_sqrt(2), rad_sqrt(3)
     rows = _rows_for([Radical(Fraction(1, 2)), 3, Fraction(-2)])
-    x = rows.value(Fraction(-2))
-    assert (x.num, x.den) == ([-2], 1) and x.radical() == Radical(-2) and x.sign() == -1
+    x = rows.scaled([Fraction(-2)])
+    assert x == ([-2], 1) and rows.entry(x[0], 0) == Radical(-2) and rows.sign(x[0], 0) == -1
     # one int row: scaled by the lcm of the denominators, content divided out
     row = rows.lift([Radical(Fraction(1, 2)), 3, Fraction(-2), Radical(0)])
     assert row == [1, 6, -4, 0] and all(type(v) is int for v in row)
@@ -618,9 +618,9 @@ def test_rows_lift_combine_and_pivot():
     assert rows.combine([2, 4, 6], [3, 1, 1], 0) == [0, 5, 8]  # (3*row - 2*prow) / 2
     assert rows.ratio(row, 2, 1) == Radical(Fraction(-2, 3))
     rows = _rows_for([Radical(1), r3, Radical(2) - r3 * Radical(5)])
-    x = rows.value(Radical(2) - r3)
-    assert (x.num, x.den) == ([2, -1], 1) and x.radical() == Radical(2) - r3 and x.sign() == 1
-    assert rows.value(7).radical() == Radical(7)
+    x = rows.scaled([Radical(2) - r3])
+    assert x == ([2, -1], 1) and rows.entry(x[0], 0) == Radical(2) - r3 and rows.sign(x[0], 0) == 1
+    assert rows.entry(rows.scaled([7])[0], 0) == Radical(7)
     # A + B*sqrt(3) rows: the A column, then the B column
     row = rows.lift([Radical(2) - r3, Radical(Fraction(1, 3)), r3 * Radical(Fraction(-1, 2))])
     assert row == [12, 2, 0, -6, 0, -3]
@@ -653,14 +653,14 @@ def test_rows_products_scaled_append_and_held_roots(ds):
     # a positive int multiple with no common factor, formed on ints
     row, s = rows.products(values, pairs)
     assert s > 0 and math.gcd(s, *row) == 1
-    assert [rows.entry(row, p).radical() for p in range(len(pairs))] == [
+    assert [rows.entry(row, p) for p in range(len(pairs))] == [
         Radical(s) * values[i] * values[j] for i, j in pairs
     ]
     row, s = rows.scaled(values)
     assert s > 0 and math.gcd(s, *row) == 1
-    assert [rows.entry(row, i).radical() for i in range(4)] == [Radical(s) * v for v in values]
+    assert [rows.entry(row, i) for i in range(4)] == [Radical(s) * v for v in values]
     wide = rows.append(row, [s, 0])
-    assert [rows.entry(wide, i).radical() for i in range(6)] == [Radical(s) * v for v in values] + [
+    assert [rows.entry(wide, i) for i in range(6)] == [Radical(s) * v for v in values] + [
         Radical(s), Radical(0)
     ]
     assert rows.lead(wide, 6) == 1 and rows.lead(wide, 1) is None
@@ -690,10 +690,11 @@ def test_rows_sign_of_pell_near_misses():
         rows = _rows_for([x])
         row = rows.lift([x, -x, conj])
         assert [rows.sign(row, i) for i in range(3)] == [expected, -expected, 1 if a > 0 else -1]
-        assert rows.value(x).sign() == expected == x.sign()
-        assert (-rows.value(x)).sign() == -expected
+        assert rows.sign(rows.lift([x, -x]), 0) == expected == x.sign()
+        assert rows.sign(rows.lift([x, -x]), 1) == -expected
         # the norm a^2 - d*b^2 is +-1 times the square of a's denominator
-        norm = (rows.value(x) * rows.value(conj)).radical()
+        row, s = rows.products([x, conj], [(0, 1)])
+        norm = rows.entry(row, 0) / s
         assert abs(norm.as_fraction()) == Fraction(1, a.denominator**2)
 
 
@@ -720,21 +721,18 @@ FIELD_BASES = {(): 0, (2,): 1, (3,): 1, (6,): 1, (7,): 1, (2, 3): 2, (6, 10): 3,
 
 @pytest.mark.parametrize("ds", sorted(FIELD_BASES), ids=lambda ds: "-".join(map(str, ds)) or "Q")
 def test_working_value_arithmetic_and_sign_match_radical(ds):
+    # entries, signs and pivot ratios of the rows against Radical; the
+    # ratios run through _cofactor and _mul over up to three generators
     values = field_values(random.Random(17), ds, 16)
     rows = _rows_for([rad_sqrt(d) for d in ds])
     assert rows.k == FIELD_BASES[ds]
     for x in values:
-        vx = rows.value(x)
-        assert vx.radical() == x and vx.sign() == x.sign() and bool(vx) == bool(x)
-        assert (-vx).radical() == -x
+        row, s = rows.scaled([x])
+        assert rows.entry(row, 0) == Radical(s) * x and rows.sign(row, 0) == x.sign()
+        assert rows.nonzero(row, 0) == bool(x)
         for y in values:
-            vy = rows.value(y)
-            assert (vx + vy).radical() == x + y
-            assert (vx - vy).radical() == x - y
-            assert (vx * vy).radical() == x * y
-            assert (vx - vy).sign() == (x - y).sign()
+            assert rows.sign(rows.lift([x - y]), 0) == (x - y).sign()
+            row, s = rows.products([x, y], [(0, 1)])
+            assert rows.entry(row, 0) == Radical(s) * x * y
             if y:
-                assert (vx / vy).radical() == x / y
-            else:
-                with pytest.raises(ZeroDivisionError):
-                    vx / vy
+                assert rows.ratio(rows.pivot(rows.lift([y, x]), 0), 1, 0) == x / y
