@@ -19,8 +19,8 @@ import os
 import sys
 from contextlib import contextmanager
 
-from .exactnum import ExactNumError, _parse_rational
-from .piecewise import DomainError, UnsupportedProduct
+from .exactnum import ExactNumError
+from .piecewise import DomainError, UnsupportedProduct, _parse_frac
 from .discretize import (
     ImprovedBound,
     Infeasible,
@@ -117,7 +117,7 @@ def _parse_fraction_list(text: str, what: str):
     out = []
     for tok in _list_tokens(text, what):
         try:
-            out.append(_parse_rational(tok))
+            out.append(_parse_frac(tok))
         except (ValueError, ZeroDivisionError) as e:
             raise InputError(f"bad {what} entry {tok!r}: {e}") from e
     return out

@@ -307,15 +307,16 @@ def _lift_columns(values, rhs, labels):
 
 def _eliminate(rows, columns, target, labels):
     """`_solve_system` on columns and a right-hand side already lifted into
-    `rows` as `(row, s)` pairs, one `_push` per column."""
+    `rows` as `(row, s)` pairs, one `_push` per column.  The witness row is
+    looked for only when `_solution` finds the system inconsistent."""
     m, n_rows = len(columns), len(labels)
     state = _start(rows, target, n_rows, m)
     for j, col in enumerate(columns):
         state = _push(rows, state, col, j, n_rows, m)
-    witness = rows.lead(state.rhs.vec, n_rows)
-    if witness is not None:
-        return Infeasible(labels[witness]), len(state.pivots)
-    return _solution(rows, state, n_rows, m), len(state.pivots)
+    result = _solution(rows, state, n_rows, m)
+    if result is None:
+        result = Infeasible(labels[rows.lead(state.rhs.vec, n_rows)])
+    return result, len(state.pivots)
 
 
 def _solve_system(columns, rhs, labels):
@@ -408,8 +409,11 @@ def positive_feasible(sol: WeightSolution):
     unscaled elimination.  No multipliers are carried: a derived inequality
     records the pair it came from, and a refuting one is replayed down that
     tree (at most 2^k leaves) in Radicals, by the unscaled combinations,
-    which gives its multipliers and constant.  The returned weights,
-    assignment, multipliers and constant are Radicals.
+    which gives its multipliers and constant.  Each level stores the split
+    into lower and upper bounds it made on its parameter, and the
+    back-substitution reads that split, with no second sign decision: a
+    parameter is set between its greatest lower and least upper bound.  The
+    returned weights, assignment, multipliers and constant are Radicals.
     """
     m = len(sol.particular)
     k = len(sol.null_basis)
@@ -423,11 +427,11 @@ def positive_feasible(sol: WeightSolution):
     ]
     levels = []
     for var in range(k):
-        levels.append(ineqs)
         lowers, uppers, new = [], [], []
         for q in ineqs:
             sg = rows.sign(q[0], var)
             (lowers if sg > 0 else uppers if sg < 0 else new).append(q)
+        levels.append((lowers, uppers))
         for lo, lo_origin in lowers:
             for up, up_origin in uppers:
                 new.append((rows.combine(up, lo, var), (lo_origin, up_origin, var)))
@@ -436,23 +440,21 @@ def positive_feasible(sol: WeightSolution):
         if rows.sign(row, k) <= 0:
             _, const, mults = _replay(sol, origin)
             return NoPositive(tuple(mults), const)
-    # feasible: back-substitute a strictly interior parameter point; a
-    # bound is a ratio of entries, which the rows' scaling leaves alone
+    # feasible: back-substitute a strictly interior parameter point from each
+    # level's split; a bound is a ratio of entries, which the rows' scaling
+    # leaves alone
     ts = [Radical(0)] * k
+
+    def bound(row, var):
+        rest = rows.entry(row, k)
+        for j in range(var + 1, k):
+            rest = rest + rows.entry(row, j) * ts[j]
+        return -rest / rows.entry(row, var)
+
     for var in range(k - 1, -1, -1):
-        lb = ub = None
-        for row, _ in levels[var]:
-            sg = rows.sign(row, var)
-            if not sg:
-                continue
-            rest = rows.entry(row, k)
-            for j in range(var + 1, k):
-                rest = rest + rows.entry(row, j) * ts[j]
-            bound = -rest / rows.entry(row, var)
-            if sg > 0:
-                lb = bound if lb is None or (bound - lb).sign() > 0 else lb
-            else:
-                ub = bound if ub is None or (bound - ub).sign() < 0 else ub
+        lowers, uppers = levels[var]
+        lb = max((bound(row, var) for row, _ in lowers), default=None)
+        ub = min((bound(row, var) for row, _ in uppers), default=None)
         if lb is not None and ub is not None:
             ts[var] = (lb + ub) / 2
         elif lb is not None:
@@ -881,12 +883,7 @@ def caratheodory_reduce(s: Subspace, rule: Rule, mode: str = "signed") -> Reduce
         if mode == "positive":
             if not any(v.sign() > 0 for v in mu):
                 mu = [-v for v in mu]
-            t = None
-            for w, v in zip(weights, mu):
-                if v.sign() > 0:
-                    ratio = w / v
-                    if t is None or ratio < t:
-                        t = ratio
+            t = min(w / v for w, v in zip(weights, mu) if v.sign() > 0)
         else:
             pivot = next(i for i, v in enumerate(mu) if v)
             t = weights[pivot] / mu[pivot]

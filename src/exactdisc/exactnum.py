@@ -172,12 +172,6 @@ def _parse_pair(text: str) -> tuple[int, int]:
     return q.numerator, q.denominator
 
 
-def _parse_rational(text: str) -> Fraction:
-    """``Fraction(text)`` for a number read from a document; refuses what
-    :func:`_parse_pair` refuses."""
-    return Fraction(*_parse_pair(text))
-
-
 def _operand(x) -> tuple | None:
     """``(terms, den)`` of a Radical, int or Fraction operand; None for any
     other type.  An int or Fraction is read as its numerator and denominator."""

@@ -230,14 +230,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly._of([i * c for i, c in enumerate(self.nums) if i], self.den)
 
-    def compose_affine(self, c0: Fraction, c1: Fraction) -> "Poly":
-        """p(c0 + c1*t) as a polynomial in t."""
-        c0, c1 = Fraction(c0), Fraction(c1)
-        gamma = c0.denominator * c1.denominator
-        nums = _affine_nums(self.nums, c0.numerator * c1.denominator,
-                            c1.numerator * c0.denominator, gamma)
-        return Poly._of(nums, self.den * gamma ** max(0, len(self.nums) - 1))
-
     def _integral(self, lo: Fraction, hi: Fraction) -> tuple[int, int]:
         """The integral over [lo, hi] as an int pair (num, den), den > 0."""
         cs = self.nums
@@ -579,9 +571,6 @@ class Piece:
     @property
     def expr(self):
         return (self.poly, self.terms)
-
-    def restricted(self, lo, hi) -> "Piece":
-        return Piece(lo, hi, self.poly, self.terms)
 
     def value_if_constant(self):
         return _expr_const_value(self.expr)

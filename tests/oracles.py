@@ -15,6 +15,7 @@ import mpmath as mp
 import sympy
 from sympy import Matrix, Rational, linsolve, symbols
 from sympy.polys.matrices import DomainMatrix
+from sympy.solvers.simplex import UnboundedLPError, linprog
 
 QUAD_DPS = 60
 
@@ -372,8 +373,8 @@ def strictly_positive_solution_exists(columns, rhs):
     vertex enumeration: N has full column rank (one tautological row per
     free variable), so the feasible region in (t, z) is pointed and the
     bounded objective attains its maximum at a vertex.  The open orthant
-    is reachable iff that maximum is positive.  (sympy's simplex is not
-    used: it mis-solves some degenerate equality-constrained instances.)
+    is reachable iff that maximum is positive.  (sympy's `lpmax` is not
+    used: it mis-solves some instances, see `_lp_min`.)
     """
     status, sol = solve_moment_system(columns, rhs)
     if status == "empty":
@@ -399,6 +400,81 @@ def strictly_positive_solution_exists(columns, rhs):
             best = z if best is None or z > best else best
     assert best is not None, "pointed nonempty region must have a vertex"
     return best > 0
+
+
+def _lp_min(c, G, h, x0):
+    """(min c.x, argmin) over free x subject to G.x <= h, or None when c.x
+    is unbounded below; x0 meets every constraint.
+
+    The LP is posed to sympy's simplex (`linprog`, Bland's rule, exact) in
+    s = x - x0 = p - q with p, q >= 0, so its right-hand side h - G.x0 is
+    nonnegative and the origin is feasible: sympy's phase 1, which leaves
+    its loop on a cycle check and can then hand phase 2 an infeasible basis
+    (it gave a max slack of 1 on an instance whose true maximum is -34/19),
+    never runs.  The returned point is checked against every constraint.
+    """
+    n = len(c)
+    rhs = [hi - sum(g * x for g, x in zip(row, x0)) for row, hi in zip(G, h)]
+    assert all(r >= 0 for r in rhs), "x0 must meet every constraint"
+    try:
+        _, pq = linprog(list(c) + [-v for v in c], [list(r) + [-g for g in r] for r in G], rhs)
+    except UnboundedLPError:
+        return None
+    x = [x0[j] + pq[j] - pq[n + j] for j in range(n)]
+    assert all(sum(g * v for g, v in zip(row, x)) <= hi for row, hi in zip(G, h))
+    return sum(cj * v for cj, v in zip(c, x)), x
+
+
+def _lp_constraints(particular, null_basis):
+    """(G, h) of every weight >= 0 as G.t <= h over the parameters t."""
+    G = [[-Rational(nu[i]) for nu in null_basis] for i in range(len(particular))]
+    return G, [Rational(p) for p in particular]
+
+
+def lp_max_slack(particular, null_basis):
+    """(max z, its parameter point) subject to every weight >= z and z <= 1,
+    by sympy's simplex (`_lp_min`): z > 0 iff some parameter point makes
+    every weight strictly positive.  Entries are rationals."""
+    G, h = _lp_constraints(particular, null_basis)
+    k = len(null_basis)
+    z0 = min(h + [Rational(1)])  # at t = 0, z = z0 meets every constraint
+    G = [row + [Rational(1)] for row in G] + [[Rational(0)] * k + [Rational(1)]]
+    val, x = _lp_min([0] * k + [-1], G, h + [Rational(1)], [Rational(0)] * k + [z0])
+    return -val, x[:k]
+
+
+def lp_back_substitution(particular, null_basis):
+    """The parameter point Fourier-Motzkin back-substitution picks, found
+    by linear programs (`_lp_min`).
+
+    From the last parameter to the first, with the later ones fixed at the
+    values already found, t_var ranges over [lo, hi]: the min and max of
+    t_var subject to every weight >= 0, the earlier parameters free.  It is
+    set to (lo + hi)/2, to lo + 1 or hi - 1 when only one end is finite, and
+    to 0 when neither is.  The system must have a strictly positive point.
+    """
+    k = len(null_basis)
+    G_all, h_all = _lp_constraints(particular, null_basis)
+    ts = []
+    for var in range(k - 1, -1, -1):
+        h = [hi + sum((-row[j] * t for j, t in zip(range(var + 1, k), ts)), Rational(0))
+             for row, hi in zip(G_all, h_all)]
+        G = [row[: var + 1] for row in G_all]
+        slack, x0 = lp_max_slack(h, [[-row[j] for row in G] for j in range(var + 1)])
+        assert slack > 0, "no strictly positive point"
+        e = [int(j == var) for j in range(var + 1)]
+        lo, hi = _lp_min(e, G, h, x0), _lp_min([-v for v in e], G, h, x0)
+        lo, hi = lo and lo[0], hi and -hi[0]  # an end is None when unbounded
+        if lo is not None and hi is not None:
+            t = (lo + hi) / 2
+        elif lo is not None:
+            t = lo + 1
+        elif hi is not None:
+            t = hi - 1
+        else:
+            t = Rational(0)
+        ts.insert(0, t)
+    return ts
 
 
 def check_case_reason(columns, rhs, reason):

@@ -690,6 +690,20 @@ def test_loader_refusal_messages_are_pinned(tmp_path, capsys, where, kind):
     assert err == f"error: bad subspace file {sub}: {reason()}\n"
 
 
+@pytest.mark.parametrize(
+    "kind", sorted(k for k, (v, _) in LOADER_REFUSALS.items() if isinstance(v, str))
+)
+def test_candidate_refusal_messages_are_pinned(corpus_dir, capsys, kind):
+    """grid --candidates reads its entries as documents read rationals, so
+    each refusal gives the loader's reason."""
+    token, reason = LOADER_REFUSALS[kind]
+    sub = str(corpus_dir / "ex1.subspace.json")
+    assert cli.main(["grid", sub, f"--candidates=1/8,{token}", "-m", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: bad candidate entry {token!r}: {reason()}\n"
+
+
 def _function_entry(value):
     return lambda sub, rule: sub["functions"].__setitem__(0, value)
 

@@ -980,6 +980,33 @@ def test_positive_feasible_matches_radical_reference_on_large_entries():
         assert outcomes[d, "PositiveWitness"] and outcomes[d, "NoPositive"], outcomes
 
 
+def test_positive_feasible_agrees_with_linear_programs():
+    """On rational draws, the witness's assignment is the point a linear
+    program's back-substitution picks, and the verdict is that of the LP's
+    maximal slack (sympy's simplex, written independently of both).  Draw
+    73 is a refuted system on which sympy's own `lpmax` reports slack 1."""
+    rng = random.Random(5)
+    witnesses = Counter()
+    refuted = Counter()
+    for trial in range(120):
+        k = trial % 3 + 1
+        sol = random_weight_solution(rng, "rational", k)
+        got = positive_feasible(sol)
+        particular = [v.as_fraction() for v in sol.particular]
+        null_basis = [[v.as_fraction() for v in nu] for nu in sol.null_basis]
+        slack, _ = oracles.lp_max_slack(particular, null_basis)
+        if isinstance(got, NoPositive):
+            assert slack <= 0, sol
+            refuted[k] += 1
+            continue
+        assert slack > 0, sol
+        if witnesses[k] < 8:
+            want = oracles.lp_back_substitution(particular, null_basis)
+            assert [t.as_fraction() for t in got.assignment] == [Fraction(t.p, t.q) for t in want], sol
+            witnesses[k] += 1
+    assert all(witnesses[k] >= 8 and refuted[k] for k in (1, 2, 3)), (witnesses, refuted)
+
+
 # ---------------------------------------------------------------------------
 # minimal node counts
 

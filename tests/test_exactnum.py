@@ -12,7 +12,6 @@ from exactdisc.exactnum import (
     DEFAULT_FACTOR_BOUND,
     ExactNumError,
     Radical,
-    _parse_rational,
     _coprime_base,
     _rows_for,
     _split_square,
@@ -21,6 +20,7 @@ from exactdisc.exactnum import (
 )
 
 from exactdisc import Piece, PiecewiseFn, Subspace, pw_inner, pw_integrate, solve_weights
+from exactdisc.piecewise import _parse_frac
 from oracles import FracRadical, radical_to_mpf
 import props
 from props import RADICANDS, random_radical
@@ -410,9 +410,10 @@ def test_parse_specific_literals():
 
 
 #: Fraction accepts some (" 3 ", "+3", "1_000", the Arabic-Indic "٣") and
-#: refuses others ("²", "3/ 4", "1/-2"); _parse_rational must agree on each,
-#: except that it refuses every non-ASCII character and underscore, which the
-#: program never writes: REFUSED.
+#: refuses others ("²", "3/ 4", "1/-2"); _parse_frac, the reader of document
+#: and command-line rationals, must agree on each, except that it refuses
+#: every non-ASCII character and underscore, which the program never writes:
+#: REFUSED.
 REFUSED = {"1_000", "٣", "1/٣", "²"}
 PARSE_TABLE = [
     "3", "-7", "3/16", "007/010", "-0", "0/5", "1/0", "-0/0", "+3", " 3 ", "3/ 4",
@@ -433,31 +434,31 @@ def test_parse_rational_agrees_with_fraction(text):
 
     if text in REFUSED:
         with pytest.raises(ValueError, match="^invalid literal for a rational number"):
-            _parse_rational(text)
+            _parse_frac(text)
         with pytest.raises(ExactNumError):
             Radical.parse(f"{text}*sqrt(2)")
     else:
-        assert outcome(_parse_rational) == outcome(Fraction)
+        assert outcome(_parse_frac) == outcome(Fraction)
 
 
 def test_parse_rational_digit_limit():
     limit = sys.get_int_max_str_digits()
     for text in ("9" * limit, "-" + "9" * limit, "1/" + "9" * limit):
-        assert _parse_rational(text) == Fraction(text)
+        assert _parse_frac(text) == Fraction(text)
     for text in ("9" * (limit + 1), "1/" + "9" * (limit + 1), "-" + "9" * (limit + 1)):
         with pytest.raises(ValueError) as refused:
-            _parse_rational(text)
+            _parse_frac(text)
         with pytest.raises(ValueError) as direct:
             Fraction(text)
         assert str(refused.value) == str(direct.value)
         assert str(refused.value).startswith(f"Exceeds the limit ({limit} digits)")
     # written with an exponent, the value is refused once formed
-    assert _parse_rational(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert _parse_frac(f"1e{limit - 1}") == 10 ** (limit - 1)
     for text in (f"1e{limit}", f"1e-{limit}"):
         with pytest.raises(ValueError, match=f"^number with more than {limit} digits$"):
-            _parse_rational(text)
+            _parse_frac(text)
     with pytest.raises(ValueError, match=f"^exponent beyond {2 * limit} in a number$"):
-        _parse_rational(f"0e{2 * limit + 1}")
+        _parse_frac(f"0e{2 * limit + 1}")
 
 
 @settings(max_examples=150, deadline=None)
