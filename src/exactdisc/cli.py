@@ -71,29 +71,38 @@ def _emit(doc: dict, args, human_lines) -> None:
         text = "\n".join(human_lines) + "\n"
     out = getattr(args, "output", None)
     if out:
-        with _writing(out), open(out, "w") as fh:
+        with _writing(out), open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"wrote {out}")
     else:
         sys.stdout.write(text)
 
 
-def _load_json(path: str) -> dict:
+@functools.lru_cache(maxsize=16)
+def _parsed(from_doc, text: str):
+    """``from_doc`` of the JSON document ``text``.  Keyed on content, the
+    last few texts each loader read are parsed once: in-process callers ask
+    several commands of one document.  Every value is immutable, and a
+    refusal raises, so it is never kept."""
+    return from_doc(json.loads(text))
+
+
+def _read_text(path: str) -> str:
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, encoding="utf-8") as fh:  # JSON is UTF-8 (RFC 8259)
+            return fh.read()
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
-    except (json.JSONDecodeError, RecursionError) as e:
-        # RecursionError: nesting deeper than the decoder can follow
-        raise InputError(f"{path} is not valid JSON: {e}") from e
 
 
 def _load_doc(path: str, from_doc, what: str):
+    """The file at ``path``, read afresh on every call, as ``from_doc``
+    parses it."""
     try:
-        return from_doc(_load_json(path))
-    except InputError:
-        raise
+        return _parsed(from_doc, _read_text(path))
+    except (json.JSONDecodeError, RecursionError) as e:
+        # RecursionError: nesting deeper than the decoder can follow
+        raise InputError(f"{path} is not valid JSON: {e}") from e
     except (KeyError, ValueError, TypeError, ZeroDivisionError, ExactNumError) as e:
         raise InputError(f"bad {what} file {path}: {e}") from e
 
@@ -150,7 +159,7 @@ def cmd_corpus(args) -> int:
 
     def write(filename: str, doc: dict):
         path = os.path.join(outdir, filename)
-        with _writing(path), open(path, "w") as fh:
+        with _writing(path), open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         written.append(path)
 

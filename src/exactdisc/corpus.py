@@ -7,9 +7,11 @@ the minimal count.
 
 ex2: an eight-function hierarchy of trapezoidal waves (levels scaled by
 sqrt(5) and sqrt(23), one square-root ramp function on top).  What is
-certified: every exact rule has at least 9 nodes, and the nine-node rule
-``ex2-nine`` meets every condition except (h0, h1).  Whether an exact
-nine-node rule exists, and the signs of its weights, is not certified.
+certified: every exact rule has at least 9 nodes, the nine-node rule
+``ex2-nine`` meets every condition except (h0, h1), and the eleven-node
+rule ``ex2-eleven`` (two negative weights) is exact.  Whether an exact
+rule with nine or ten nodes exists, and the signs of its weights, is not
+certified.
 """
 
 from __future__ import annotations
@@ -198,11 +200,13 @@ def build_subspace(name: str, p: Example1Params | None = None) -> Subspace:
 
 
 def golden_rules(p: Example1Params | None = None) -> dict:
-    """The three known rules, keyed by name, as (subspace id, Rule).
+    """The four known rules, keyed by name, as (subspace id, Rule).
 
     ex1 weights come from the closed forms (2a^2 -+ (A^2 - B^2))/(2a^2)
     evaluated at the stored parameters; ex2-nine pairs weight -4 at -1/2
-    with weight 1/8 at the eight plateau midpoints of h4..h7.
+    with weight 1/8 at the eight plateau midpoints of h4..h7.  ex2-eleven,
+    which `grid -m 11` finds on ex2-nine's nodes plus 1/25 and 79/800 (where
+    h0 is (2/5)sqrt(6) and 11/10), is exact: 9 <= m_min(ex2) <= 11.
     """
     p = p if p is not None else Example1Params()
     half = Fraction(1, 2)
@@ -216,4 +220,10 @@ def golden_rules(p: Example1Params | None = None) -> dict:
         "ex1-negative": ("ex1", Rule([-half, Fraction(1, 8), Fraction(3, 8)], [lam_neg, half, half])),
         "ex1-positive": ("ex1", Rule([-half, Fraction(5, 8), Fraction(7, 8)], [lam_pos, half, half])),
         "ex2-nine": ("ex2", Rule(nine_nodes, nine_weights)),
+        "ex2-eleven": ("ex2", Rule(
+            nine_nodes + [Fraction(1, 25), Fraction(79, 800)],
+            [Radical.parse("-4787/1650 - 1187/2475*sqrt(6)")] + nine_weights[1:]
+            + [Radical.parse("498575/2851392 - 326425/4277088*sqrt(6)"),
+               Radical.parse("-45325/326722 + 29675/490083*sqrt(6)")],
+        )),
     }

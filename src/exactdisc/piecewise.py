@@ -41,6 +41,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactnum import ExactNumError, Radical, rad_sqrt, _parse_pair, _split_square
 
@@ -825,27 +826,36 @@ def constant_value_on(f: PiecewiseFn, lo, hi):
 # serialization: all numbers as "p/q" strings
 
 
-def _doc_pair(s) -> tuple[int, int]:
-    """A document rational as a reduced pair (num, den): a string, or a JSON
-    integer (not a boolean)."""
-    if isinstance(s, str):
-        return _parse_pair(s)  # Fraction reads surrounding ASCII blanks
-    if type(s) is int:  # bool is an int subclass
-        return s, 1
-    raise ValueError(f"expected a rational string, got {s!r}")
+#: The longest document number the reader keeps.  No digit limit is below
+#: 640, so without an exponent such a number reads the same under any limit.
+_KEPT_LEN = 40
+
+
+@lru_cache(maxsize=1024)
+def _kept_frac(s: str) -> Fraction:
+    return Fraction(*_parse_pair(s))
 
 
 def _parse_frac(s) -> Fraction:
-    """A document rational as a Fraction."""
-    return Fraction(*_doc_pair(s))
+    """A document rational as a Fraction: a string, or a JSON integer (not a
+    boolean).  Short numbers repeat (a seam is two pieces' ends), so each
+    short string is read once and its Fraction kept, and equal breakpoints
+    are one object.  Only exact ``str`` keys are kept: ``True == 1``."""
+    if type(s) is str and len(s) <= _KEPT_LEN and "e" not in s and "E" not in s:
+        return _kept_frac(s)
+    if isinstance(s, str):
+        return Fraction(*_parse_pair(s))  # Fraction reads surrounding ASCII blanks
+    if type(s) is int:  # bool is an int subclass
+        return Fraction(s)
+    raise ValueError(f"expected a rational string, got {s!r}")
 
 
 def _doc_poly(values: list) -> Poly:
     """The Poly of a document's coefficient list, over the lcm of the
     reduced denominators, which leaves it in lowest terms."""
-    pairs = [_doc_pair(c) for c in values]
-    den = math.lcm(*(d for _, d in pairs))
-    return Poly._of([n * (den // d) for n, d in pairs], den)
+    qs = [_parse_frac(c) for c in values]
+    den = math.lcm(*(q.denominator for q in qs))
+    return Poly._of([q.numerator * (den // q.denominator) for q in qs], den)
 
 
 def _doc_list(doc: dict, key: str, default=None) -> list:

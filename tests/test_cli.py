@@ -56,11 +56,12 @@ def test_corpus_files_round_trip(corpus_dir):
         "ex1-positive.rule.json",
         "ex2.subspace.json",
         "ex2-nine.rule.json",
+        "ex2-eleven.rule.json",
     }
     assert subspace_from_doc(docs["ex1.subspace.json"]) == build_X2()
     assert subspace_from_doc(docs["ex2.subspace.json"]) == build_X8()
     golden = golden_rules()
-    for key in ("ex1-negative", "ex1-positive", "ex2-nine"):
+    for key in ("ex1-negative", "ex1-positive", "ex2-nine", "ex2-eleven"):
         assert rule_from_doc(docs[f"{key}.rule.json"]) == golden[key][1]
 
 
@@ -109,6 +110,99 @@ def test_verify_bad_inputs(corpus_dir, tmp_path, capsys):
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"kind": "other"}))
     assert cli.main(["verify", str(wrong), str(corpus_dir / "ex1-negative.rule.json")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# the loader memo: each file is read on every call, and a text loaded
+# recently is parsed once
+
+
+def test_unchanged_content_loads_as_the_same_object(corpus_dir, tmp_path):
+    path = corpus_dir / "ex2.subspace.json"
+    first = cli._load_subspace(str(path))
+    assert first == build_X8()
+    assert cli._load_subspace(str(path)) is first
+    # keyed on the content, not on the path
+    copy_path = tmp_path / "copy.json"
+    copy_path.write_bytes(path.read_bytes())
+    assert cli._load_subspace(str(copy_path)) is first
+
+
+def test_rewritten_file_is_parsed_afresh(corpus_dir, tmp_path, capsys):
+    path = tmp_path / "s.subspace.json"
+    outputs = {}
+    for name in ("ex1", "ex2", "ex1"):
+        path.write_bytes((corpus_dir / f"{name}.subspace.json").read_bytes())
+        assert cli.main(["gram", str(path), "--format", "json"]) == 0
+        outputs.setdefault(name, set()).add(capsys.readouterr().out)
+    assert cli.main(["gram", str(corpus_dir / "ex2.subspace.json"), "--format", "json"]) == 0
+    assert outputs["ex2"] == {capsys.readouterr().out}
+    assert len(outputs["ex1"]) == 1 and outputs["ex1"] != outputs["ex2"]
+
+
+@pytest.mark.parametrize("text, refusal", [
+    ("{not json", "is not valid JSON"),
+    (json.dumps({"functions": [], "domain": ["0", "1"]}), "bad subspace file"),
+])
+def test_refusals_are_not_memoized(corpus_dir, tmp_path, capsys, text, refusal):
+    path = tmp_path / "s.subspace.json"
+    path.write_text(text)
+    errors = []
+    for _ in range(2):
+        assert cli.main(["gram", str(path)]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and refusal in errors[0]
+    path.write_bytes((corpus_dir / "ex1.subspace.json").read_bytes())
+    assert cli.main(["gram", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_one_text_loads_as_each_loader_reads_it(corpus_dir, tmp_path):
+    rule_path = str(corpus_dir / "ex1-negative.rule.json")
+    sub_path = str(corpus_dir / "ex1.subspace.json")
+    for _ in range(2):  # either loader first
+        assert cli._load_rule(rule_path) == golden_rules()["ex1-negative"][1]
+        with pytest.raises(cli.InputError, match="^bad subspace file .*'functions'"):
+            cli._load_subspace(rule_path)
+        assert cli._load_subspace(sub_path) == build_X2()
+        with pytest.raises(cli.InputError, match="^bad rule file .*'nodes'"):
+            cli._load_rule(sub_path)
+
+
+def test_memo_holds_the_last_sixteen_documents(tmp_path):
+    cli._parsed.cache_clear()
+    paths = []
+    for k in range(cli._parsed.cache_info().maxsize + 1):
+        paths.append(tmp_path / f"r{k}.rule.json")
+        paths[-1].write_text(json.dumps({"nodes": ["0"], "weights": [str(k)]}))
+    first = cli._load_rule(str(paths[0]))
+    for path in paths[1:]:
+        cli._load_rule(str(path))
+    info = cli._parsed.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (16, 16, 17)
+    again = cli._load_rule(str(paths[0]))  # evicted: parsed again
+    assert again == first and again is not first
+    assert cli._parsed.cache_info().misses == 18
+
+
+def test_mutation_trials_after_a_good_load_change_no_result(corpus_dir, tmp_path, capsys):
+    """Every command of `test_mutated_documents_exit_0_to_3`'s trials ends
+    the same whether it starts with an empty memo or with the memo holding
+    the bundled documents and what the trials before it loaded."""
+    cold = []
+    cli._parsed.cache_clear()
+    for result in _mutation_trials(corpus_dir, tmp_path, capsys):
+        cold.append(result)
+        cli._parsed.cache_clear()
+    # the good load writes the texts the trials write before mutating them
+    sub_path, rule_path = tmp_path / "m.subspace.json", tmp_path / "m.rule.json"
+    for sid, rule in (("ex1", "ex1-negative"), ("ex2", "ex2-nine")):
+        sub_path.write_text(json.dumps(json.loads((corpus_dir / f"{sid}.subspace.json").read_text())))
+        rule_path.write_text(json.dumps(json.loads((corpus_dir / f"{rule}.rule.json").read_text())))
+        assert cli.main(["verify", str(sub_path), str(rule_path)]) in (0, 1)
+    capsys.readouterr()
+    assert cli._parsed.cache_info().currsize == 4
+    assert list(_mutation_trials(corpus_dir, tmp_path, capsys)) == cold
 
 
 # ---------------------------------------------------------------------------
@@ -807,9 +901,10 @@ def _replaced(doc, path, value):
     return doc
 
 
-def test_mutated_documents_exit_0_to_3(corpus_dir, tmp_path, capsys):
-    """One random subtree of a bundled subspace or golden rule replaced by a
-    hostile value: every command ends with an exit code, never a traceback."""
+def _mutation_trials(corpus_dir, tmp_path, capsys):
+    """(trial, path, argv, exit code, stdout, stderr) of every command of 400
+    seeded trials, each with one random subtree of a bundled subspace or
+    golden rule replaced by a hostile value."""
     docs = {p.name.split(".")[0]: json.loads(p.read_text()) for p in corpus_dir.iterdir()}
     rules = {"ex1": ("ex1-negative", "ex1-positive"), "ex2": ("ex2-nine",)}
     sub_path, rule_path = str(tmp_path / "m.subspace.json"), str(tmp_path / "m.rule.json")
@@ -831,9 +926,16 @@ def test_mutated_documents_exit_0_to_3(corpus_dir, tmp_path, capsys):
         fmt = rng.choice(("human", "json"))
         for argv in commands:
             code = cli.main(argv + ["--format", fmt])
-            err = capsys.readouterr().err
-            assert code in (0, 1, 2, 3), (trial, path, argv)
-            assert "Traceback" not in err, (trial, path, argv)
+            captured = capsys.readouterr()
+            yield trial, path, argv, code, captured.out, captured.err
+
+
+def test_mutated_documents_exit_0_to_3(corpus_dir, tmp_path, capsys):
+    """One random subtree of a bundled subspace or golden rule replaced by a
+    hostile value: every command ends with an exit code, never a traceback."""
+    for trial, path, argv, code, _, err in _mutation_trials(corpus_dir, tmp_path, capsys):
+        assert code in (0, 1, 2, 3), (trial, path, argv)
+        assert "Traceback" not in err, (trial, path, argv)
 
 
 @pytest.mark.parametrize("target", ["missing-dir", "directory", "corpus-into-file"])
@@ -949,8 +1051,31 @@ def test_installed_script(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_documents_are_read_and_written_as_utf8(tmp_path):
+    # JSON is UTF-8 (RFC 8259) whatever the locale: no read or write may
+    # fall back to the locale's encoding, which warn_default_encoding flags
+    strict = [sys.executable, "-X", "warn_default_encoding", "-W", "error", "-m", "exactdisc"]
+
+    def run(*args):
+        return subprocess.run(strict + list(args), capture_output=True, text=True,
+                              env=_child_env(), timeout=60)
+
+    assert run("corpus", "ex1", "--output", str(tmp_path)).returncode == 0
+    sub = json.loads((tmp_path / "ex1.subspace.json").read_text(encoding="utf-8"))
+    sub["functions"][0]["name"] = "f\u2081"
+    (tmp_path / "named.subspace.json").write_text(json.dumps(sub, ensure_ascii=False),
+                                                  encoding="utf-8")
+    report = tmp_path / "gram.json"
+    proc = run("gram", str(tmp_path / "named.subspace.json"), "--format", "json",
+               "--output", str(report))
+    assert proc.returncode == 0 and proc.stderr == ""
+    text = report.read_text(encoding="utf-8")
+    assert text.isascii() and json.loads(text)["names"][0] == "f\u2081"
+
+
 #: sha256 of every file `scripts/reproduce_all.py` writes, recorded before
-#: `decide_min` and `search_grid` shared one subset engine.
+#: `decide_min` and `search_grid` shared one subset engine (the two ex2-eleven
+#: files when that rule was added).
 ARTIFACT_PINS = {
     "ex1-grid-positive.json": "5cd41fc972f446090c3539617c26a4f16016d3df6e5c79b6c500573dedd746d2",
     "ex1-measure.rule.json": "a730e408a371b373c60670651250413dd2a656e0f73ff068bebc97e8b8644eb1",
@@ -961,6 +1086,8 @@ ARTIFACT_PINS = {
     "ex1-reduced.json": "76682dca77d54b654ca62b71df051d7cf226fb678583914407ef9d60e63c0d48",
     "ex1.subspace.json": "96eb601828265d7a04560afa8da5aded628eeea693d378c4626fc8a8262cc1ed",
     "ex2-bound.json": "0ba024f65e4e2b6b141155440820f13287b5caebdd7317130244f510724d7a43",
+    "ex2-eleven-verify.json": "64338ba27b2c9f9bc536ea68da39bac5e21458564f9271968e3393557958af9e",
+    "ex2-eleven.rule.json": "50439416ee47ca40503834e2d9a93eb9189097cbd528daae20ccda3b6682cdcc",
     "ex2-nine.rule.json": "4408d39475bfab91efc11806a3376092052c8e08908cfb673ef221bcb496be4f",
     "ex2.subspace.json": "cf1fa0b1bbf1b0d5ffcab30b8cb4fc9a6a1348ccc2312604ba57409004de82b8",
 }

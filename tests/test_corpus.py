@@ -22,7 +22,7 @@ from exactdisc.corpus import (
     build_X8,
     golden_rules,
 )
-from exactdisc.discretize import decide_min, verify_rule
+from exactdisc.discretize import decide_min, search_grid, verify_rule
 from exactdisc.exactnum import Radical, rad_sqrt
 from exactdisc.piecewise import (
     constant_value_on,
@@ -324,3 +324,24 @@ def test_nine_node_rule_fails_only_on_the_mixed_pair():
     assert report.residual(0, 1) == Radical(Fraction(43, 240)) + Radical.single(
         6, Fraction(-3, 40)
     )
+
+
+def test_eleven_node_rule_is_exact_and_the_only_one_on_its_nodes():
+    sid, rule = golden_rules()["ex2-eleven"]
+    nine = golden_rules()["ex2-nine"][1]
+    assert sid == "ex2"
+    assert rule.nodes == nine.nodes + (Fraction(1, 25), Fraction(79, 800))
+    assert rule.weights[1:9] == nine.weights[1:]
+    assert [str(w) for w in rule.weights[:1] + rule.weights[9:]] == [
+        "-4787/1650 - 1187/2475*sqrt(6)",
+        "498575/2851392 - 326425/4277088*sqrt(6)",
+        "-45325/326722 + 29675/490083*sqrt(6)",
+    ]
+    assert [w.sign() for w in rule.weights[:1] + rule.weights[9:]] == [-1, -1, 1]
+    x8 = build_X8()
+    report = verify_rule(x8, rule)
+    assert report.passed and report.failing == ()
+    # so 9 <= m_min(ex2) <= 11; on these candidates the signed search finds
+    # exactly this rule and the positive one none
+    assert search_grid(x8, list(rule.nodes), 11) == [rule]
+    assert search_grid(x8, list(rule.nodes), 11, mode="positive") == []

@@ -20,6 +20,7 @@ from exactdisc.exactnum import (
 )
 
 from exactdisc import Piece, PiecewiseFn, Subspace, pw_inner, pw_integrate, solve_weights
+from exactdisc import piecewise
 from exactdisc.piecewise import _parse_frac
 from oracles import FracRadical, radical_to_mpf
 import props
@@ -459,6 +460,44 @@ def test_parse_rational_digit_limit():
             _parse_frac(text)
     with pytest.raises(ValueError, match=f"^exponent beyond {2 * limit} in a number$"):
         _parse_frac(f"0e{2 * limit + 1}")
+
+
+def test_parse_rational_repeats_read_the_same():
+    # the reader keeps the Fraction of each short string it has read
+    def outcome(text):
+        try:
+            return _parse_frac(text)
+        except (ValueError, ZeroDivisionError) as e:
+            return type(e), str(e)
+
+    piecewise._kept_frac.cache_clear()
+    first = [outcome(text) for text in PARSE_TABLE]
+    assert [outcome(text) for text in PARSE_TABLE] == first
+    assert _parse_frac("3/16") is _parse_frac("3/16")
+
+
+def test_parse_rational_refuses_booleans_after_integers():
+    assert (_parse_frac(1), _parse_frac(0), _parse_frac("1"), _parse_frac("0")) == (1, 0, 1, 0)
+    for b in (True, False):
+        with pytest.raises(ValueError, match=f"^expected a rational string, got {b}$"):
+            _parse_frac(b)
+
+
+def test_parse_rational_repeat_obeys_a_lowered_digit_limit():
+    # accepted under the default limit, refused on a repeat read under 640
+    # digits, both as digits and through an exponent
+    limit = sys.get_int_max_str_digits()
+    long_digits, big_exponent = "7" * 700, "1e2000"
+    assert _parse_frac(long_digits) == int(long_digits)
+    assert _parse_frac(big_exponent) == 10**2000
+    try:
+        sys.set_int_max_str_digits(640)
+        with pytest.raises(ValueError, match=r"^Exceeds the limit \(640 digits\)"):
+            _parse_frac(long_digits)
+        with pytest.raises(ValueError, match="^exponent beyond 1280 in a number$"):
+            _parse_frac(big_exponent)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @settings(max_examples=150, deadline=None)
