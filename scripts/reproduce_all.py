@@ -2,8 +2,9 @@
 
 Writes the bundled subspaces and rules, verifies each rule (writing the
 report on the exact eleven-node ex2 rule), certifies minimal node counts
-for the pair subspace, runs the midpoint grid search, computes the
-hierarchy lower bounds, and reduces the measure rule.
+for the pair subspace and the sign gap (signed 5, positive 6), runs the
+midpoint grid search, computes the hierarchy lower bounds, and reduces the
+measure rule.
 """
 
 import argparse
@@ -31,7 +32,7 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
 
     failures = 0
-    for name in ("ex1", "ex2"):
+    for name in ("ex1", "ex2", "gap"):
         failures += run(["corpus", name, "--output", str(out)]) != 0
 
     for key, (sid, _) in sorted(golden_rules().items()):
@@ -43,11 +44,12 @@ def main():
         expected = 1 if key == "ex2-nine" else 0
         failures += code != expected
 
-    for mode in ("signed", "positive"):
-        failures += run([
-            "min", str(out / "ex1.subspace.json"), "--mode", mode,
-            "--format", "json", "--output", str(out / f"ex1-min-{mode}.json"),
-        ]) != 0
+    for sid in ("ex1", "gap"):
+        for mode in ("signed", "positive"):
+            failures += run([
+                "min", str(out / f"{sid}.subspace.json"), "--mode", mode,
+                "--format", "json", "--output", str(out / f"{sid}-min-{mode}.json"),
+            ]) != 0
 
     failures += run([
         "grid", str(out / "ex1.subspace.json"),

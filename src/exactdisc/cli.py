@@ -64,9 +64,86 @@ def _writing(path: str):
         raise InputError(f"cannot write {path}: {e}") from e
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+#: the JSON text of each scalar, keyed by exact type
+_SCALARS = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+class _Unwritten(Exception):
+    """A value `_write` leaves to ``json.dumps``."""
+
+
+def _dumps(doc) -> str:
+    """The text of ``json.dumps(doc, indent=2, sort_keys=True)``.
+
+    ``indent`` makes json encode token by token in Python; this writes a
+    container at a time, and a list of one scalar type with one join.  Any
+    value outside dicts, lists and tuples of str, int, bool and None (a
+    float, a subclass, a key that is not a str; deep or circular nesting)
+    sends the whole document to ``json.dumps``, so its text or its error is
+    json's own."""
+    out = []
+    try:
+        _write(doc, out, "\n")
+    except (_Unwritten, TypeError, RecursionError):  # TypeError: unsortable keys
+        return json.dumps(doc, indent=2, sort_keys=True)
+    return "".join(out)
+
+
+def _write(value, out: list, nl: str) -> None:
+    """Append the chunks of the dict, list or tuple ``value``, whose lines
+    start with ``nl``."""
+    inner = nl + "  "
+    sep = "," + inner
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        lead = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise _Unwritten
+            item = value[key]
+            enc = _SCALARS.get(type(item))
+            if enc is not None:
+                out.append(lead + _encode_str(key) + ": " + enc(item))
+            else:
+                out.append(lead + _encode_str(key) + ": ")
+                _write(item, out, inner)
+            lead = sep
+        out.append(nl + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        first = type(value[0])
+        enc = _SCALARS.get(first)
+        if enc is not None and all(type(item) is first for item in value):
+            out.append("[" + inner + sep.join(map(enc, value)) + nl + "]")
+            return
+        lead = "[" + inner
+        for item in value:
+            enc = _SCALARS.get(type(item))
+            if enc is not None:
+                out.append(lead + enc(item))
+            else:
+                out.append(lead)
+                _write(item, out, inner)
+            lead = sep
+        out.append(nl + "]")
+    else:
+        raise _Unwritten
+
+
 def _emit(doc: dict, args, human_lines) -> None:
     if args.format == "json":
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = _dumps(doc) + "\n"
     else:
         text = "\n".join(human_lines) + "\n"
     out = getattr(args, "output", None)
@@ -160,7 +237,7 @@ def cmd_corpus(args) -> int:
     def write(filename: str, doc: dict):
         path = os.path.join(outdir, filename)
         with _writing(path), open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            fh.write(_dumps(doc) + "\n")
         written.append(path)
 
     write(f"{name}.subspace.json", subspace_to_doc(s))
@@ -168,7 +245,7 @@ def cmd_corpus(args) -> int:
         if sid == name:
             write(f"{rule_name}.rule.json", rule_to_doc(rule))
     if args.format == "json":
-        sys.stdout.write(json.dumps({"written": written}, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_dumps({"written": written}) + "\n")
     else:
         for path in written:
             print(f"wrote {path}")
@@ -337,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=("signed", "positive"), default="signed")
 
     p = sub.add_parser("corpus", help="write a bundled subspace and its known rules")
-    p.add_argument("name", help="ex1 or ex2")
+    p.add_argument("name", help="ex1, ex2 or gap")
     p.add_argument("--output", help="target directory (default: .)")
     p.add_argument("--format", choices=("human", "json"), default="human")
     p.set_defaults(fn=cmd_corpus)

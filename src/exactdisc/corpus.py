@@ -1,4 +1,4 @@
-"""Reference corpus: two worked subspaces and their known rules.
+"""Reference corpus: three worked subspaces and their known rules.
 
 ex1: a two-dimensional piecewise-constant pair (an indicator plus a
 four-sign step) whose minimal exact rule count is decided by exhaustive
@@ -12,6 +12,11 @@ certified: every exact rule has at least 9 nodes, the nine-node rule
 rule ``ex2-eleven`` (two negative weights) is exact.  Whether an exact
 rule with nine or ten nodes exists, and the signs of its weights, is not
 certified.
+
+gap: three piecewise-constant functions on seven regions that show the
+paper's phenomenon.  What is certified, by the two `min` exhaustion logs:
+the signed minimal node count is 5 and the positive one is 6, so every
+exact five-node rule has a negative weight.
 """
 
 from __future__ import annotations
@@ -191,12 +196,35 @@ def build_X8() -> Subspace:
     )
 
 
+#: Region edges of the gap subspace, and each function's value per region.
+_GAP_EDGES = ("-1", "-1/2", "-3/8", "-1/4", "-1/8", "0", "3/8", "1")
+_GAP_VALUES = (
+    (2, -2, 0, -2, 0, 1, -1),
+    (-1, 1, 2, -2, 2, -1, 1),
+    (2, 1, 1, 1, -2, -1, -1),
+)
+
+
+def build_gap() -> Subspace:
+    """The sign-gap subspace f1, f2, f3 on [-1, 1]: signed m_min is 5 and
+    positive m_min is 6, so an exact five-node rule exists and every one of
+    them has a negative weight."""
+    edges = [Fraction(e) for e in _GAP_EDGES]
+    funcs = tuple(
+        PiecewiseFn([Piece.from_poly(lo, hi, [v]) for lo, hi, v in zip(edges, edges[1:], row)])
+        for row in _GAP_VALUES
+    )
+    return Subspace(("f1", "f2", "f3"), funcs)
+
+
 def build_subspace(name: str, p: Example1Params | None = None) -> Subspace:
     if name == "ex1":
         return build_X2(p)
     if name == "ex2":
         return build_X8()
-    raise KeyError(f"unknown subspace {name!r} (have: ex1, ex2)")
+    if name == "gap":
+        return build_gap()
+    raise KeyError(f"unknown subspace {name!r} (have: ex1, ex2, gap)")
 
 
 def golden_rules(p: Example1Params | None = None) -> dict:

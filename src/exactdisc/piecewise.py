@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -641,6 +641,24 @@ class PiecewiseFn:
 
     def __repr__(self):
         return f"PiecewiseFn({len(self.pieces)} pieces on [{self.domain_lo}, {self.domain_hi}])"
+
+
+def _refuse_assign(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# The generated methods of a frozen slotted dataclass call super() with the
+# class that slots=True replaced, which raises TypeError on a name that is
+# not a field; these raise FrozenInstanceError (an AttributeError) on every
+# name.
+for _cls in (Poly, Piece, PiecewiseFn):
+    _cls.__setattr__ = _refuse_assign
+    _cls.__delattr__ = _refuse_delete
+del _cls
 
 
 def constant_fn(domain_lo, domain_hi, value=0) -> PiecewiseFn:

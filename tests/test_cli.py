@@ -1,7 +1,9 @@
 """End-to-end command-line checks: exit codes, document output, and
 byte-stable JSON across repeat runs."""
 
+import collections
 import copy
+import enum
 import hashlib
 import json
 import os
@@ -14,10 +16,12 @@ from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import exactdisc
 from exactdisc import cli
-from exactdisc.corpus import build_X2, build_X8, golden_rules
+from exactdisc.corpus import build_gap, build_X2, build_X8, golden_rules
 from exactdisc.discretize import (
     Subspace,
     measure_rule,
@@ -31,10 +35,10 @@ from exactdisc.piecewise import Piece, PiecewiseFn
 
 @pytest.fixture
 def corpus_dir(tmp_path):
-    """Both bundled subspaces and all golden rules, written once."""
+    """The three bundled subspaces and all golden rules, written once."""
     d = tmp_path / "corpus"
-    assert cli.main(["corpus", "ex1", "--output", str(d)]) == 0
-    assert cli.main(["corpus", "ex2", "--output", str(d)]) == 0
+    for name in ("ex1", "ex2", "gap"):
+        assert cli.main(["corpus", name, "--output", str(d)]) == 0
     return d
 
 
@@ -57,9 +61,11 @@ def test_corpus_files_round_trip(corpus_dir):
         "ex2.subspace.json",
         "ex2-nine.rule.json",
         "ex2-eleven.rule.json",
+        "gap.subspace.json",
     }
     assert subspace_from_doc(docs["ex1.subspace.json"]) == build_X2()
     assert subspace_from_doc(docs["ex2.subspace.json"]) == build_X8()
+    assert subspace_from_doc(docs["gap.subspace.json"]) == build_gap()
     golden = golden_rules()
     for key in ("ex1-negative", "ex1-positive", "ex2-nine", "ex2-eleven"):
         assert rule_from_doc(docs[f"{key}.rule.json"]) == golden[key][1]
@@ -67,7 +73,7 @@ def test_corpus_files_round_trip(corpus_dir):
 
 def test_corpus_unknown_name(tmp_path, capsys):
     assert cli.main(["corpus", "ex3", "--output", str(tmp_path)]) == 2
-    assert "unknown subspace" in capsys.readouterr().err
+    assert "unknown subspace 'ex3' (have: ex1, ex2, gap)" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -956,6 +962,115 @@ def test_unwritable_output_exits_2(corpus_dir, tmp_path, capsys, target):
 
 
 # ---------------------------------------------------------------------------
+# the JSON writer
+
+
+def _indented(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=6)  # surrogates too
+_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=-10**30, max_value=10**30), _TEXT,
+    st.sampled_from(["", '"', "\\", "\n\t\x00\x1f", "\x7f\xe9\u20ac", "\ud800", "\U0001f600"]),
+)
+_SAME_TYPE_LIST = st.one_of(
+    st.lists(st.integers(), max_size=5), st.lists(_TEXT, max_size=5),
+    st.lists(st.booleans(), max_size=5), st.lists(st.none(), max_size=3),
+)
+_JSON_TREE = st.recursive(
+    _SCALAR | _SAME_TYPE_LIST,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_TREE)
+@example({"a": [True, 1], "b": [1, "1"], "c": [None, False], "d": [[], {}, ()], "": {"e": []}})
+@example([[0, 1], ["0"], [True], [None], [1, True], ({"k": 1},)])
+def test_writer_text_is_json_dumps_text(value):
+    assert cli._dumps(value) == _indented(value)
+
+
+class _Small(enum.IntEnum):
+    ONE = 1
+
+
+class _Name(str):
+    pass
+
+
+def _circular():
+    loop = [1]
+    loop.append({"again": loop})
+    return loop
+
+
+@pytest.mark.parametrize("value", [
+    {"x": 1.5, "y": [0.1, 2]},
+    [float("nan"), float("inf")],
+    {"n": _Small.ONE, "ns": [_Small.ONE, 2]},
+    {"s": _Name("a"), _Name("k"): ["b", _Name("c")]},
+    collections.OrderedDict([("b", 1), ("a", [2])]),
+    {1: "a", 2: ["b"]},
+    {"nested": {3: 0, 1: 1}},
+    {1: "a", "b": 2},
+    {"o": object()},
+    _circular(),
+    "top",
+    7,
+], ids=["float", "nan", "int-enum", "str-subclass", "ordered-dict", "int-keys",
+        "nested-int-keys", "mixed-keys", "object", "circular", "str", "int"])
+def test_writer_leaves_other_values_to_json(value):
+    try:
+        expected = _indented(value)
+    except Exception as e:  # json's own refusal is the reference
+        with pytest.raises(type(e)):
+            cli._dumps(value)
+    else:
+        assert cli._dumps(value) == expected
+
+
+def test_every_printed_document_is_written_without_json_dumps(corpus_dir, tmp_path, capsys,
+                                                              monkeypatch):
+    # every document the commands print has only str, int, bool and None
+    # leaves, so none of them takes the json.dumps fallback
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    sub1, sub2 = str(corpus_dir / "ex1.subspace.json"), str(corpus_dir / "ex2.subspace.json")
+    gap = str(corpus_dir / "gap.subspace.json")
+    rule = tmp_path / "ex1-measure.rule.json"
+    rule.write_text(_indented(rule_to_doc(measure_rule(build_X2()))))
+    commands = [
+        ["corpus", "gap", "--output", str(tmp_path / "again")],
+        ["gram", sub2],
+        ["verify", sub1, str(corpus_dir / "ex1-negative.rule.json")],
+        ["verify", sub2, str(corpus_dir / "ex2-nine.rule.json")],
+        ["verify", sub2, str(corpus_dir / "ex2-eleven.rule.json")],
+        ["min", gap], ["min", gap, "--mode", "positive"],
+        ["grid", sub1, "--candidates=-1/2,1/8,3/8,5/8,7/8", "-m", "3", "--skip-pair", "f1,f2"],
+        ["reduce", sub1, str(rule), "--mode", "positive"],
+        ["bound", sub2, "--witness", "h0", "--targets", "h4,h5,h6,h7", "--refine", "h0,h1"],
+        ["bound", sub2, "--witness", "h0", "--targets", "h4,h5", "--refine", "h4,h5"],
+    ]
+    for argv in commands:
+        monkeypatch.setattr(json, "dumps", refuse)
+        code = cli.main(argv + ["--format", "json"])
+        monkeypatch.undo()
+        out = capsys.readouterr().out
+        assert code in (0, 1) and out == _indented(json.loads(out)) + "\n", argv
+    written = sorted((tmp_path / "again").iterdir())
+    assert [p.read_bytes() for p in written] == [(corpus_dir / p.name).read_bytes() for p in written]
+
+
+# ---------------------------------------------------------------------------
 # output plumbing
 
 
@@ -990,10 +1105,10 @@ def test_parser_is_built_once_and_reused(corpus_dir, capsys):
 
 
 #: sha256 of each `--help` text at 80 columns, recorded before the parser was
-#: cached (the same on Python 3.10 to 3.13).
+#: cached (the same on Python 3.10 to 3.13; `corpus` when it learned `gap`).
 HELP_PINS = {
     "": "0a18c20035c487ec2cd78b60b94071760b778ed5526df5fbcf32a808cd0c2101",
-    "corpus": "d79cbe27112867712cfb1c445424fb157181bbefaf83b647a95cf95ee5dc8e2e",
+    "corpus": "33fd52075d97ddc048abf6ceb4b6904705cfb0cf6ad58a1602036e86d2a2fb2e",
     "verify": "fa3a7053300619995499c2231e5923a1727c9fc8e053552b8d04a73aaa8af00e",
     "gram": "39895ec7cbd23b135188b2c011aa9a0ab5c428b32d0331e05dcbbb24620e9770",
     "min": "15b073134d01168518bcd7f630816bca7a3f542b1c54a543869e19473402dfe2",
@@ -1075,7 +1190,8 @@ def test_documents_are_read_and_written_as_utf8(tmp_path):
 
 #: sha256 of every file `scripts/reproduce_all.py` writes, recorded before
 #: `decide_min` and `search_grid` shared one subset engine (the two ex2-eleven
-#: files when that rule was added).
+#: files when that rule was added; the gap files when that entry was added,
+#: its two `min` logs equal to `test_discretize.SIGN_GAP_MIN_PINS`).
 ARTIFACT_PINS = {
     "ex1-grid-positive.json": "5cd41fc972f446090c3539617c26a4f16016d3df6e5c79b6c500573dedd746d2",
     "ex1-measure.rule.json": "a730e408a371b373c60670651250413dd2a656e0f73ff068bebc97e8b8644eb1",
@@ -1090,6 +1206,9 @@ ARTIFACT_PINS = {
     "ex2-eleven.rule.json": "50439416ee47ca40503834e2d9a93eb9189097cbd528daae20ccda3b6682cdcc",
     "ex2-nine.rule.json": "4408d39475bfab91efc11806a3376092052c8e08908cfb673ef221bcb496be4f",
     "ex2.subspace.json": "cf1fa0b1bbf1b0d5ffcab30b8cb4fc9a6a1348ccc2312604ba57409004de82b8",
+    "gap-min-positive.json": "ce95220188d3753a4cdb280826c05e9b197f1e17084ba374867775ac1eccd05b",
+    "gap-min-signed.json": "4175d344e5d2cf7962e0cb9d8937224cc3d7f19d415f59ba24ef7793640851b7",
+    "gap.subspace.json": "a7a97326580b17cff0ab031683184747090cceaa690104027dd79c8b2d94046f",
 }
 
 

@@ -16,6 +16,7 @@ from exactdisc.corpus import (
     build_f1,
     build_f2,
     build_g,
+    build_gap,
     build_h,
     build_subspace,
     build_X2,
@@ -269,7 +270,7 @@ def test_gspec_validation():
 def test_builder_errors():
     with pytest.raises(ValueError, match="no function h8"):
         build_h(8)
-    with pytest.raises(KeyError, match="unknown subspace"):
+    with pytest.raises(KeyError, match=r"unknown subspace 'nope' \(have: ex1, ex2, gap\)"):
         build_subspace("nope")
 
 
@@ -281,6 +282,10 @@ def test_subspace_shapes():
     assert x8.names == tuple(f"h{i}" for i in range(8))
     assert x8.dimension == 8
     assert build_X8().names == x8.names
+    gap = build_subspace("gap")
+    assert gap.names == ("f1", "f2", "f3") and gap.dimension == 3
+    assert gap.domain == (Fraction(-1), Fraction(1)) and gap == build_gap()
+    assert len({p.lo for f in gap.funcs for p in f.pieces}) == 7  # seven regions
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ import sympy
 import oracles
 import props
 from exactdisc import cli
-from exactdisc.corpus import build_f1, build_f2, build_X2, build_X8, Example1Params, golden_rules
+from exactdisc.corpus import (
+    build_f1, build_f2, build_gap, build_X2, build_X8, Example1Params, golden_rules,
+)
 from exactdisc.discretize import (
     _MERGE_JUSTIFICATION,
     _subset_outcomes,
@@ -70,29 +72,10 @@ NINE_RULE = GOLDEN["ex2-nine"][1]
 MIDS = (Fraction(-1, 2), Fraction(1, 8), Fraction(3, 8), Fraction(5, 8), Fraction(7, 8))
 
 
-def pwc_subspace(edges, rows):
-    """Piecewise-constant subspace on the given region edges, one row of
-    region values per basis function."""
-    regions = list(zip(edges, edges[1:]))
-    funcs = tuple(
-        PiecewiseFn([Piece.from_poly(Fraction(lo), Fraction(hi), [Fraction(v)])
-                     for (lo, hi), v in zip(regions, row)])
-        for row in rows
-    )
-    return Subspace(tuple(f"f{i + 1}" for i in range(len(rows))), funcs)
-
-
 # The paper's phenomenon on a piecewise-constant subspace: seven region
 # vectors, an exact 5-node rule exists, but every one has a negative weight
 # (the positive minimum is 6).
-SIGN_GAP = pwc_subspace(
-    ("-1", "-1/2", "-3/8", "-1/4", "-1/8", "0", "3/8", "1"),
-    (
-        (2, -2, 0, -2, 0, 1, -1),
-        (-1, 1, 2, -2, 2, -1, 1),
-        (2, 1, 1, 1, -2, -1, -1),
-    ),
-)
+SIGN_GAP = build_gap()
 
 
 def moment_column(values, labels):

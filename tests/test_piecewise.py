@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import mpmath as mp
@@ -1063,6 +1064,27 @@ def test_equal_functions_hash_equal_and_hit_the_gram_cache():
     hits = _gram_cached.cache_info().hits
     assert gram(loaded) is first
     assert _gram_cached.cache_info().hits == hits + 1
+
+
+def test_value_types_refuse_every_assignment_and_deletion():
+    # fields, names that are no field, and properties: each is refused with
+    # the dataclass error, never a TypeError from a misdirected super()
+    f = build_h(2)
+    piece = f.pieces[7]
+    hash(f)  # the cached hash is written past the refusal
+    cases = (
+        (Poly((1, 2)), ("nums", "den", "coeffs", "foo")),
+        (piece, ("lo", "terms", "expr", "foo")),
+        (f, ("pieces", "_hash", "domain", "foo")),
+    )
+    for value, names in cases:
+        for name in names:
+            with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+                setattr(value, name, 1)
+            with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+                delattr(value, name)
+    assert issubclass(FrozenInstanceError, AttributeError)
+    assert f == build_h(2) and hash(f) == hash(f.pieces) and not hasattr(f, "foo")
 
 
 #: sha256 digests recorded before the kernel's shortcuts were added
