@@ -74,24 +74,16 @@ _SCALARS = {
 }
 
 
-class _Unwritten(Exception):
-    """A value `_write` leaves to ``json.dumps``."""
-
-
 def _dumps(doc) -> str:
-    """The text of ``json.dumps(doc, indent=2, sort_keys=True)``.
+    """The text of ``json.dumps(doc, indent=2, sort_keys=True)`` for a dict,
+    list or tuple of dicts, lists, tuples, str, int, bool and None.
 
     ``indent`` makes json encode token by token in Python; this writes a
     container at a time, and a list of one scalar type with one join.  Any
-    value outside dicts, lists and tuples of str, int, bool and None (a
-    float, a subclass, a key that is not a str; deep or circular nesting)
-    sends the whole document to ``json.dumps``, so its text or its error is
-    json's own."""
+    other value (a float, a subclass, a key that is not a str) raises
+    TypeError."""
     out = []
-    try:
-        _write(doc, out, "\n")
-    except (_Unwritten, TypeError, RecursionError):  # TypeError: unsortable keys
-        return json.dumps(doc, indent=2, sort_keys=True)
+    _write(doc, out, "\n")
     return "".join(out)
 
 
@@ -108,7 +100,7 @@ def _write(value, out: list, nl: str) -> None:
         lead = "{" + inner
         for key in sorted(value):
             if type(key) is not str:
-                raise _Unwritten
+                raise TypeError(f"cannot write {type(key).__name__} key as JSON")
             item = value[key]
             enc = _SCALARS.get(type(item))
             if enc is not None:
@@ -138,7 +130,7 @@ def _write(value, out: list, nl: str) -> None:
             lead = sep
         out.append(nl + "]")
     else:
-        raise _Unwritten
+        raise TypeError(f"cannot write {kind.__name__} as JSON")
 
 
 def _emit(doc: dict, args, human_lines) -> None:

@@ -988,10 +988,16 @@ _JSON_TREE = st.recursive(
     ),
     max_leaves=24,
 )
+#: what the writer takes at the top: a dict, list or tuple
+_JSON_DOC = st.one_of(
+    st.lists(_JSON_TREE, max_size=4),
+    st.lists(_JSON_TREE, max_size=4).map(tuple),
+    st.dictionaries(_TEXT, _JSON_TREE, max_size=4),
+)
 
 
 @settings(max_examples=400, deadline=None)
-@given(_JSON_TREE)
+@given(_JSON_DOC)
 @example({"a": [True, 1], "b": [1, "1"], "c": [None, False], "d": [[], {}, ()], "": {"e": []}})
 @example([[0, 1], ["0"], [True], [None], [1, True], ({"k": 1},)])
 def test_writer_text_is_json_dumps_text(value):
@@ -1006,12 +1012,6 @@ class _Name(str):
     pass
 
 
-def _circular():
-    loop = [1]
-    loop.append({"again": loop})
-    return loop
-
-
 @pytest.mark.parametrize("value", [
     {"x": 1.5, "y": [0.1, 2]},
     [float("nan"), float("inf")],
@@ -1022,28 +1022,18 @@ def _circular():
     {"nested": {3: 0, 1: 1}},
     {1: "a", "b": 2},
     {"o": object()},
-    _circular(),
     "top",
     7,
 ], ids=["float", "nan", "int-enum", "str-subclass", "ordered-dict", "int-keys",
-        "nested-int-keys", "mixed-keys", "object", "circular", "str", "int"])
-def test_writer_leaves_other_values_to_json(value):
-    try:
-        expected = _indented(value)
-    except Exception as e:  # json's own refusal is the reference
-        with pytest.raises(type(e)):
-            cli._dumps(value)
-    else:
-        assert cli._dumps(value) == expected
+        "nested-int-keys", "mixed-keys", "object", "str", "int"])
+def test_writer_refuses_other_values(value):
+    with pytest.raises(TypeError):
+        cli._dumps(value)
 
 
-def test_every_printed_document_is_written_without_json_dumps(corpus_dir, tmp_path, capsys,
-                                                              monkeypatch):
+def test_every_printed_document_is_canonical_json(corpus_dir, tmp_path, capsys):
     # every document the commands print has only str, int, bool and None
-    # leaves, so none of them takes the json.dumps fallback
-    def refuse(*args, **kwargs):
-        raise AssertionError("json.dumps called")
-
+    # leaves, so the writer takes each one and prints json.dumps's text
     sub1, sub2 = str(corpus_dir / "ex1.subspace.json"), str(corpus_dir / "ex2.subspace.json")
     gap = str(corpus_dir / "gap.subspace.json")
     rule = tmp_path / "ex1-measure.rule.json"
@@ -1061,9 +1051,7 @@ def test_every_printed_document_is_written_without_json_dumps(corpus_dir, tmp_pa
         ["bound", sub2, "--witness", "h0", "--targets", "h4,h5", "--refine", "h4,h5"],
     ]
     for argv in commands:
-        monkeypatch.setattr(json, "dumps", refuse)
         code = cli.main(argv + ["--format", "json"])
-        monkeypatch.undo()
         out = capsys.readouterr().out
         assert code in (0, 1) and out == _indented(json.loads(out)) + "\n", argv
     written = sorted((tmp_path / "again").iterdir())
