@@ -286,8 +286,6 @@ def cmd_min(args) -> int:
         summary = ", ".join(f"{v} {k}" for k, v in sorted(reasons.items()))
         lines.append(f"  size {lvl.m}: {lvl.count} cases infeasible ({summary})")
     lines.append("fallback: " + _rule_line(cert.fallback))
-    if cert.flags:
-        lines.append("flags: " + ", ".join(cert.flags))
     _emit(doc, args, lines)
     return EXIT_OK
 

@@ -24,13 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Radical, Rat
+from .exactnum import Radical
 from .piecewise import Piece, PiecewiseFn, pw_scale_add
 from .discretize import Rule, Subspace
-
-#: Flag stamped on a subspace built from parameters that break the strict
-#: separation inequality A^2 > 2 a^2 + B^2 (certificates inherit it).
-PARAM_FLAG = "params-violate-separation-inequality"
 
 
 @dataclass(frozen=True)
@@ -38,9 +34,8 @@ class Example1Params:
     """Step heights (a, A, B) for the ex1 pair, A > B > 0, a > 0.
 
     The separation inequality A^2 > 2 a^2 + B^2 is enforced at construction
-    unless `unchecked` is set, in which case downstream artifacts carry
-    PARAM_FLAG instead.  What is certified at the defaults (1, 3, 2) is a
-    forced negative weight on one node triple: the exact weights at
+    unless `unchecked` is set.  What is certified at the defaults (1, 3, 2)
+    is a forced negative weight on one node triple: the exact weights at
     (-1/2, 1/8, 3/8) are unique, (-3/2, 1/2, 1/2), so no positive rule
     uses those nodes.  The inequality is not known to force a negative
     weight at the minimal node count: over a census of 147 triples (a, A,
@@ -117,8 +112,7 @@ def build_f2(p: Example1Params) -> PiecewiseFn:
 
 def build_X2(p: Example1Params | None = None) -> Subspace:
     p = p if p is not None else Example1Params()
-    flags = () if p.separation_holds else (PARAM_FLAG,)
-    return Subspace(("f1", "f2"), (build_f1(), build_f2(p)), flags)
+    return Subspace(("f1", "f2"), (build_f1(), build_f2(p)))
 
 
 def build_g(spec: GSpec) -> PiecewiseFn:

@@ -27,12 +27,13 @@ are read off as ratios and handed back as Radicals.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exactnum import Radical, Rat, _rows_for, float_str
+from .exactnum import Radical, _rows_for, float_str
 from .piecewise import (
     DomainError,
     PiecewiseFn,
@@ -69,7 +70,6 @@ class Subspace:
 
     names: tuple
     funcs: tuple
-    flags: tuple = ()
 
     def __post_init__(self):
         if not self.funcs or len(self.names) != len(self.funcs):
@@ -498,7 +498,7 @@ class VectorGroup:
     column), plus a representative."""
 
     regions: tuple
-    representative: Rat
+    representative: Fraction
     values: tuple
 
 
@@ -524,7 +524,6 @@ class MinCertificate:
     exhaustion: tuple
     justification: str
     fallback: Rule
-    flags: tuple = ()
 
 
 _MERGE_JUSTIFICATION = (
@@ -674,7 +673,6 @@ def decide_min(s: Subspace, mode: str = "signed") -> MinCertificate:
                 tuple(exhaustion),
                 _MERGE_JUSTIFICATION,
                 _region_rule(regions),
-                s.flags,
             )
         cases = []
         for multiset in itertools.combinations_with_replacement(range(len(groups)), m):
@@ -699,7 +697,8 @@ def search_grid(
 
     Exploration only -- an empty result is not a nonexistence certificate.
     `pairs` restricts the enforced pair conditions (the returned rules then
-    satisfy only those); `max_subsets` caps how many subsets are examined.
+    satisfy only those); `max_subsets` caps how many subsets are examined,
+    and a cap of at least C(len(candidates), m) is no cap.
     Subsets are examined in lexicographic order (`_subset_outcomes`), each
     eliminated from the state of the candidates it shares with the previous
     one; every candidate they reach is evaluated and lifted once, up front.
@@ -709,6 +708,11 @@ def search_grid(
     cand = _check_nodes(s, candidates)
     if not 1 <= m <= len(cand):
         raise ValueError(f"subset size {m} out of range for {len(cand)} candidates")
+    if max_subsets is not None:
+        if max_subsets < 1:
+            raise ValueError(f"max_subsets must be positive, got {max_subsets}")
+        if max_subsets >= math.comb(len(cand), m):
+            max_subsets = None
     labels, rhs = _pair_system(s, pairs)
     # in lexicographic order the first c subsets of size m cover the first m - 1 + c candidates
     reach = cand if max_subsets is None else cand[: m - 1 + max_subsets]
@@ -739,7 +743,6 @@ class LowerBoundCertificate:
     target_indices: tuple
     clauses: tuple
     regions: tuple  # closed intervals that must contain the counted nodes
-    flags: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -799,7 +802,6 @@ def support_lower_bound(s: Subspace, witness_index: int, target_indices) -> Lowe
         target_indices,
         tuple(clauses),
         tuple(sorted(regions)),
-        s.flags,
     )
 
 
@@ -911,13 +913,10 @@ def caratheodory_reduce(s: Subspace, rule: Rule, mode: str = "signed") -> Reduce
 
 def subspace_to_doc(s: Subspace) -> dict:
     lo, hi = s.domain
-    doc = {
+    return {
         "domain": [str(lo), str(hi)],
         "functions": [fn_to_doc(n, f) for n, f in zip(s.names, s.funcs)],
     }
-    if s.flags:
-        doc["flags"] = list(s.flags)
-    return doc
 
 
 def subspace_from_doc(doc: dict) -> Subspace:
@@ -927,10 +926,7 @@ def subspace_from_doc(doc: dict) -> Subspace:
         n, f = fn_from_doc(fd)
         names.append(n)
         funcs.append(f)
-    flags = _doc_list(doc, "flags", [])
-    if not all(isinstance(flag, str) for flag in flags):
-        raise ValueError("'flags' must be a list of strings")
-    s = Subspace(tuple(names), tuple(funcs), tuple(flags))
+    s = Subspace(tuple(names), tuple(funcs))
     lo, hi = (_parse_frac(v) for v in _doc_list(doc, "domain"))
     if s.domain != (lo, hi):
         raise ValueError(
@@ -977,7 +973,7 @@ def _interval_doc(lo, hi):
 
 
 def min_certificate_to_doc(s: Subspace, cert: MinCertificate) -> dict:
-    doc = {
+    return {
         "kind": "min",
         "mode": cert.mode,
         "m_min": cert.m_min,
@@ -1004,9 +1000,6 @@ def min_certificate_to_doc(s: Subspace, cert: MinCertificate) -> dict:
         "justification": cert.justification,
         "fallback_witness": rule_to_doc(cert.fallback),
     }
-    if cert.flags:
-        doc["flags"] = list(cert.flags)
-    return doc
 
 
 def lower_bound_to_doc(s: Subspace, cert: LowerBoundCertificate, refined=None) -> dict:
@@ -1028,8 +1021,6 @@ def lower_bound_to_doc(s: Subspace, cert: LowerBoundCertificate, refined=None) -
         ],
         "regions": [_interval_doc(lo, hi) for lo, hi in cert.regions],
     }
-    if cert.flags:
-        doc["flags"] = list(cert.flags)
     if refined is not None:
         if isinstance(refined, ImprovedBound):
             doc["refinement"] = {

@@ -11,7 +11,7 @@ and, when they straddle zero, from exact quadratic steps: writing the
 value as ``A + B*sqrt(q)`` with sqrt(q) independent of ``A`` and ``B``
 reduces it to signs in a field with one generator fewer.
 
-Rationals are plain :class:`fractions.Fraction` (aliased ``Rat``);
+Rationals are plain :class:`fractions.Fraction`;
 :class:`Radical` carries the sqrt combinations, as int numerators over one
 common denominator, so its arithmetic runs on ints.  Exact linear algebra runs
 on fraction-free rows of one kind, :class:`_Rows`, over the field of its
@@ -32,8 +32,6 @@ import sys
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from itertools import compress
-
-Rat = Fraction
 
 #: trial-division limit for extracting square factors from radicands
 DEFAULT_FACTOR_BOUND = 10**6

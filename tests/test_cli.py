@@ -388,6 +388,19 @@ def test_grid_bad_arguments(corpus_dir, capsys):
     assert "expected NAME,NAME" in capsys.readouterr().err
 
 
+def test_grid_cap_above_the_subset_count_is_no_cap(corpus_dir, capsys):
+    # C(3, 3) = 1 subset, so every cap from 1 on is no cap, one past sys.maxsize too
+    argv = ["grid", str(corpus_dir / "ex1.subspace.json"), "--candidates=-1/2,1/8,3/8", "-m", "3",
+            "--format", "json"]
+    outs = []
+    for cap in ([], ["--max-subsets", "1"], ["--max-subsets", str(sys.maxsize)],
+                ["--max-subsets", "100000000000000000000"]):
+        assert cli.main(argv + cap) == 0
+        outs.append(capsys.readouterr().out)
+    assert json.loads(outs[0])["count"] == 1
+    assert outs == [outs[0]] * 4
+
+
 # ---------------------------------------------------------------------------
 # bound
 
@@ -705,7 +718,6 @@ def test_number_too_long_to_print_exits_2(corpus_dir, tmp_path, capsys, where):
         ("rule-weight", True),
         ("domain-end", 1.0),
         ("coefficient", False),
-        ("flags", "abc"),  # once read as the flags a, b and c
     ],
 )
 def test_number_in_an_unwritten_form_exits_2(corpus_dir, tmp_path, capsys, where, text):
@@ -720,8 +732,6 @@ def test_number_in_an_unwritten_form_exits_2(corpus_dir, tmp_path, capsys, where
         rule["weights"][0] = text
     elif where == "domain-end":
         sub["domain"][1] = text
-    elif where == "flags":
-        sub["flags"] = text
     else:
         sub["functions"][0]["pieces"][0]["poly"][0] = text
     (tmp_path / "u.subspace.json").write_text(json.dumps(sub))
@@ -811,10 +821,6 @@ def _function_entry(value):
 @pytest.mark.parametrize(
     "edit",
     [
-        # flags that are not strings broke gram's cache and min's human lines
-        pytest.param(lambda sub, rule: sub.update(flags=[{"a": 1}]), id="flags-dict"),
-        pytest.param(lambda sub, rule: sub.update(flags=[[1]]), id="flags-list"),
-        pytest.param(lambda sub, rule: sub.update(flags=[1, 2]), id="flags-int"),
         # a string where an array belongs was read character by character
         pytest.param(lambda sub, rule: rule.update(nodes="01", weights="11"), id="rule-lists"),
         pytest.param(lambda sub, rule: sub["functions"][0]["pieces"][1].update(poly="12"), id="poly"),
@@ -847,6 +853,34 @@ def test_document_of_the_wrong_shape_exits_2(corpus_dir, tmp_path, capsys, edit)
         err = capsys.readouterr().err
         assert code == 2, argv
         assert err.startswith(f"error: bad {bad} file") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        pytest.param({"flags": ["params-violate-separation-inequality"]}, id="legacy-flags"),
+        pytest.param({"flags": [{"a": 1}]}, id="flags-dict"),
+        pytest.param({"flags": "abc"}, id="flags-string"),
+        pytest.param({"note": 1}, id="unknown-key"),
+    ],
+)
+def test_unknown_subspace_keys_are_ignored(corpus_dir, tmp_path, capsys, extra):
+    # a certificate depends on the functions alone: a key the reader does not
+    # know, "flags" included, changes no output byte and no exit code
+    rule = str(corpus_dir / "ex1-positive.rule.json")
+    sub = json.loads((corpus_dir / "ex1.subspace.json").read_text())
+    sub.update(extra)
+    (tmp_path / "x.subspace.json").write_text(json.dumps(sub))
+
+    def outputs(subspace):
+        runs = []
+        for argv in (["gram", subspace], ["min", subspace, "--mode", "positive", "--format", "json"],
+                     ["verify", subspace, rule]):
+            code = cli.main(argv)
+            runs.append((code, capsys.readouterr().out))
+        return runs
+
+    assert outputs(str(tmp_path / "x.subspace.json")) == outputs(str(corpus_dir / "ex1.subspace.json"))
 
 
 @pytest.mark.parametrize("fmt", ["human", "json"])

@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from exactdisc.corpus import (
-    PARAM_FLAG,
     Example1Params,
     GSpec,
     H_LEVELS,
@@ -239,8 +238,6 @@ def test_params_validation():
         Example1Params(1, Fraction(3, 2), 1)
     p = Example1Params(1, Fraction(3, 2), 1, unchecked=True)
     assert not p.separation_holds
-    assert build_X2(p).flags == (PARAM_FLAG,)
-    assert build_X2().flags == ()
     assert Example1Params(2, 4, Fraction(5, 2)).separation_holds  # 16 > 8 + 25/4
 
 

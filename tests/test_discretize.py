@@ -1001,7 +1001,6 @@ def test_decide_min_signed():
     assert verify_rule(X2, cert.witness).passed
     assert [(lvl.m, lvl.count) for lvl in cert.exhaustion] == [(1, 5), (2, 15)]
     assert len(cert.groups) == 5
-    assert cert.flags == ()
     assert verify_rule(X2, cert.fallback).passed
     assert cert.justification  # merge argument travels with the certificate
 
@@ -1277,7 +1276,7 @@ def reference_min_doc(s, mode):
                 weights = pf.weights
             cert = MinCertificate(
                 mode, m, Rule(sol.nodes, weights), groups, tuple(exhaustion),
-                _MERGE_JUSTIFICATION, measure_rule(s), s.flags,
+                _MERGE_JUSTIFICATION, measure_rule(s),
             )
             return json.dumps(min_certificate_to_doc(s, cert))
         exhaustion.append(LevelLog(m, len(cases), tuple(cases)))
@@ -1352,6 +1351,12 @@ def test_search_grid_max_subsets_cap():
         )
     ]
     assert search_grid(X2, MIDS, 3, "positive", max_subsets=2) == []
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_search_grid_refuses_a_cap_below_one(cap):
+    with pytest.raises(ValueError, match=rf"^max_subsets must be positive, got {cap}$"):
+        search_grid(X2, MIDS, 3, "positive", max_subsets=cap)
 
 
 def test_search_grid_evaluates_each_candidate_once(monkeypatch):
