@@ -8,7 +8,6 @@ measure rule.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -64,8 +63,7 @@ def main():
     ]) != 0
 
     five = out / "ex1-measure.rule.json"
-    five.write_text(json.dumps(rule_to_doc(measure_rule(build_X2())), indent=2) + "\n",
-                    encoding="utf-8")
+    five.write_text(cli._dumps(rule_to_doc(measure_rule(build_X2()))) + "\n", encoding="utf-8")
     failures += run([
         "reduce", str(out / "ex1.subspace.json"), str(five), "--mode", "positive",
         "--format", "json", "--output", str(out / "ex1-reduced.json"),

@@ -883,8 +883,6 @@ def caratheodory_reduce(s: Subspace, rule: Rule, mode: str = "signed") -> Reduce
             break
         mu = list(null_basis[0])
         if mode == "positive":
-            if not any(v.sign() > 0 for v in mu):
-                mu = [-v for v in mu]
             t = min(w / v for w, v in zip(weights, mu) if v.sign() > 0)
         else:
             pivot = next(i for i, v in enumerate(mu) if v)

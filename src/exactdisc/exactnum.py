@@ -6,10 +6,10 @@ under the four arithmetic operations and has a unique normal form: the
 square roots of distinct squarefree integers are linearly independent over
 the rationals, so two values are equal iff their coefficient maps are
 equal.  Equality is therefore decidable by inspection.  The sign of a
-nonzero value comes from rational interval enclosures of 64 to 512 bits
-and, when they straddle zero, from exact quadratic steps: writing the
-value as ``A + B*sqrt(q)`` with sqrt(q) independent of ``A`` and ``B``
-reduces it to signs in a field with one generator fewer.
+nonzero value comes from a 64-bit rational interval enclosure and, when it
+straddles zero, from exact quadratic steps: writing the value as
+``A + B*sqrt(q)`` with sqrt(q) independent of ``A`` and ``B`` reduces it
+to signs in a field with one generator fewer.
 
 Rationals are plain :class:`fractions.Fraction`;
 :class:`Radical` carries the sqrt combinations, as int numerators over one
@@ -424,22 +424,21 @@ class Radical:
         """Exact sign: -1, 0 or +1.
 
         Zero iff the term tuple is empty (canonical form).  Otherwise the
-        value is enclosed in rational intervals of 64 to 512 bits; when
-        none excludes zero, ``self = A + B*sqrt(q)`` (:meth:`_split`) is
-        decided from the signs of ``A`` and ``B`` and, when they differ, of
-        the norm ``A^2 - q*B^2``, each with one generator fewer.
+        value is enclosed in a 64-bit rational interval; when it does not
+        exclude zero, ``self = A + B*sqrt(q)`` (:meth:`_split`) is decided
+        from the signs of ``A`` and ``B`` and, when they differ, of the norm
+        ``A^2 - q*B^2``, each with one generator fewer.
         """
         if not self._terms:
             return 0
         signs = {c > 0 for _, c in self._terms}
         if len(signs) == 1:
             return 1 if signs.pop() else -1  # all terms pull the same way
-        for bits in (64, 128, 256, 512):
-            lo, hi = self._enclosure(bits)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
+        lo, hi = self._enclosure(64)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
         q, a, b = self._split()  # b != 0: q divides a radicand
         sa, sb = a.sign(), b.sign()
         if sa == sb or not sa:

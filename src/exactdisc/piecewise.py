@@ -629,8 +629,6 @@ class PiecewiseFn:
         x = Fraction(x)
         if x < self.domain_lo or x > self.domain_hi:
             raise DomainError(f"{x} outside domain [{self.domain_lo}, {self.domain_hi}]")
-        if x == self.domain_hi:
-            return self.pieces[-1]
         return self.pieces[bisect_right(self._los, x) - 1]
 
     def __hash__(self):
@@ -868,14 +866,6 @@ def _parse_frac(s) -> Fraction:
     raise ValueError(f"expected a rational string, got {s!r}")
 
 
-def _doc_poly(values: list) -> Poly:
-    """The Poly of a document's coefficient list, over the lcm of the
-    reduced denominators, which leaves it in lowest terms."""
-    qs = [_parse_frac(c) for c in values]
-    den = math.lcm(*(q.denominator for q in qs))
-    return Poly._of([q.numerator * (den // q.denominator) for q in qs], den)
-
-
 def _doc_list(doc: dict, key: str, default=None) -> list:
     """``doc[key]`` (``default`` when it is absent and a default is given),
     which must be a JSON array: a string is not read item by item."""
@@ -919,13 +909,14 @@ def piece_from_doc(doc: dict) -> Piece:
     # beside "sqrt_terms", so a piece with both keys has no single reading
     if "sqrt" in doc and "sqrt_terms" in doc:
         raise ValueError("a piece takes 'sqrt' or 'sqrt_terms', not both")
-    poly = _doc_poly(_doc_list(doc, "poly", ["0"]))
+    poly = Poly([_parse_frac(c) for c in _doc_list(doc, "poly", ["0"])])
     if "sqrt" in doc:
         alpha = _parse_frac(doc["sqrt"]["alpha"])
         beta = _parse_frac(doc["sqrt"]["beta"])
         return Piece(lo, hi, *_norm_expr(_ZERO, [(alpha, beta, poly)]))
     raw = [
-        (_parse_frac(t["alpha"]), _parse_frac(t["beta"]), _doc_poly(_doc_list(t, "coeff")))
+        (_parse_frac(t["alpha"]), _parse_frac(t["beta"]),
+         Poly([_parse_frac(c) for c in _doc_list(t, "coeff")]))
         for t in _doc_list(doc, "sqrt_terms", [])
     ]
     return Piece(lo, hi, *_norm_expr(poly, raw))

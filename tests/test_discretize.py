@@ -45,6 +45,7 @@ from exactdisc.discretize import (
     measure_rule,
     min_certificate_to_doc,
     positive_feasible,
+    reduce_result_to_doc,
     rule_to_doc,
     search_grid,
     solve_weights,
@@ -1712,3 +1713,47 @@ def test_polarization_defect_identity():
     # the nine-node rule misses exactly one pair condition, and the defect
     # identity pins every nonzero defect to that residual
     assert props.run_polarization(X8, NINE_RULE, 5) == 5
+
+
+# ---------------------------------------------------------------------------
+# basis change: m_min, grid rules and reductions belong to the subspace
+
+
+def random_invertible(rng, n):
+    """A random invertible n x n matrix of rationals a/b, |a| <= 3, b <= 3."""
+    while True:
+        a = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+        if sympy.Matrix(a).det():
+            return a
+
+
+def basis_answers(s):
+    """The documents of `min` in both modes without the groups' values, of
+    positive `reduce` on the measure rule, and the positive `grid` rules on
+    the region midpoints at m = min(regions, pairs)."""
+    out = {}
+    for mode in ("signed", "positive"):
+        doc = min_certificate_to_doc(s, decide_min(s, mode))
+        for grp in doc["vector_groups"]:
+            del grp["values"]
+        out["min-" + mode] = doc
+    rule = measure_rule(s)
+    out["reduce"] = reduce_result_to_doc(rule, caratheodory_reduce(s, rule, "positive"))
+    m = min(len(rule), len(index_pairs(s.dimension)))
+    out["grid"] = [rule_to_doc(r) for r in search_grid(s, rule.nodes, m, "positive")]
+    return out
+
+
+def test_answers_are_invariant_under_a_change_of_basis():
+    # the moment system of A*f is (A (x) A) times that of f, so the rank
+    # profile of the node columns, hence every solution, null vector and
+    # refutation, is that of f; only the group values move
+    rng = random.Random(31)
+    mismatches = []
+    for _ in range(40):
+        s = props.random_pwc_subspace(rng, max_dim=4, max_regions=9)
+        a = random_invertible(rng, s.dimension)
+        t = Subspace(s.names, tuple(props.combine(s, row) for row in a))
+        want, got = basis_answers(s), basis_answers(t)
+        mismatches += [(subspace_to_doc(s), a, key) for key in want if got[key] != want[key]]
+    assert not mismatches, mismatches[:3]

@@ -295,12 +295,13 @@ BEYOND_LADDER_RADICANDS = (
 )
 
 
-def sqrt_sum_minus_approximations(rng, rads):
-    """S - floor(S) and S - ceil(S) at 10^-170 for S = sum c_i*sqrt(d_i):
-    both lie within 10^-170 of zero, past the 512-bit interval round."""
+def sqrt_sum_minus_approximations(rng, rads, digits=170):
+    """S - floor(S) and S - ceil(S) at 10^-digits for S = sum c_i*sqrt(d_i):
+    both lie within 10^-digits of zero (at 170 digits, past a 512-bit
+    enclosure)."""
     s = sum((Radical.single(d, Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
                                         rng.randint(1, 4))) for d in rads), Radical(0))
-    scale = 10**170
+    scale = 10**digits
     with mp.workdps(300):
         scaled = radical_to_mpf(s.terms, dps=300) * scale
         lo, hi = int(mp.floor(scaled)), int(mp.ceil(scaled))
@@ -346,6 +347,22 @@ def test_sign_and_inverse_beyond_the_interval_ladder():
         assert x * inv == Radical(1)
         if reciprocal is not None:
             assert inv == reciprocal
+
+
+@pytest.mark.parametrize("digits, bits", [(25, 128), (50, 256), (100, 512)])
+def test_sign_and_inverse_past_the_64_bit_enclosure(digits, bits):
+    # near misses that a 64-bit enclosure cannot place but one of `bits`
+    # can: sign() hands them from its one enclosure to the exact steps
+    rng = random.Random(digits)
+    for rads in BEYOND_LADDER_RADICANDS:
+        for x in sqrt_sum_minus_approximations(rng, rads, digits):
+            lo, hi = x._enclosure(64)
+            assert lo <= 0 <= hi
+            lo, hi = x._enclosure(bits)
+            assert lo > 0 or hi < 0
+            expected = int(mp.sign(radical_to_mpf(x.terms, dps=300)))
+            assert x.sign() == expected and (-x).sign() == -expected
+            assert x * x.inverse() == Radical(1)
 
 
 def test_comparisons_and_abs():
